@@ -19,7 +19,9 @@ The ``serve_steady_state_*`` rows time the streaming engine's
 resident-arena path on a ~2k-live-job Poisson chain soak, with
 ``*_per_job`` twins recording the retained per-job reference loop on the
 identical workload — the ratio between the paired rows is the arena's
-documented steady-state speedup.
+documented steady-state speedup. The ``serve_backlog_*`` rows replay a
+pre-generated trace of 300 layered 1024-node jobs at ~4x overload on
+m=16: a frontier of thousands of ready nodes, 16 committed per step.
 
 ``--backend numba`` adds the kernel-backend dimension: the engine benches
 are re-timed under the numba backend (kernels compiled outside the
@@ -304,13 +306,39 @@ def _steady_source():
     return _steady_source_cache
 
 
-def _stream_bench(policy, arena):
-    source = _steady_source()  # built in setup, outside the timer
+_backlog_source_cache = None
+
+
+def _backlog_source():
+    """The wide-backlog trace: 300 layered 1024-node jobs (32 levels of
+    32, so 32 roots each) arriving at ~4x the capacity of m=16. The live
+    window grows to ~200 jobs and a frontier of thousands of ready nodes
+    while each step commits 16 of them — the regime where any per-step
+    pass over the whole frontier dominates. Pre-generated once, outside
+    every timer."""
+    global _backlog_source_cache
+    if _backlog_source_cache is None:
+        import numpy as np
+
+        from repro.workloads import layered_tree, poisson_instance
+        from repro.workloads.arrivals import TraceReplaySource
+
+        rng = np.random.default_rng(0)
+        dags = [layered_tree([32] * 32, rng) for _ in range(300)]
+        rate = 4 * 16 / 1024  # arrivals per step for 4x the work m=16 serves
+        _backlog_source_cache = TraceReplaySource.from_instance(
+            poisson_instance(dags, rate, rng)
+        )
+    return _backlog_source_cache
+
+
+def _stream_bench(policy, arena, source_fn=_steady_source, m=2500):
+    source = source_fn()  # built in setup, outside the timer
 
     def run():
         from repro.streaming import StreamingEngine
 
-        engine = StreamingEngine(source, 2500, policy=policy, arena=arena)
+        engine = StreamingEngine(source, m, policy=policy, arena=arena)
         engine.run()
         stats = engine.stats
         if arena:
@@ -327,10 +355,19 @@ def _stream_bench(policy, arena):
 #: ``*_per_job`` twin on the same workload — the ratio between the two
 #: rows is the arena's documented speedup (target >= 5x; measured ~25x).
 #: The per-job twins are capped at one round: they are the denominator,
-#: not the product.
+#: not the product. The ``serve_backlog_*`` rows time the arena on the
+#: wide-backlog trace, where the frontier is far wider than a step.
 STREAM_BENCHES = {
     "serve_steady_state_fifo": (lambda: _stream_bench("fifo", True), 3),
     "serve_steady_state_srpt": (lambda: _stream_bench("srpt", True), 3),
+    "serve_backlog_fifo": (
+        lambda: _stream_bench("fifo", True, _backlog_source, 16),
+        3,
+    ),
+    "serve_backlog_srpt": (
+        lambda: _stream_bench("srpt", True, _backlog_source, 16),
+        3,
+    ),
     "serve_steady_state_fifo_per_job": (
         lambda: _stream_bench("fifo", False),
         1,

@@ -47,6 +47,13 @@ Kernel signatures (all arrays are 1-D ``int64`` unless noted):
     growing it by the segment length. Slot capacities are guaranteed by
     the arena layout (a slot's region holds ``n`` keys).
 
+The two arena kernels served the streaming arena's former per-slot
+frontier regions. The arena now keeps one policy-ordered frontier that
+needs neither, so nothing dispatches them; they stay registered (the
+repo benchmark lists per-kernel dispatch counts from
+:data:`~repro.core.kernels.KERNEL_NAMES`) until they are deleted with
+the numba backend.
+
 Lint rule RPR008 holds these kernels to the vectorized discipline
 (``KERNEL_STYLE``): no Python-level loops, no object-dtype arrays.
 """

@@ -67,7 +67,7 @@ from .instance import Instance, InstanceBatch, pack_instances
 from .job import Job
 from .kernels import get_backend
 from .schedule import Schedule
-from .util import Array
+from .util import Array, encode_priorities
 
 __all__ = [
     "Scheduler",
@@ -876,15 +876,7 @@ def simulate(
     # ``prio_enc`` stays None and frontiers remain plain gid-sorted arrays
     # (preserving the contiguous-slice child gather).
     n_total = flat.n_nodes
-    prio_enc: Optional[Array] = None
-    if prio_flat is not None and prio_flat.size:
-        # Cheap O(n) constancy scan first: skip the dense-ranking sort for
-        # constant kernels, whose encoding would be the identity anyway.
-        if int(prio_flat.min()) < int(prio_flat.max()):
-            _ranks = np.unique(prio_flat, return_inverse=True)[1]
-            prio_enc = _ranks.astype(np.int64) * n_total + np.arange(
-                n_total, dtype=np.int64
-            )
+    prio_enc = None if prio_flat is None else encode_priorities(prio_flat)
     # Chain-run macro-stepping (see Scheduler.macro_step_safe and
     # docs/engine-internals.md): when the forced whole-frontier selection
     # would repeat verbatim for the next Δt steps — every committed gid on

@@ -9,7 +9,7 @@ operations (multi-range gathers, segmented reductions) that sit on hot paths.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Any, TypeAlias
+from typing import Any, Optional, TypeAlias
 
 import numpy as np
 import numpy.typing as npt
@@ -20,6 +20,7 @@ __all__ = [
     "build_csr",
     "csr_gather",
     "csr_counts",
+    "encode_priorities",
     "segment_max",
     "repeat_by_counts",
     "check_nonnegative_int",
@@ -134,6 +135,23 @@ def segment_max(values: Array, counts: Array, empty: int = 0) -> Array:
     starts = (ends - counts)[nonempty]
     out[nonempty] = np.maximum.reduceat(values, starts)
     return out
+
+
+def encode_priorities(prio: Array) -> Optional[Array]:
+    """Composite int64 keys ``dense_rank(prio) * n + arange(n)``.
+
+    The keys are unique and lexicographic in ``(priority, id)``, so a
+    frontier sorted by key is sorted by priority with ties broken by id,
+    and dense ranking keeps them in int64 whatever the priorities'
+    magnitudes. A constant (or empty) ``prio`` returns ``None``: its
+    encoding would be the identity, and an O(n) ``min``/``max`` scan
+    skips the ranking sort.
+    """
+    n = prio.size
+    if n == 0 or int(prio.min()) == int(prio.max()):
+        return None
+    ranks = np.unique(prio, return_inverse=True)[1]
+    return ranks.astype(_INT) * n + np.arange(n, dtype=_INT)
 
 
 def stable_unique(values: Sequence[int] | Array) -> Array:

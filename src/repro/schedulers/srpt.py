@@ -60,7 +60,7 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.kernels.numpy_backend import merge_sorted
 from ..core.simulator import EngineState, Scheduler, Selection
-from ..core.util import Array
+from ..core.util import Array, encode_priorities
 from .base import ArbitraryTieBreak, ReadyQueue, TieBreak, make_ready_queue
 
 __all__ = ["SRPTScheduler"]
@@ -166,14 +166,11 @@ class SRPTScheduler(Scheduler):
             self._n_total = n_total
             prio = np.concatenate(kernels) if len(kernels) > 1 else kernels[0]
             self._prio_flat = prio
-            enc = np.arange(n_total, dtype=_INT)
             # Constant kernels encode to the identity (plain gid order);
             # only non-constant ones pay the dense-ranking sort.
-            if prio.size and int(prio.min()) < int(prio.max()):
-                ranks = np.unique(prio, return_inverse=True)[1]
-                enc = ranks.astype(_INT) * n_total + enc
-                self._encoded = True
-            self._enc = enc
+            enc = encode_priorities(prio)
+            self._encoded = enc is not None
+            self._enc = np.arange(n_total, dtype=_INT) if enc is None else enc
             self._frontiers = [None] * len(instance)
 
     def on_job_arrival(self, t: int, job_id: int, job: Job) -> None:

@@ -21,11 +21,12 @@ the repo's kernelized schedulers:
   (:class:`~repro.schedulers.base.LongestPathTieBreak`);
 * ``srpt`` — ascending ``(remaining subjobs, arrival)`` across jobs.
 
-Per-job ready frontiers use the same encoded representation as the batch
-engine's priority commits — ``dense_rank(priority) * n + node``, an int64
-key lexicographic in ``(priority, node)`` — so a mid-job truncation is a
-prefix slice of one sorted array, and the property suite pins the
-streaming run bit-identical to ``simulate`` on any materialized prefix.
+Ready nodes within a job are ordered by the same encoded key as the
+batch engine's priority commits — ``dense_rank(priority) * n + node``, an
+int64 key lexicographic in ``(priority, node)``, from the shared
+:func:`~repro.core.util.encode_priorities` — so a mid-job truncation is a
+prefix slice, and the property suite pins the streaming run bit-identical
+to ``simulate`` on any materialized prefix.
 
 Two execution paths produce the same step sequence bit-for-bit:
 
@@ -34,8 +35,10 @@ Two execution paths produce the same step sequence bit-for-bit:
   semantics ground truth;
 * the **resident arena** (``arena=True``, the default) keeps every live
   job packed in one :class:`~repro.streaming.arena.StreamArena` SoA and
-  commits a step as a handful of whole-window kernel passes
-  (``arena_gather`` → CSR child gather → ``arena_commit``). On top of it,
+  the whole live frontier as one flat array in policy order (jobs by
+  job key, then nodes by in-job key), so a step commits the prefix
+  ``front[:m_t]``, gathers its children in one ``csr_children`` pass,
+  and re-sorts only the jobs it touched. On top of it,
   **epoch macro-stepping** detects windows where every walk is forced —
   no arrival lands before ``t + Δt``, granted capacity is constant and
   covers the whole frontier, every live DAG is an out-forest, and every
@@ -67,15 +70,10 @@ from ..core.exceptions import ConfigurationError, SimulationError
 from ..core.job import Job
 from ..core.kernels import get_backend
 from ..core.simulator import EngineStats
-from ..core.util import Array
+from ..core.util import Array, encode_priorities
 from ..schedulers.base import ArbitraryTieBreak, LongestPathTieBreak, TieBreak
 from ..workloads.arrivals import ArrivalSource
-from .arena import (
-    SRPT_INDEX_LIMIT,
-    SRPT_REMAINING_LIMIT,
-    SrptRanker,
-    StreamArena,
-)
+from .arena import SRPT_INDEX_LIMIT, SRPT_REMAINING_LIMIT, StreamArena
 from .metrics import StreamMetrics
 
 __all__ = [
@@ -121,11 +119,7 @@ def _encode_priorities(dag: Any, release: int, tie_break: TieBreak) -> Optional[
             "streaming policies require a priority kernel "
             f"({type(tie_break).__name__} returned None)"
         )
-    ranks = np.unique(np.asarray(kernel, dtype=_INT), return_inverse=True)[1]
-    if int(ranks.max(initial=0)) == 0:
-        return None
-    n = int(dag.n)
-    return ranks.astype(_INT) * _INT(n) + np.arange(n, dtype=_INT)
+    return encode_priorities(np.asarray(kernel, dtype=_INT))
 
 
 class _LiveJob:
@@ -197,12 +191,12 @@ class StreamingEngine:
         retired job).
     arena:
         ``True`` (default) commits steps through the resident
-        :class:`~repro.streaming.arena.StreamArena` SoA — whole-window
-        kernel passes plus epoch macro-stepping. ``False`` runs the
-        per-job reference loop. The two paths are bit-identical on every
-        observable surface (metrics, snapshots, retirement order); the
-        flag is deliberately excluded from :attr:`fingerprint`, so
-        checkpoints move freely between them.
+        :class:`~repro.streaming.arena.StreamArena` SoA — prefix commits
+        of its policy-ordered frontier plus epoch macro-stepping.
+        ``False`` runs the per-job reference loop. The two paths are
+        bit-identical on every observable surface (metrics, snapshots,
+        retirement order); the flag is deliberately excluded from
+        :attr:`fingerprint`, so checkpoints move freely between them.
     """
 
     def __init__(
@@ -256,10 +250,7 @@ class StreamingEngine:
         )
         self._on_retire = on_retire
         self._backend = get_backend()
-        self._arena: Optional[StreamArena] = StreamArena() if arena else None
-        self._ranker: Optional[SrptRanker] = (
-            SrptRanker() if arena and policy == "srpt" else None
-        )
+        self._arena: Optional[StreamArena] = StreamArena(policy) if arena else None
 
         self.t = 0
         self.metrics = StreamMetrics()
@@ -426,7 +417,7 @@ class StreamingEngine:
         arena = self._arena
         assert arena is not None
         n = int(dag.n)
-        if self._ranker is not None and (
+        if self._policy == "srpt" and (
             index >= SRPT_INDEX_LIMIT or n >= SRPT_REMAINING_LIMIT
         ):  # pragma: no cover - requires ~4e9 arrivals or ~1e9-node jobs
             raise ConfigurationError(
@@ -436,16 +427,7 @@ class StreamingEngine:
                 "run with arena=False for streams beyond those bounds"
             )
         enc = _encode_priorities(dag, release, self._tie_break)
-        slot = arena.admit(index, release, dag, enc, done=done)
-        if self._ranker is not None:
-            remaining = n - int(arena.slot_n_done[slot])
-            self._ranker.insert(
-                SrptRanker.compose(
-                    np.array([remaining], dtype=_INT),
-                    np.array([index], dtype=_INT),
-                ),
-                np.array([slot], dtype=_INT),
-            )
+        arena.admit(index, release, dag, enc, done=done)
         self._live_subjobs += n
         if done is None:
             # Restore-path admissions (done mask given) re-seat jobs the
@@ -549,14 +531,6 @@ class StreamingEngine:
 
     # -- arena path ------------------------------------------------------
 
-    def _arena_order(self) -> Array:
-        """Live slots in policy order (the arena analogue of
-        :meth:`_policy_order`)."""
-        if self._ranker is not None:
-            return self._ranker.order()
-        assert self._arena is not None
-        return self._arena.order_arrival()
-
     def _retire_slot(self, slot: int, finish: int) -> None:
         """Retire one completed arena slot (mirrors the per-job flow)."""
         arena = self._arena
@@ -573,54 +547,30 @@ class StreamingEngine:
             self._on_retire(index, flow)
 
     def _commit_arena(self, t: int, capacity: int) -> int:
-        """One streaming step as whole-window kernel passes.
+        """One streaming step: commit the prefix ``front[:capacity]``.
 
-        Same step semantics as the per-job :meth:`_commit`, restated over
-        the arena SoA: walk slots in policy order granting each its whole
-        frontier until capacity runs out (``k = min(size, cap_left)`` —
-        at most one slot is partially taken, so the in-place remainder
-        shift is a single slice copy), stamp completions, gather children
-        over the window-global CSR, and merge the newly-ready keys into
-        each owner slot's resident frontier in one ``arena_commit`` call.
+        Same step semantics as the per-job :meth:`_commit`: walking jobs
+        in policy order and granting whole frontiers until capacity runs
+        out (the last job truncated in its in-job order) takes exactly a
+        prefix of the policy-ordered ``front``. The step stamps the
+        prefix, gathers its children over the window-global CSR, and
+        re-seats the touched jobs' ready nodes ahead of the rest (see
+        :meth:`StreamArena.advance`).
         """
         if capacity <= 0:
             return 0
         arena = self._arena
         assert arena is not None
-        backend = self._backend
-        order = self._arena_order()
-        sizes = arena.slot_fsize[order]
-        csum = np.cumsum(sizes)
-        k = np.minimum(sizes, np.maximum(_INT(capacity) - (csum - sizes), 0))
-        total_k = int(k.sum())
-        if total_k == 0:  # pragma: no cover - live slots stay ready
+        taken = arena.front[:capacity]
+        k = int(taken.size)
+        if k == 0:  # pragma: no cover - live slots stay ready
             return 0
-        active = k > 0
-        slots_taken = order[active]
-        k_act = k[active]
-        starts = arena.slot_off[slots_taken]
-        taken = backend.arena_gather(arena.fbuf, starts, k_act, total_k)
-        gids = taken % np.repeat(arena.slot_n[slots_taken], k_act) + np.repeat(
-            starts, k_act
-        )
-        # Shift the (at most one) partially-taken resident slice in place.
-        partial = np.nonzero(k_act < sizes[active])[0]
-        for i in partial.tolist():
-            s = int(slots_taken[i])
-            off = int(arena.slot_off[s])
-            kk = int(k_act[i])
-            rem = int(arena.slot_fsize[s]) - kk
-            arena.fbuf[off : off + rem] = arena.fbuf[
-                off + kk : off + kk + rem
-            ].copy()
-        arena.done_stamp[gids] = t + 1
-        rem_before = arena.slot_n[slots_taken] - arena.slot_n_done[slots_taken]
-        arena.slot_n_done[slots_taken] += k_act
-        arena.slot_fsize[slots_taken] -= k_act
-        children = backend.csr_children(arena.indptr, arena.indices, gids)
+        slots, counts = arena.jobs_of(taken)
+        arena.done_stamp[taken] = t + 1
+        children = self._backend.csr_children(arena.indptr, arena.indices, taken)
         dispatches = self.stats.kernel_dispatches
-        dispatches["arena_gather"] = dispatches.get("arena_gather", 0) + 1
         dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
+        newly = _EMPTY
         if children.size:
             # A committed node's child is never done (it still carries the
             # edge being decremented), so the update below cannot resurrect
@@ -632,40 +582,11 @@ class StreamingEngine:
             else:
                 np.subtract.at(arena.indegree, children, 1)
                 newly = np.unique(children[arena.indegree[children] == 0])
-            if newly.size:
-                owners = arena.slot_of[newly]
-                perm = np.argsort(owners, kind="stable")
-                uniq, counts = np.unique(owners, return_counts=True)
-                seg = np.zeros(uniq.size + 1, dtype=_INT)
-                np.cumsum(counts, out=seg[1:])
-                backend.arena_commit(
-                    arena.fbuf,
-                    arena.slot_off,
-                    arena.slot_fsize,
-                    uniq,
-                    seg,
-                    arena.enc[newly[perm]],
-                )
-                dispatches["arena_commit"] = (
-                    dispatches.get("arena_commit", 0) + 1
-                )
-                arena.slot_fsize[uniq] += counts
-        if self._ranker is not None:
-            idxs = arena.slot_index[slots_taken]
-            self._ranker.remove(SrptRanker.compose(rem_before, idxs))
-            rem_after = rem_before - k_act
-            keep = rem_after > 0
-            if bool(keep.any()):
-                self._ranker.insert(
-                    SrptRanker.compose(rem_after[keep], idxs[keep]),
-                    slots_taken[keep],
-                )
-        fin = slots_taken[
-            arena.slot_n_done[slots_taken] == arena.slot_n[slots_taken]
-        ]
+        arena.advance(k, slots, counts, newly)
+        fin = slots[arena.slot_n_done[slots] == arena.slot_n[slots]]
         for s in fin.tolist():  # policy order, matching the per-job loop
-            self._retire_slot(int(s), t + 1)
-        return total_k
+            self._retire_slot(s, t + 1)
+        return k
 
     def _capacity_run(self, t: int, bound: int) -> int:
         """Steps from ``t`` over which granted capacity is provably
@@ -710,9 +631,8 @@ class StreamingEngine:
         assert arena is not None
         if arena.nonforest_live:
             return 0
-        order = self._arena_order()
-        sizes = arena.slot_fsize[order]
-        total = int(sizes.sum())
+        front = arena.front
+        total = int(front.size)
         if total == 0 or total > capacity:
             return 0
         bound = 2**62
@@ -724,16 +644,10 @@ class StreamingEngine:
             return 0
         backend = self._backend
         dispatches = self.stats.kernel_dispatches
-        starts = arena.slot_off[order]
-        frontier = backend.arena_gather(arena.fbuf, starts, sizes, total)
-        gids = frontier % np.repeat(arena.slot_n[order], sizes) + np.repeat(
-            starts, sizes
-        )
-        dt = backend.chain_min_dt(arena.steps_left, gids, bound)
+        dt = backend.chain_min_dt(arena.steps_left, front, bound)
         # Counted here, not after the dt gate: an aborted window probe
-        # still dispatched these two kernels.
-        for kname in ("arena_gather", "chain_min_dt"):
-            dispatches[kname] = dispatches.get(kname, 0) + 1
+        # still dispatched the kernel.
+        dispatches["chain_min_dt"] = dispatches.get("chain_min_dt", 0) + 1
         dt = self._capacity_run(t, dt)
         if dt < 2:
             return 0
@@ -742,12 +656,13 @@ class StreamingEngine:
             arena.run_pos,
             arena.steps_left,
             arena.done_stamp,
-            gids,
+            front,
             t,
             dt,
         )
         dispatches["macro_fill"] = dispatches.get("macro_fill", 0) + 1
-        arena.slot_n_done[order] += _INT(dt) * sizes
+        slots, sizes = arena.jobs_of(front)
+        arena.note_commits(slots, _INT(dt) * sizes)
         if term.size:
             children = backend.csr_children(arena.indptr, arena.indices, term)
             dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
@@ -755,42 +670,19 @@ class StreamingEngine:
                 arena.indegree[children] -= 1
                 newly = children[arena.indegree[children] == 0]
                 nxt = np.concatenate([nxt, newly])
-        # Rebuild every surviving frontier from scratch: the window moved
-        # each chain head dt steps, so the resident prefixes are stale.
-        arena.slot_fsize[order] = 0
-        if nxt.size:
-            owners = arena.slot_of[nxt]
-            keys = arena.enc[nxt]
-            perm = np.lexsort((keys, owners))
-            keys = keys[perm]
-            uniq, counts = np.unique(owners, return_counts=True)
-            ccs = np.cumsum(counts)
-            pos = (
-                np.repeat(arena.slot_off[uniq], counts)
-                + np.arange(keys.size, dtype=_INT)
-                - np.repeat(ccs - counts, counts)
-            )
-            arena.fbuf[pos] = keys
-            arena.slot_fsize[uniq] = counts
-        fin_mask = arena.slot_n_done[order] == arena.slot_n[order]
-        fin = order[fin_mask]
+        # The window moved every chain head dt steps: the new front is the
+        # continuation heads plus the newly ready children (at most
+        # ``total`` entries), in policy order.
+        arena.front = arena.policy_sort(nxt)
+        fin_mask = arena.slot_n_done[slots] == arena.slot_n[slots]
+        fin = slots[fin_mask]
         if fin.size:
             if self._policy == "srpt":
                 # Final-step policy order among retiring jobs: remaining
                 # equals the (window-constant) frontier size.
                 fin = fin[np.lexsort((arena.slot_index[fin], sizes[fin_mask]))]
             for s in fin.tolist():
-                self._retire_slot(int(s), t + dt)
-        if self._ranker is not None:
-            # Every slot's remaining count moved: full re-rank.
-            live = arena.order_arrival()
-            self._ranker.rebuild(
-                SrptRanker.compose(
-                    arena.slot_n[live] - arena.slot_n_done[live],
-                    arena.slot_index[live],
-                ),
-                live,
-            )
+                self._retire_slot(s, t + dt)
         self.metrics.note_macro(total, capacity, dt)
         self.stats.steps += dt
         self.stats.selections += total * dt

@@ -309,6 +309,7 @@ class TraceReplaySource(ArrivalSource):
                 )
         self._jobs = tuple(jobs)
         self.n_jobs = len(self._jobs)
+        self._fingerprint: Optional[str] = None
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "TraceReplaySource":
@@ -323,13 +324,20 @@ class TraceReplaySource(ArrivalSource):
         return self._jobs[index].release - self._jobs[index - 1].release
 
     def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        for job in self._jobs:
-            digest.update(np.int64(job.release).tobytes())
-            digest.update(np.int64(job.dag.n).tobytes())
-            digest.update(np.ascontiguousarray(job.dag.child_indptr).tobytes())
-            digest.update(np.ascontiguousarray(job.dag.child_indices).tobytes())
-        return f"replay(n_jobs={self.n_jobs},sha={digest.hexdigest()[:16]})"
+        # The replayed jobs are an immutable tuple over read-only CSR
+        # arrays, so the content hash is computed once per source rather
+        # than on every snapshot.
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            for job in self._jobs:
+                digest.update(np.int64(job.release).tobytes())
+                digest.update(np.int64(job.dag.n).tobytes())
+                digest.update(np.ascontiguousarray(job.dag.child_indptr).tobytes())
+                digest.update(np.ascontiguousarray(job.dag.child_indices).tobytes())
+            self._fingerprint = (
+                f"replay(n_jobs={self.n_jobs},sha={digest.hexdigest()[:16]})"
+            )
+        return self._fingerprint
 
 
 class AdversarialDripSource(ArrivalSource):

@@ -218,13 +218,17 @@ def test_snapshot_bytes_identical_across_paths(policy, kind, seed, cuts):
 
 
 def test_arena_commit_path_engages():
-    """A mixed Poisson stream drives the per-step arena commit kernel."""
+    """A mixed Poisson stream commits every step through the arena's
+    policy-ordered front: exactly one CSR child gather per step, and no
+    dispatch of the ragged ``arena_gather``/``arena_commit`` kernels."""
     source = PoissonSource(rate=0.7, seed=11, dag_nodes=40, n_jobs=60)
     engine = StreamingEngine(source, 6, policy="srpt", arena=True)
     engine.run()
-    assert engine.stats.stream_arena_steps > 0
-    assert engine.stats.kernel_dispatches.get("arena_gather", 0) > 0
-    assert engine.stats.kernel_dispatches.get("arena_commit", 0) > 0
+    assert engine.stats.stream_arena_steps == 403
+    assert engine.stats.kernel_dispatches == {
+        "csr_children": 403,
+        "chain_min_dt": 4,
+    }
 
 
 def test_epoch_macro_path_engages():

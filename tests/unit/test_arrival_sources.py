@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.exceptions import ConfigurationError
+from repro.streaming import StreamingEngine
 from repro.workloads.arrivals import (
     AdversarialDripSource,
     ArrivalSource,
@@ -129,6 +131,28 @@ class TestTraceReplay:
         other = PoissonSource(rate=0.8, seed=10, dag_nodes=6, n_jobs=10)
         c = TraceReplaySource.from_instance(other.prefix_instance(10))
         assert a.fingerprint() != c.fingerprint()
+
+    def test_fingerprint_is_computed_once(self):
+        instance = self._instance()
+        source = TraceReplaySource.from_instance(instance)
+        cached = source.fingerprint()
+        assert source.fingerprint() is cached  # no re-hash per snapshot
+        assert cached == TraceReplaySource.from_instance(instance).fingerprint()
+
+    def test_resume_under_a_different_trace_is_rejected(self):
+        source = TraceReplaySource.from_instance(self._instance())
+        engine = StreamingEngine(source, 2)
+        for _ in range(6):
+            engine.step()
+        snapshot = engine.snapshot()
+        other = TraceReplaySource.from_instance(
+            PoissonSource(rate=0.8, seed=10, dag_nodes=6, n_jobs=10).prefix_instance(10)
+        )
+        other.fingerprint()  # its own cached digest, not the original's
+        with pytest.raises(ConfigurationError, match="fingerprint mismatch"):
+            StreamingEngine.from_snapshot(snapshot, other, 2)
+        resumed = StreamingEngine.from_snapshot(snapshot, source, 2)
+        assert resumed.t == engine.t
 
     def test_rejects_decreasing_releases(self):
         instance = self._instance()

@@ -1,11 +1,12 @@
-"""Unit tests for the streaming arena: ranker order, dispatch
-accounting, compaction bounds, and the service-level ``arena`` switch.
+"""Unit tests for the streaming arena: the policy-ordered frontier
+invariant, dispatch accounting, compaction bounds, and the service-level
+``arena`` switch.
 
 The property suite (``tests/properties/test_streaming_arena.py``) pins
 the arena path's *semantics* against the per-job reference; this module
-pins the pieces those properties cannot see from the outside — that the
-incremental SRPT ranker pops in exactly the sort-based reference order
-under arbitrary insert/remove/rebuild sequences, that
+pins the pieces those properties cannot see from the outside — that
+after every step the arena's flat ``front`` is exactly the live ready
+set sorted by (job key, in-job rank), that
 ``EngineStats.kernel_dispatches`` counts exactly the kernel calls the
 engine actually made (the per-job accounting used to pay two dict
 probes per call on the hot loop; the accumulate-locals-flush-once
@@ -15,99 +16,138 @@ stream length.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.core import Instance, Job
+from repro.core.util import csr_gather
+from repro.schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
 from repro.streaming import StreamingEngine
-from repro.streaming.arena import SrptRanker
 from repro.streaming.service import serve
-from repro.workloads.arrivals import PoissonSource
+from repro.workloads import map_reduce_dag, random_attachment_tree, series_of_trees
+from repro.workloads.arrivals import (
+    AdversarialDripSource,
+    PoissonSource,
+    TraceReplaySource,
+)
 
 _INT = np.int64
 
 
-class TestSrptRanker:
-    """Pop-order identity against the sort-based reference."""
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_random_ops_match_sort_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        ranker = SrptRanker()
-        live: dict[int, tuple[int, int]] = {}  # slot -> (remaining, index)
-        next_index = 0
-
-        def reference_order() -> list[int]:
-            return [
-                slot
-                for slot, _ in sorted(live.items(), key=lambda kv: kv[1])
-            ]
-
-        for _ in range(120):
-            op = rng.choice(("insert", "remove", "update", "rebuild"))
-            if op == "insert" or not live:
-                count = int(rng.integers(1, 5))
-                slots, keys = [], []
-                for _ in range(count):
-                    slot = next_index  # unique is all that matters
-                    remaining = int(rng.integers(1, 50))
-                    live[slot] = (remaining, next_index)
-                    keys.append(SrptRanker.compose(remaining, next_index))
-                    slots.append(slot)
-                    next_index += 1
-                ranker.insert(
-                    np.array(keys, dtype=_INT), np.array(slots, dtype=_INT)
-                )
-            elif op == "remove":
-                count = int(rng.integers(1, min(len(live), 4) + 1))
-                chosen = rng.choice(list(live), size=count, replace=False)
-                ranker.remove(
-                    np.array(
-                        [SrptRanker.compose(*live[s]) for s in chosen],
-                        dtype=_INT,
-                    )
-                )
-                for slot in chosen:
-                    del live[slot]
-            elif op == "update":
-                # A commit: remaining decreases — re-key via remove+insert,
-                # exactly as the engine's dirty-set pass does.
-                count = int(rng.integers(1, min(len(live), 4) + 1))
-                chosen = rng.choice(list(live), size=count, replace=False)
-                ranker.remove(
-                    np.array(
-                        [SrptRanker.compose(*live[s]) for s in chosen],
-                        dtype=_INT,
-                    )
-                )
-                keys = []
-                for slot in chosen:
-                    remaining, index = live[slot]
-                    remaining = max(1, remaining - int(rng.integers(1, 5)))
-                    live[slot] = (remaining, index)
-                    keys.append(SrptRanker.compose(remaining, index))
-                ranker.insert(
-                    np.array(keys, dtype=_INT),
-                    np.asarray(chosen, dtype=_INT),
-                )
-            else:
-                ranker.rebuild(
-                    np.array(
-                        [SrptRanker.compose(*live[s]) for s in live],
-                        dtype=_INT,
-                    ),
-                    np.array(list(live), dtype=_INT),
-                )
-            assert ranker.order().tolist() == reference_order()
-            assert len(ranker) == len(live)
-
-    def test_compose_is_lexicographic(self):
-        # (remaining, index) order survives the int64 packing.
-        pairs = [(2, 9), (2, 10), (3, 0), (1, 2**31)]
-        keys = [SrptRanker.compose(_INT(r), _INT(i)) for r, i in pairs]
-        assert sorted(range(4), key=keys.__getitem__) == sorted(
-            range(4), key=pairs.__getitem__
+def _expected_front(engine: StreamingEngine) -> list[int]:
+    """The live ready set in (job key, in-job rank) order, recomputed
+    from each live job's DAG and done mask alone."""
+    arena = engine._arena
+    assert arena is not None
+    tie_break = (
+        LongestPathTieBreak() if engine.policy == "lpf" else ArbitraryTieBreak()
+    )
+    rows = []
+    for slot in arena.order_arrival().tolist():
+        off, n = int(arena.slot_off[slot]), int(arena.slot_n[slot])
+        index = int(arena.slot_index[slot])
+        dag = engine._source.dag_at(index)
+        done = arena.done_stamp[off : off + n] != 0
+        pending = np.asarray(dag.indegree, dtype=_INT).copy()
+        children, _ = csr_gather(
+            dag.child_indptr, dag.child_indices, np.flatnonzero(done)
         )
+        np.subtract.at(pending, children, 1)
+        ready = np.flatnonzero(~done & (pending == 0))
+        if engine.policy == "srpt":
+            job_key = (n - int(done.sum()), index)
+        else:
+            job_key = (index,)
+        prio = tie_break.priority_kernel(
+            Job(dag, int(arena.slot_release[slot]))
+        )
+        rows.extend(
+            (job_key, int(prio[v]), int(v), off + int(v)) for v in ready
+        )
+    return [row[-1] for row in sorted(rows)]
+
+
+def _multi_parent_replay() -> TraceReplaySource:
+    """Trees mixed with multi-parent DAGs (joins exercise the
+    non-forest child path)."""
+    rng = np.random.default_rng(4)
+    dags = []
+    for i in range(24):
+        if i % 3 == 0:
+            dags.append(series_of_trees(3, 5, seed=rng))
+        elif i % 3 == 1:
+            dags.append(map_reduce_dag(int(rng.integers(2, 6))))
+        else:
+            dags.append(random_attachment_tree(int(rng.integers(4, 14)), rng))
+    releases = np.cumsum(rng.integers(0, 4, size=len(dags)))
+    return TraceReplaySource.from_instance(
+        Instance([Job(d, int(r)) for d, r in zip(dags, releases)])
+    )
+
+
+#: scenario -> (source factory, m, engine kwargs, restore step, what it
+#: must engage). Every scenario checkpoints and restores once mid-run.
+_FRONT_SCENARIOS = {
+    "compaction": (
+        lambda: PoissonSource(rate=0.25, seed=3, dag_nodes=12, n_jobs=300),
+        8,
+        {},
+        500,
+        "compactions",
+    ),
+    "epochs": (
+        lambda: AdversarialDripSource(4, period=3, seed=5, n_jobs=30),
+        4,
+        {},
+        20,
+        "epochs",
+    ),
+    "shedding": (
+        lambda: AdversarialDripSource(4, period=1, depth=8, seed=2, n_jobs=60),
+        4,
+        {"max_live_subjobs": 60, "availability": [2, 0, 3, 1]},
+        30,
+        "shed",
+    ),
+    "multi_parent": (_multi_parent_replay, 3, {}, 25, "nonforest"),
+}
+
+
+class TestPolicyOrderedFront:
+    """``front`` is the ready set in policy order after every step."""
+
+    @pytest.mark.parametrize("policy", ("fifo", "lpf", "srpt"))
+    @pytest.mark.parametrize("scenario", sorted(_FRONT_SCENARIOS))
+    def test_front_is_sorted_ready_set_after_every_step(self, policy, scenario):
+        make, m, kwargs, restore_at, engages = _FRONT_SCENARIOS[scenario]
+        engine = StreamingEngine(make(), m, policy=policy, **kwargs)
+        seen = dict.fromkeys(("compactions", "epochs", "shed", "nonforest"), 0)
+
+        def absorb(engine):
+            seen["compactions"] += engine._arena.compactions
+            seen["epochs"] += engine.stats.stream_epoch_steps
+            seen["shed"] += engine.stats.stream_shed
+
+        steps = 0
+        while True:
+            assert engine._arena.front.tolist() == _expected_front(engine)
+            seen["nonforest"] += engine._arena.nonforest_live
+            if steps == restore_at:
+                absorb(engine)
+                snapshot = pickle.loads(pickle.dumps(engine.snapshot()))
+                engine = StreamingEngine.from_snapshot(
+                    snapshot, make(), m, policy=policy, **kwargs
+                )
+                assert engine._arena.front.tolist() == _expected_front(engine)
+            if not engine.step():
+                break
+            steps += 1
+        absorb(engine)
+        assert steps > restore_at  # the restore happened mid-run
+        assert engine._arena.front.size == 0
+        assert seen[engages] > 0
 
 
 def _counting_backend(engine: StreamingEngine) -> dict[str, int]:
@@ -165,15 +205,26 @@ class TestDispatchAccounting:
         assert recorded == counts
 
     def test_arena_counts_are_exact(self):
-        engine, counts = self._run(arena=True)
-        assert counts["arena_gather"] > 0
-        assert counts["arena_commit"] > 0
-        recorded = {
-            name: count
-            for name, count in engine.stats.kernel_dispatches.items()
-            if count
-        }
-        assert recorded == counts
+        # The policy-ordered front commits a step as one prefix slice:
+        # one csr_children gather per arena step (188) plus one for the
+        # epoch window whose run terminals have children, one
+        # chain_min_dt per epoch probe, one macro_fill per window — and
+        # no ragged arena_gather/arena_commit pass, under every policy.
+        for policy in ("fifo", "lpf", "srpt"):
+            engine, counts = self._run(arena=True, policy=policy)
+            recorded = {
+                name: count
+                for name, count in engine.stats.kernel_dispatches.items()
+                if count
+            }
+            assert recorded == counts
+            assert engine.stats.stream_arena_steps == 188
+            assert engine.stats.stream_epoch_steps == 1
+            assert recorded == {
+                "csr_children": 189,
+                "chain_min_dt": 6,
+                "macro_fill": 1,
+            }
 
 
 class TestCompaction:

@@ -1,8 +1,7 @@
 """Record / compare engine-throughput baselines.
 
 ``python benchmarks/save_baseline.py`` re-times the engine microbenchmarks
-(the same workloads as ``test_engine_throughput.py``) and writes their
-subjobs/sec to ``BENCH_engine.json`` next to this script.
+and writes their subjobs/sec to ``BENCH_engine.json`` next to this script.
 
 ``python benchmarks/save_baseline.py --compare`` re-times them and exits
 non-zero if any microbench regressed more than 20% against the recorded
@@ -15,19 +14,15 @@ Besides the engine benches this also records the lint tooling bench
 (``--only lint_warm_cache_src``): cold vs warm incremental-cache wall
 time over ``src/repro``, with a byte-identical report check.
 
-The ``serve_steady_state_*`` rows time the streaming engine's
-resident-arena path on a ~2k-live-job Poisson chain soak, with
-``*_per_job`` twins recording the retained per-job reference loop on the
-identical workload — the ratio between the paired rows is the arena's
-documented steady-state speedup. The ``serve_backlog_*`` rows replay a
+The ``serve_steady_state_*`` rows time the streaming engine on a
+~2k-live-job Poisson chain soak. The ``serve_backlog_*`` rows replay a
 pre-generated trace of 300 layered 1024-node jobs at ~4x overload on
 m=16: a frontier of thousands of ready nodes, 16 committed per step.
 
-``--backend numba`` adds the kernel-backend dimension: the engine benches
-are re-timed under the numba backend (kernels compiled outside the
-timers) and recorded/compared as ``<name>_numba`` rows next to the numpy
-defaults. The flag refuses to run where numba is unavailable rather than
-silently recording fallback-to-numpy numbers under a numba label.
+The ``adversary_build_m32`` row times the Section 4 adversary's builder
+(``build_fifo_adversary(32, n_jobs=64)``, its private FIFO
+co-simulation included) and checks the built instance still separates
+FIFO from OPT; its "subjobs" are the built instance's total work.
 """
 
 from __future__ import annotations
@@ -146,10 +141,9 @@ def _bench_fifo_adversarial_combs():
 
 
 #: name -> setup() returning (instance, scheduler_factory, m) or
-#: (instance, scheduler_factory, m, simulate_kwargs). Names match the
-#: corresponding ``test_engine_throughput.py`` benchmarks. The
-#: ``*_per_step`` twin pins the same workload with macro-stepping off, so
-#: the recorded baseline itself documents the compression win.
+#: (instance, scheduler_factory, m, simulate_kwargs). The ``*_per_step``
+#: twin pins the same workload with macro-stepping off, so the recorded
+#: baseline itself documents the compression win.
 MICROBENCHES = {
     "fifo_on_packed_rectangles": _bench_fifo_packed,
     "lpf_on_irregular_trees": _bench_lpf_irregular,
@@ -288,8 +282,8 @@ _steady_source_cache = None
 def _steady_source():
     """The ~2k-live-job Poisson soak: rate-4 arrivals of ~500-node chain
     jobs, so the live window plateaus around 2,400 jobs whose frontiers
-    are one node each — the per-job commit loop's worst case and the
-    resident arena's steady state. Built once, shared by every stream
+    are one node each — the resident arena's steady state, with the
+    whole window walked every step. Built once, shared by every stream
     bench (the source is stateless and index-pure)."""
     global _steady_source_cache
     if _steady_source_cache is None:
@@ -332,50 +326,47 @@ def _backlog_source():
     return _backlog_source_cache
 
 
-def _stream_bench(policy, arena, source_fn=_steady_source, m=2500):
+def _stream_bench(policy, source_fn=_steady_source, m=2500):
     source = source_fn()  # built in setup, outside the timer
 
     def run():
         from repro.streaming import StreamingEngine
 
-        engine = StreamingEngine(source, m, policy=policy, arena=arena)
+        engine = StreamingEngine(source, m, policy=policy)
         engine.run()
         stats = engine.stats
-        if arena:
-            assert stats.stream_arena_steps + stats.stream_epoch_steps > 0
-        else:
-            assert stats.stream_arena_steps == 0
+        assert stats.stream_arena_steps + stats.stream_epoch_steps > 0
         return engine.metrics.summary()["subjobs_completed"]
 
     return run
 
 
-#: Streaming-service benches: the resident-arena path on the steady-state
-#: soak, with the retained per-job reference loop recorded as a
-#: ``*_per_job`` twin on the same workload — the ratio between the two
-#: rows is the arena's documented speedup (target >= 5x; measured ~25x).
-#: The per-job twins are capped at one round: they are the denominator,
-#: not the product. The ``serve_backlog_*`` rows time the arena on the
-#: wide-backlog trace, where the frontier is far wider than a step.
+#: Streaming-service benches: the steady-state soak, and the wide-backlog
+#: trace, where the frontier is far wider than a step.
 STREAM_BENCHES = {
-    "serve_steady_state_fifo": (lambda: _stream_bench("fifo", True), 3),
-    "serve_steady_state_srpt": (lambda: _stream_bench("srpt", True), 3),
-    "serve_backlog_fifo": (
-        lambda: _stream_bench("fifo", True, _backlog_source, 16),
-        3,
-    ),
-    "serve_backlog_srpt": (
-        lambda: _stream_bench("srpt", True, _backlog_source, 16),
-        3,
-    ),
-    "serve_steady_state_fifo_per_job": (
-        lambda: _stream_bench("fifo", False),
-        1,
-    ),
-    "serve_steady_state_srpt_per_job": (
-        lambda: _stream_bench("srpt", False),
-        1,
-    ),
+    "serve_steady_state_fifo": (lambda: _stream_bench("fifo"), 3),
+    "serve_steady_state_srpt": (lambda: _stream_bench("srpt"), 3),
+    "serve_backlog_fifo": (lambda: _stream_bench("fifo", _backlog_source, 16), 3),
+    "serve_backlog_srpt": (lambda: _stream_bench("srpt", _backlog_source, 16), 3),
+}
+
+
+def _adversary_build_bench():
+    def run():
+        from repro.workloads import build_fifo_adversary
+
+        adv = build_fifo_adversary(32, n_jobs=64)
+        assert adv.fifo_max_flow > adv.opt_upper_bound
+        return adv.instance.total_work
+
+    return run
+
+
+#: Workload-builder benches, timed like the sweeps: the Section 4
+#: adversary, whose private co-simulation once lost 10x to a per-step
+#: set rebuild.
+BUILD_BENCHES = {
+    "adversary_build_m32": (_adversary_build_bench, 3),
 }
 
 
@@ -429,39 +420,18 @@ LINT_BENCHES = {
 
 
 def all_bench_names() -> list[str]:
-    return [*MICROBENCHES, *SWEEP_BENCHES, *STREAM_BENCHES, *LINT_BENCHES]
+    return [
+        *MICROBENCHES,
+        *SWEEP_BENCHES,
+        *STREAM_BENCHES,
+        *BUILD_BENCHES,
+        *LINT_BENCHES,
+    ]
 
 
-def measure(
-    rounds: int = 3,
-    only: list[str] | None = None,
-    backend: str | None = None,
-) -> dict:
-    """Time every microbench; returns name -> measurement dict.
-
-    With ``backend`` set to a non-default kernel backend the engine
-    benches are timed under it (kernels pre-compiled outside the timers)
-    and recorded under ``<name>_<backend>`` keys — the backend dimension
-    of the baseline. The lint benches never touch the kernels and are
-    skipped for non-default backends.
-    """
+def measure(rounds: int = 3, only: list[str] | None = None) -> dict:
+    """Time every microbench; returns name -> measurement dict."""
     from repro.core import simulate
-
-    suffix = ""
-    if backend is not None and backend != "numpy":
-        from repro.core import kernels
-
-        os.environ[kernels.BACKEND_ENV_VAR] = backend
-        kernels._reset_for_testing()
-        resolved = kernels.get_backend()
-        if resolved.name != backend:
-            raise RuntimeError(
-                f"backend {backend!r} requested but {resolved.name!r} would "
-                "serve the calls (is the dependency installed?); refusing to "
-                f"record {backend} baselines measured on {resolved.name}"
-            )
-        kernels.warmup(resolved)  # compile before any timer starts
-        suffix = f"_{backend}"
 
     selected = set(only) if only is not None else None
 
@@ -480,12 +450,13 @@ def measure(
             schedule = simulate(instance, m, scheduler_factory(), **sim_kwargs)
             best = min(best, time.perf_counter() - start)
         assert schedule.is_complete
-        out[name + suffix] = {
+        out[name] = {
             "subjobs": int(instance.total_work),
             "best_seconds": round(best, 6),
             "subjobs_per_sec": round(instance.total_work / best, 1),
         }
-    for name, (setup, rounds_cap) in {**SWEEP_BENCHES, **STREAM_BENCHES}.items():
+    timed_runs = {**SWEEP_BENCHES, **STREAM_BENCHES, **BUILD_BENCHES}
+    for name, (setup, rounds_cap) in timed_runs.items():
         if not wanted(name):
             continue
         run = setup()
@@ -494,22 +465,21 @@ def measure(
             start = time.perf_counter()
             subjobs = run()
             best = min(best, time.perf_counter() - start)
-        out[name + suffix] = {
+        out[name] = {
             "subjobs": int(subjobs),
             "best_seconds": round(best, 6),
             "subjobs_per_sec": round(subjobs / best, 1),
         }
     for name, bench in LINT_BENCHES.items():
-        if suffix or not wanted(name):
+        if not wanted(name):
             continue
         out[name] = bench(rounds)
     return out
 
 
-def save(rounds: int, only: list[str] | None = None,
-         backend: str | None = None) -> int:
-    results = measure(rounds, only, backend)
-    if only is not None or (backend is not None and backend != "numpy"):
+def save(rounds: int, only: list[str] | None = None) -> int:
+    results = measure(rounds, only)
+    if only is not None:
         # Partial re-record: merge into the existing baseline rather than
         # dropping every bench that was not re-timed.
         merged = {}
@@ -522,13 +492,7 @@ def save(rounds: int, only: list[str] | None = None,
         results = merged
     BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
     for name, row in results.items():
-        rate = row.get("subjobs_per_sec") if isinstance(row, dict) else None
-        if isinstance(rate, (int, float)):
-            print(f"{name:<32} {rate:>12,.0f} subjobs/s")
-        else:
-            # Placeholder row (e.g. a *_numba twin recorded only by the
-            # optional-backend CI job) merged through from the baseline.
-            print(f"{name:<32} {'(pending)':>12}")
+        print(f"{name:<32} {row['subjobs_per_sec']:>12,.0f} subjobs/s")
     print(f"wrote {BASELINE_PATH}")
     return 0
 
@@ -557,8 +521,7 @@ def _publish_step_summary(markdown: str) -> None:
         fh.write(markdown + "\n")
 
 
-def compare(rounds: int, only: list[str] | None = None,
-            backend: str | None = None) -> int:
+def compare(rounds: int, only: list[str] | None = None) -> int:
     if not BASELINE_PATH.is_file():
         print(f"no baseline at {BASELINE_PATH}; run without --compare first",
               file=sys.stderr)
@@ -572,7 +535,7 @@ def compare(rounds: int, only: list[str] | None = None,
             file=sys.stderr,
         )
         return 2
-    results = measure(rounds, only, backend)
+    results = measure(rounds, only)
     status = 0
     rows: list[tuple[str, str, str, str, str]] = []
     for name, row in results.items():
@@ -616,14 +579,6 @@ def main(argv=None) -> int:
         help="comma-separated bench names to run (others are skipped; with "
         "a plain save the rest of the recorded baseline is kept)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="kernel backend to time the engine benches under; a "
-        "non-default backend records/compares `<name>_<backend>` rows "
-        "(and errors out rather than silently timing a fallback)",
-    )
     args = parser.parse_args(argv)
     only = None
     if args.only is not None:
@@ -638,8 +593,8 @@ def main(argv=None) -> int:
             return 2
     try:
         if args.compare:
-            return compare(args.rounds, only, args.backend)
-        return save(args.rounds, only, args.backend)
+            return compare(args.rounds, only)
+        return save(args.rounds, only)
     except Exception as exc:  # the CI guard wants an exit code, not a traceback
         print(f"benchmark harness failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)

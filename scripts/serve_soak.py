@@ -56,8 +56,6 @@ def _serve_cmd(args: argparse.Namespace, extra: list[str]) -> list[str]:
         "--tick-every",
         "0",
         "--quiet",
-        "--arena",
-        args.arena,
         *extra,
     ]
 
@@ -82,12 +80,6 @@ def main() -> int:
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=500, metavar="STEPS"
-    )
-    parser.add_argument(
-        "--arena",
-        default="auto",
-        choices=("auto", "on", "off"),
-        help="engine commit path, passed through to `repro serve`",
     )
     args = parser.parse_args()
 

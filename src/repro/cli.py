@@ -4,15 +4,12 @@ Commands
 --------
 ``list``
     Show the experiment registry (id, paper artifact, description).
-``run E3 [--scale smoke|default|full] [--param ms=8,16,32] [--engine-stats]
-[--backend numpy|numba]``
+``run E3 [--scale smoke|default|full] [--param ms=8,16,32] [--engine-stats]``
     Run one experiment and print its regenerated table/figure; exits
     non-zero if any of its claims fail. ``--scale`` picks a parameter
     preset (smoke: seconds; full: the EXPERIMENTS.md headline sweeps);
     ``--param`` overrides individual entries; ``--engine-stats`` appends
-    simulation-engine counters to the notes. ``--backend`` selects the
-    engine kernel backend (exported as ``REPRO_BACKEND``; also accepted by
-    ``all``, ``chaos``, and ``report``).
+    simulation-engine counters to the notes.
 ``all [--jobs N] [--only E1,E3] [--engine-stats] [--task-timeout S]
 [--retries K] [--checkpoint DIR] [--no-resume]``
     Run every experiment (or the ``--only`` subset) at default scale;
@@ -41,18 +38,20 @@ Commands
     contracts, engine safety, picklability) over ``src`` or the given
     paths; exits 1 on violations. See ``docs/lint.md``.
 ``serve M [--source poisson|drip|trace] [--policy fifo|lpf|srpt] [--jobs N]
-[--checkpoint PATH] [--resume] [--metrics-out PATH] [--arena auto|on|off]``
+[--checkpoint PATH] [--resume] [--metrics-out PATH]``
     Long-lived streaming mode: schedule an unbounded arrival stream with
     bounded memory, incremental metrics ticks, graceful SIGTERM/SIGINT
     drain, and crash-safe checkpoints (kill → ``--resume`` reproduces an
     uninterrupted run's final metrics bit-identically). Exit status: 0
-    complete/drained, 130 interrupted (checkpoint saved), 3 stalled.
+    complete/drained, 130 interrupted or stdout closed (checkpoint
+    saved), 3 stalled.
     See ``docs/serving.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any
 
@@ -162,8 +161,6 @@ def _cmd_chaos(
         # A fresh seed per invocation, drawn from the PID so the CLI stays
         # free of wall-clock/entropy reads (lint rule RPR003); CI passes an
         # explicit randomized seed instead.
-        import os
-
         seed = os.getpid() % 100_000
     patterns = (
         None
@@ -302,7 +299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         source = TraceReplaySource.from_instance(
             load_schedule_npz(args.trace_path).instance
         )
-    return serve(
+    status = serve(
         source,
         args.m,
         policy=args.policy,
@@ -317,8 +314,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_out=args.metrics_out,
         quiet=args.quiet,
         max_steps=args.max_steps,
-        arena=args.arena,
     )
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``repro serve ... | head``) and serve() already
+        # aborted; point stdout at devnull so the interpreter's exit-time
+        # flush of the undelivered line stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -327,22 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproduction of 'Scheduling Out-Trees Online to "
         "Optimize Maximum Flow' (SPAA 2024)",
     )
-    # Shared by every simulating command: pick the engine kernel backend
-    # (exported as REPRO_BACKEND so pool workers inherit it; unavailable
-    # backends fall back to numpy with a one-time warning).
-    backend_parent = argparse.ArgumentParser(add_help=False)
-    backend_parent.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="engine kernel backend (default: the REPRO_BACKEND env var, "
-        "else numpy); numba falls back to numpy when not installed",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the experiment registry")
-    run_p = sub.add_parser(
-        "run", help="run one experiment", parents=[backend_parent]
-    )
+    run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("experiment_id", help="e.g. E3")
     run_p.add_argument(
         "--param",
@@ -360,9 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="append simulation-engine counters to the experiment notes",
     )
-    all_p = sub.add_parser(
-        "all", help="run every experiment", parents=[backend_parent]
-    )
+    all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument(
         "--scale", choices=("smoke", "default", "full"), default="default"
     )
@@ -409,9 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         help="ignore existing journal entries in --checkpoint DIR",
     )
     chaos_p = sub.add_parser(
-        "chaos",
-        help="run the randomized fault-injection suite",
-        parents=[backend_parent],
+        "chaos", help="run the randomized fault-injection suite"
     )
     chaos_p.add_argument(
         "--seed",
@@ -429,9 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         help="restrict adversarial availability patterns by name "
         "(e.g. blackout,sawtooth; default: all)",
     )
-    report_p = sub.add_parser(
-        "report", help="write a markdown report", parents=[backend_parent]
-    )
+    report_p = sub.add_parser("report", help="write a markdown report")
     report_p.add_argument("--output", default="report.md")
     report_p.add_argument(
         "--only", default=None, help="comma-separated experiment ids"
@@ -447,9 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub.add_parser("demo", help="a quick guided tour")
     serve_p = sub.add_parser(
-        "serve",
-        help="long-lived streaming mode over an arrival stream",
-        parents=[backend_parent],
+        "serve", help="long-lived streaming mode over an arrival stream"
     )
     serve_p.add_argument("m", type=int, help="number of machines")
     serve_p.add_argument(
@@ -557,26 +542,11 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="stop after N engine steps as if interrupted (testing aid)",
     )
-    serve_p.add_argument(
-        "--arena",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="commit path: resident-arena fast path (on/auto) or the "
-        "per-job reference loop (off); bit-identical outputs either way "
-        "(default auto)",
-    )
     lint_p = sub.add_parser("lint", help="run the repo invariant checks")
     from .lint.cli import add_lint_arguments
 
     add_lint_arguments(lint_p)
     args = parser.parse_args(argv)
-
-    if getattr(args, "backend", None):
-        import os
-
-        from .core.kernels import BACKEND_ENV_VAR
-
-        os.environ[BACKEND_ENV_VAR] = args.backend
 
     if args.command == "list":
         return _cmd_list()

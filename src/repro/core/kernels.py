@@ -1,11 +1,19 @@
-"""The reference kernel backend: the engine's original NumPy array passes.
+"""The engine's named hot kernels: plain NumPy array passes.
 
-Every function here is a *pure extraction* of code that previously lived
+The simulation engine (:mod:`repro.core.simulator`) and the streaming
+engine spend their time in a handful of array kernels: the per-step
+frontier advance (completion commit + CSR child gather), the chain-run
+Δt scan, the macro-step block fill, the sorted-frontier merge, and the
+batched engine's ragged prefix gather and selection-rank permutation.
+Each is one function here, imported directly by its callers, and each
+call is counted by name in
+:attr:`~repro.core.simulator.EngineStats.kernel_dispatches` so
+``--engine-stats`` shows which kernels served a run.
+
+Every function is a *pure extraction* of code that previously lived
 inline in :mod:`repro.core.simulator` — same operations, same order, same
-dtypes — so this backend is bit-identical to the pre-extraction engine by
-construction. It is the ground truth the property suites compare every
-other backend against, and the per-kernel fallback used for kernels a
-backend does not translate.
+dtypes — so the engine is bit-identical to the pre-extraction loop by
+construction.
 
 Kernel signatures (all arrays are 1-D ``int64`` unless noted):
 
@@ -49,10 +57,10 @@ Kernel signatures (all arrays are 1-D ``int64`` unless noted):
 
 The two arena kernels served the streaming arena's former per-slot
 frontier regions. The arena now keeps one policy-ordered frontier that
-needs neither, so nothing dispatches them; they stay registered (the
-repo benchmark lists per-kernel dispatch counts from
-:data:`~repro.core.kernels.KERNEL_NAMES`) until they are deleted with
-the numba backend.
+needs neither, so nothing dispatches them; they stay listed in
+:data:`KERNEL_NAMES` because the repo benchmark builds its per-kernel
+dispatch metrics from that tuple, and go when the benchmark drops those
+two metrics.
 
 Lint rule RPR008 holds these kernels to the vectorized discipline
 (``KERNEL_STYLE``): no Python-level loops, no object-dtype arrays.
@@ -62,9 +70,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util import Array, csr_gather
+from .util import Array, csr_gather
 
 __all__ = [
+    "KERNEL_NAMES",
     "KERNEL_STYLE",
     "csr_children",
     "commit_frontier",
@@ -77,8 +86,21 @@ __all__ = [
     "arena_commit",
 ]
 
+#: Every kernel, by the name its dispatches are counted under.
+KERNEL_NAMES = (
+    "csr_children",
+    "commit_frontier",
+    "chain_min_dt",
+    "macro_fill",
+    "merge_sorted",
+    "batch_take",
+    "batch_select_order",
+    "arena_gather",
+    "arena_commit",
+)
+
 #: Kernels in this module are whole-array passes; RPR008 flags any
-#: Python-level loop that would silently de-vectorize the reference.
+#: Python-level loop that would silently de-vectorize them.
 KERNEL_STYLE = "vectorized"
 
 _INT = np.int64

@@ -61,11 +61,11 @@ from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
+from . import kernels
 from .availability import AvailabilityLike, AvailabilityTrace, as_trace
 from .exceptions import ConfigurationError, SchedulerProtocolError, SimulationError
 from .instance import Instance, InstanceBatch, pack_instances
 from .job import Job
-from .kernels import get_backend
 from .schedule import Schedule
 from .util import Array, encode_priorities
 
@@ -342,14 +342,10 @@ class EngineStats:
         Histogram of active-instance counts over batched commits, bucketed
         by power of two (key ``b`` counts commits with ``2**b <= active <
         2**(b+1)``) so the dict stays small whatever the batch size.
-    backend:
-        The kernel backend that served this run (``numpy`` | ``numba``,
-        see :mod:`repro.core.kernels`); ``"mixed"`` after accumulating
-        runs served by different backends, ``""`` for an untouched
-        accumulator.
     kernel_dispatches:
-        Per-kernel dispatch counts (kernel name -> calls) for the
-        extracted hot kernels, merged key-wise on accumulation.
+        Per-kernel dispatch counts (kernel name -> calls) for the hot
+        kernels of :mod:`repro.core.kernels`, merged key-wise on
+        accumulation.
     stream_steps:
         Time steps advanced by the streaming engine
         (:class:`repro.streaming.engine.StreamingEngine`), including
@@ -386,7 +382,6 @@ class EngineStats:
     batch_steps: int = 0
     fallback_runs: int = 0
     batch_size_histogram: dict[int, int] = field(default_factory=dict)
-    backend: str = ""
     kernel_dispatches: dict[str, int] = field(default_factory=dict)
     stream_steps: int = 0
     stream_retired: int = 0
@@ -427,16 +422,9 @@ class EngineStats:
             self.batch_size_histogram[bucket] = (
                 self.batch_size_histogram.get(bucket, 0) + count
             )
-        # Backend/dispatch fields arrived after the first snapshot format;
-        # read them defensively so folds of old pickled/checkpointed
+        # Dispatch and streaming fields arrived after the first snapshot
+        # format; read them defensively so folds of old pickled/checkpointed
         # snapshots (which lack the attributes) keep working.
-        other_backend = getattr(other, "backend", "")
-        if other_backend:
-            self.backend = (
-                other_backend
-                if not self.backend or self.backend == other_backend
-                else "mixed"
-            )
         for kname, count in getattr(other, "kernel_dispatches", {}).items():
             self.kernel_dispatches[kname] = (
                 self.kernel_dispatches.get(kname, 0) + count
@@ -477,7 +465,6 @@ class EngineStats:
             batch_steps=self.batch_steps - earlier.batch_steps,
             fallback_runs=self.fallback_runs - earlier.fallback_runs,
             batch_size_histogram=hist,
-            backend=self.backend,
             kernel_dispatches=kd,
             stream_steps=self.stream_steps - getattr(earlier, "stream_steps", 0),
             stream_retired=self.stream_retired
@@ -527,8 +514,6 @@ class EngineStats:
                 f"stream_epoch_steps={self.stream_epoch_steps} "
                 f"stream_epoch_compressed={self.stream_epoch_compressed}"
             )
-        if self.backend:
-            text += f" backend={self.backend}"
         if self.kernel_dispatches:
             dispatches = " ".join(
                 f"{kname}:{self.kernel_dispatches[kname]}"
@@ -805,15 +790,13 @@ def simulate(
     next_arrival_idx = 0
     n_jobs = len(instance)
 
-    # Kernel backend (REPRO_BACKEND, see repro.core.kernels): the hot inner
-    # kernels below dispatch through it. Dispatch counts are kept in plain
-    # local ints and folded into stats once at the end of the run.
-    backend = get_backend()
-    stats.backend = backend.name
-    k_commit = backend.commit_frontier
-    k_children = backend.csr_children
-    k_min_dt = backend.chain_min_dt
-    k_macro = backend.macro_fill
+    # The hot inner kernels (repro.core.kernels), bound once per run.
+    # Dispatch counts are kept in plain local ints and folded into stats
+    # once at the end of the run.
+    k_commit = kernels.commit_frontier
+    k_children = kernels.csr_children
+    k_min_dt = kernels.chain_min_dt
+    k_macro = kernels.macro_fill
     n_commit = n_children = n_min_dt = n_macro = 0
 
     # Hot-loop locals (profiled: attribute chasing dominated the per-step
@@ -1600,24 +1583,21 @@ def _simulate_batch_packed(
     n_inst = batch.n_instances
     is_forest = batch.all_out_forests
 
-    # Kernel backend (REPRO_BACKEND): the lockstep engine's hot kernels
-    # dispatch through it, with local dispatch counters folded into stats
-    # once at the end (same discipline as simulate()).
-    backend = get_backend()
-    stats.backend = backend.name
-    k_commit = backend.commit_frontier
-    k_children = backend.csr_children
-    k_min_dt = backend.chain_min_dt
-    k_macro = backend.macro_fill
-    k_merge = backend.merge_sorted
-    k_take = backend.batch_take
+    # The lockstep engine's hot kernels, with local dispatch counters
+    # folded into stats once at the end (same discipline as simulate()).
+    k_commit = kernels.commit_frontier
+    k_children = kernels.csr_children
+    k_min_dt = kernels.chain_min_dt
+    k_macro = kernels.macro_fill
+    k_merge = kernels.merge_sorted
+    k_take = kernels.batch_take
     n_commit = n_children = n_min_dt = n_macro = 0
     n_merge = n_take = 0
 
     # Batch-global selection order: instance-major because batch-global
     # job ids are; within a job, (priority, id) — exactly the per-instance
-    # encoded-frontier order (see numpy_backend.batch_select_order).
-    order, sel_rank = backend.batch_select_order(prio_full, batch.job_of_node)
+    # encoded-frontier order (see kernels.batch_select_order).
+    order, sel_rank = kernels.batch_select_order(prio_full, batch.job_of_node)
     stats.kernel_dispatches["batch_select_order"] = (
         stats.kernel_dispatches.get("batch_select_order", 0) + 1
     )

@@ -89,7 +89,7 @@ def run(
     rng = np.random.default_rng(seed)
     # Build every semi-batched instance up front, then run them through the
     # harness's batched sweep path (run_trials) — one per m, but routed via
-    # simulate_batch so the Monte-Carlo engine counters/backends apply
+    # simulate_batch so the Monte-Carlo engine counters apply
     # uniformly across experiments.
     built = []
     for m in ms:

@@ -36,23 +36,17 @@ from typing import Optional
 __all__ = ["shared_pool", "shutdown_shared_pool"]
 
 _CACHE_ENV_VAR = "REPRO_CACHE_DIR"
-_BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _atexit_registered = False
 
 
-def _worker_init(cache_dir: Optional[str], backend: Optional[str]) -> None:
+def _worker_init(cache_dir: Optional[str]) -> None:
     """Run in every worker at spawn: inherit the parent's workload cache
-    directory and kernel-backend choice (env vars may not propagate under
-    spawn start methods). Workers resolve ``REPRO_BACKEND`` themselves on
-    their first ``get_backend()`` call, so a parent running ``--backend
-    numba`` gets numba (or its graceful numpy fallback) in every worker."""
+    directory (env vars may not propagate under spawn start methods)."""
     if cache_dir is not None:
         os.environ[_CACHE_ENV_VAR] = cache_dir
-    if backend is not None:
-        os.environ[_BACKEND_ENV_VAR] = backend
 
 
 def _pool_unusable(pool: ProcessPoolExecutor) -> bool:
@@ -90,10 +84,7 @@ def shared_pool(n_workers: int) -> ProcessPoolExecutor:
         _pool = ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_worker_init,
-            initargs=(
-                os.environ.get(_CACHE_ENV_VAR),
-                os.environ.get(_BACKEND_ENV_VAR),
-            ),
+            initargs=(os.environ.get(_CACHE_ENV_VAR),),
         )
         _pool_workers = n_workers
         if not _atexit_registered:
@@ -126,9 +117,8 @@ def shutdown_shared_pool(force: bool = False) -> None:
     With ``force=True`` worker processes are terminated instead of joined
     — the only way to reclaim a worker wedged inside a hung task; queued
     futures are cancelled. The next :func:`shared_pool` call starts a
-    fresh pool either way — callers that mutate ``REPRO_CACHE_DIR`` or
-    ``REPRO_BACKEND`` mid-process (tests) call this so new workers pick
-    the change up.
+    fresh pool either way — callers that mutate ``REPRO_CACHE_DIR``
+    mid-process (tests) call this so new workers pick the change up.
     """
     global _pool, _pool_workers
     if _pool is not None:

@@ -258,18 +258,10 @@ def _run_registered_local(task: tuple) -> tuple[ExperimentResult, object]:
 
 
 def _registered_key(task: tuple) -> str:
-    """Stable checkpoint-journal key for one ``run_all`` task.
-
-    Includes the resolved kernel backend (see
-    :func:`.runner._active_backend_name`): resuming a journaled sweep
-    under a different ``REPRO_BACKEND`` re-runs the experiments instead
-    of replaying results recorded under the other backend."""
-    from .runner import _active_backend_name
-
+    """Stable checkpoint-journal key for one ``run_all`` task."""
     exp_id, scale, engine_stats, kwargs = task
     return (
         f"run_all|{exp_id}|scale={scale}|stats={engine_stats}"
-        f"|backend={_active_backend_name()}"
         f"|{sorted(kwargs.items())!r}"
     )
 

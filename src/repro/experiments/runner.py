@@ -107,31 +107,12 @@ def _run_one_seed_local(task: tuple) -> tuple["ExperimentResult", Any]:
     return _run_one_seed(task), EngineStats()
 
 
-def _active_backend_name() -> str:
-    """The *resolved* kernel backend name for this process.
-
-    Resolved, not requested: asking for ``numba`` on a box without numba
-    falls back to numpy-served results, which are keyed (and therefore
-    reusable) as numpy results — the two backends are bit-identical by
-    the parity suite, so the journal entry is valid either way.
-    """
-    from ..core.kernels import get_backend
-
-    return get_backend().name
-
-
 def _task_key(prefix: str, run_fn: Any, params: dict, seed: int) -> str:
     """Stable checkpoint-journal key for one ``(run_fn, params, seed)``
-    task (same logical task across invocations → same key).
-
-    The active kernel backend is part of the key: a sweep journaled under
-    one backend and resumed under another re-runs its tasks instead of
-    serving results whose provenance no longer matches the run's
-    configuration (engine-stats counters, perf attribution)."""
+    task (same logical task across invocations → same key)."""
     name = f"{getattr(run_fn, '__module__', '?')}.{getattr(run_fn, '__qualname__', repr(run_fn))}"
     return (
-        f"{prefix}|{name}|backend={_active_backend_name()}"
-        f"|seed={seed}|{sorted(params.items())!r}"
+        f"{prefix}|{name}|seed={seed}|{sorted(params.items())!r}"
     )
 
 

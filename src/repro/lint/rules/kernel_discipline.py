@@ -1,35 +1,16 @@
-"""Kernel-backend discipline: RPR008 (honor the declared ``KERNEL_STYLE``).
+"""Kernel discipline: RPR008 (honor the declared ``KERNEL_STYLE``).
 
-The kernel backends under ``repro/core/kernels/`` each declare a
-module-level ``KERNEL_STYLE`` constant naming the implementation
-discipline the whole module is held to:
+The engine's kernel module (``repro/core/kernels.py``) declares a
+module-level ``KERNEL_STYLE = "vectorized"``: its kernels are whole-array
+NumPy passes. A Python-level loop or comprehension there silently
+de-vectorizes the hot path — the code still produces the right answer,
+so nothing but a profiler (or this rule) would ever notice the 100x
+slowdown. Object-dtype arrays are banned too: an ``object`` ndarray
+boxes every element, defeating vectorized execution.
 
-``"vectorized"``
-    Whole-array NumPy passes (the reference backend). A Python-level
-    loop or comprehension here silently de-vectorizes the hot path — the
-    code still produces the right answer, so nothing but a profiler (or
-    this rule) would ever notice the 100x slowdown.
-
-``"nopython"``
-    Loop bodies destined for ``numba.njit`` compilation. Object-dtype
-    arrays and Python container types (dict/set) are rejected by numba's
-    nopython mode — but only at *compile* time, which for this optional
-    backend means only in environments that have numba installed. This
-    rule catches them in every environment, statically.
-
-Both styles ban object-dtype arrays: an ``object`` ndarray boxes every
-element, defeating vectorized and compiled execution alike.
-
-The rule triggers on the declaration, not the directory: any module that
-assigns ``KERNEL_STYLE = "vectorized"`` or ``"nopython"`` is checked, and
-modules without the constant (the registry itself, everything else in the
-repo) are exempt. In the nopython style only the ``k_``-prefixed kernel
-bodies are checked — module-level tables like the kernel-name dict are
-plain Python and never compiled. Nopython bodies additionally must not
-*return* Python container displays (a list/tuple-of-lists built in the
-body): numba reflects such containers across the nopython boundary, which
-is deprecated, slow, and type-fragile — kernels return typed ndarrays
-(``np.empty`` + fill), as every registry kernel does.
+The rule triggers on the declaration, not the path: any module that
+assigns ``KERNEL_STYLE = "vectorized"`` is checked, and modules without
+the constant (everything else in the repo) are exempt.
 
 Escape hatch: a measured exception (say, a short Python loop over a
 handful of segments that beats the vectorized form) carries a reasoned
@@ -50,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["KernelStyleRule"]
 
-_STYLES = ("vectorized", "nopython")
-
 #: numpy constructors whose dtype parameter is positional; value = the
 #: 0-based position the dtype lands in when passed positionally.
 _DTYPE_POSITIONS = {
@@ -65,8 +44,8 @@ _DTYPE_POSITIONS = {
 }
 
 
-def _module_kernel_style(tree: ast.Module) -> str | None:
-    """The module's ``KERNEL_STYLE`` constant, or None when undeclared."""
+def _declares_vectorized(tree: ast.Module) -> bool:
+    """Does the module assign ``KERNEL_STYLE = "vectorized"``?"""
     for stmt in tree.body:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -79,10 +58,10 @@ def _module_kernel_style(tree: ast.Module) -> str | None:
                 isinstance(target, ast.Name)
                 and target.id == "KERNEL_STYLE"
                 and isinstance(value, ast.Constant)
-                and value.value in _STYLES
+                and value.value == "vectorized"
             ):
-                return value.value
-    return None
+                return True
+    return False
 
 
 def _is_object_dtype(ctx: "FileContext", expr: ast.expr) -> bool:
@@ -112,16 +91,13 @@ def _object_dtype_args(ctx: "FileContext", call: ast.Call) -> Iterator[ast.expr]
 @register_rule
 class KernelStyleRule(Rule):
     rule_id = "RPR008"
-    title = "kernel backends must honor their declared KERNEL_STYLE"
+    title = "kernel modules must honor their declared KERNEL_STYLE"
     rationale = (
-        "kernel-backend modules declare `KERNEL_STYLE`: `\"vectorized\"` "
-        "modules are whole-array passes, where a Python-level loop (or an "
+        "kernel modules declare `KERNEL_STYLE = \"vectorized\"`: their "
+        "kernels are whole-array passes, where a Python-level loop (or an "
         "object-dtype array, which boxes every element) silently "
-        "de-vectorizes the engine's hot path; `\"nopython\"` modules are "
-        "numba loop bodies, where object dtype and dict/set only fail at "
-        "compile time — and compile only runs where numba is installed. "
-        "Measured exceptions carry a reasoned suppression "
-        "(`# repro-lint: disable=RPR008 (why)`)."
+        "de-vectorizes the engine's hot path. Measured exceptions carry a "
+        "reasoned suppression (`# repro-lint: disable=RPR008 (why)`)."
     )
     bad_example = """\
 import numpy as np
@@ -148,16 +124,10 @@ def csr_children(indptr, indices, nodes):
 """
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        style = _module_kernel_style(ctx.tree)
-        if style is None:
+        if not _declares_vectorized(ctx.tree):
             return
         for func in iter_functions(ctx.tree):
-            if style == "vectorized":
-                yield from self._check_vectorized(ctx, func)
-            elif func.name.startswith("k_"):
-                yield from self._check_nopython(ctx, func)
-
-    # -- vectorized ------------------------------------------------------
+            yield from self._check_vectorized(ctx, func)
 
     def _check_vectorized(
         self, ctx: "FileContext", func: ast.FunctionDef | ast.AsyncFunctionDef
@@ -170,7 +140,7 @@ def csr_children(indptr, indices, nodes):
                     node.lineno,
                     node.col_offset,
                     f"Python-level `{kind}` loop in `{func.name}` of a "
-                    "vectorized kernel backend; express it as a whole-array "
+                    "vectorized kernel module; express it as a whole-array "
                     "pass (or suppress with a measured reason)",
                 )
             elif isinstance(
@@ -181,7 +151,7 @@ def csr_children(indptr, indices, nodes):
                     node.lineno,
                     node.col_offset,
                     f"comprehension in `{func.name}` of a vectorized kernel "
-                    "backend iterates element-by-element; express it as a "
+                    "module iterates element-by-element; express it as a "
                     "whole-array pass (or suppress with a measured reason)",
                 )
             elif isinstance(node, ast.Call):
@@ -193,71 +163,4 @@ def csr_children(indptr, indices, nodes):
                         f"object-dtype array in `{func.name}`; boxed "
                         "elements defeat vectorized execution — use a "
                         "fixed-width dtype",
-                    )
-
-    # -- nopython --------------------------------------------------------
-
-    def _check_nopython(
-        self, ctx: "FileContext", func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Violation]:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Return) and node.value is not None:
-                returned = (
-                    list(node.value.elts)
-                    if isinstance(node.value, ast.Tuple)
-                    else [node.value]
-                )
-                for expr in returned:
-                    if isinstance(expr, (ast.List, ast.ListComp)):
-                        yield self.violation(
-                            ctx,
-                            expr.lineno,
-                            expr.col_offset,
-                            f"nopython kernel body `{func.name}` returns a "
-                            "Python list; reflecting containers across the "
-                            "nopython boundary is deprecated and "
-                            "type-fragile — return a typed ndarray "
-                            "(np.empty + fill)",
-                        )
-            if isinstance(node, (ast.Dict, ast.DictComp)):
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"dict in nopython kernel body `{func.name}`; numba's "
-                    "nopython mode rejects Python dicts at compile time — "
-                    "use typed arrays",
-                )
-            elif isinstance(node, (ast.Set, ast.SetComp)):
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"set in nopython kernel body `{func.name}`; numba's "
-                    "nopython mode rejects Python sets at compile time — "
-                    "use typed arrays",
-                )
-            elif isinstance(node, ast.Call):
-                func_name = (
-                    node.func.id if isinstance(node.func, ast.Name) else ""
-                )
-                if func_name in ("dict", "set", "frozenset"):
-                    yield self.violation(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"`{func_name}(...)` in nopython kernel body "
-                        f"`{func.name}`; numba's nopython mode rejects "
-                        "Python containers at compile time — use typed "
-                        "arrays",
-                    )
-                for arg in _object_dtype_args(ctx, node):
-                    yield self.violation(
-                        ctx,
-                        arg.lineno,
-                        arg.col_offset,
-                        f"object-dtype array in nopython kernel body "
-                        f"`{func.name}`; numba's nopython mode rejects "
-                        "object arrays at compile time — use a fixed-width "
-                        "dtype",
                     )

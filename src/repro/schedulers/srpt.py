@@ -38,7 +38,7 @@ own encoded-frontier key, lexicographic in (priority, id) and unique per
 node):
 
 * ready nodes merge into their job's sorted array in O(len)
-  (:func:`~repro.core.kernels.numpy_backend.merge_sorted`);
+  (:func:`~repro.core.kernels.merge_sorted`);
 * a job's intra-job selection is a plain prefix slice — already in
   exactly :class:`~repro.schedulers.base.ReadyHeap` pop order by the
   kernel contract; and
@@ -58,7 +58,7 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.kernels.numpy_backend import merge_sorted
+from ..core.kernels import merge_sorted
 from ..core.simulator import EngineState, Scheduler, Selection
 from ..core.util import Array, encode_priorities
 from .base import ArbitraryTieBreak, ReadyQueue, TieBreak, make_ready_queue

@@ -5,8 +5,9 @@ Layering:
 * :mod:`repro.workloads.arrivals` — unbounded, index-pure arrival
   sources (Poisson, trace replay, adversarial drip).
 * :mod:`repro.streaming.engine` — the incremental scheduling engine:
-  bounded admission with deterministic shedding, per-job encoded
-  frontiers, retirement of completed jobs, snapshot/restore.
+  bounded admission with deterministic shedding, one policy-ordered
+  frontier over a resident arena (:mod:`repro.streaming.arena`),
+  retirement of completed jobs, snapshot/restore.
 * :mod:`repro.streaming.metrics` — O(1)-state incremental metrics
   (running max flow, log2 flow histogram, windowed throughput).
 * :mod:`repro.streaming.checkpoint` — atomic, digest-framed on-disk

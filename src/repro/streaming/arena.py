@@ -23,14 +23,13 @@ batch layout does not need:
   buffer capacity tracks roughly twice the live-node high-water mark
   (``live_subjob_hwm``) instead of the stream length.
 
-Per-node state mirrors the per-job reference (``_LiveJob``) exactly:
-encoded int64 priority keys (``dense_rank(priority) * n + node``; a
-constant kernel stores ``arange(n)``), indegrees, done *stamps* (int64,
-nonzero == done — stamps rather than bools so
-:func:`~repro.core.kernels.numpy_backend.macro_fill` can write
-completion times straight into the done array during epoch
-macro-stepping), and the chain-run arrays (``run_nodes`` / ``run_pos`` /
-``steps_left``) shifted into arena-global ids.
+Per-node state: encoded int64 priority keys (``dense_rank(priority) * n
++ node``; a constant kernel stores ``arange(n)``), indegrees, done
+*stamps* (int64, nonzero == done — stamps rather than bools so
+:func:`~repro.core.kernels.macro_fill` can write completion times
+straight into the done array during epoch macro-stepping), and the
+chain-run arrays (``run_nodes`` / ``run_pos`` / ``steps_left``) shifted
+into arena-global ids.
 
 **The policy-ordered frontier.** Every stream policy is one list rule:
 order jobs by a job key, then ready nodes by an in-job key. ``front`` is
@@ -40,10 +39,10 @@ stored in exactly that order, so a step's decision is the prefix
 
 * jobs are grouped in ascending ``slot_key``: the arrival index under
   ``fifo``/``lpf``, and ``remaining * 2**32 + arrival index`` under
-  ``srpt`` (the per-job loop's ``(n - n_done, index)`` sort);
+  ``srpt`` (ascending ``(remaining subjobs, index)``);
 * within a job, entries ascend in ``enc`` — the node id under FIFO's
   constant kernel, ``(priority rank, node)`` under LPF — which is the
-  order the per-job reference truncates a frontier in.
+  order a truncated job gives up its ready nodes in.
 
 A step only re-orders the jobs it touched. Those jobs form a prefix of
 the job order, and committing work can only move a job *earlier*:
@@ -232,7 +231,7 @@ class StreamArena:
         ``enc`` is the encoded priority array (``None`` for a constant
         kernel — node ids are stored, so the in-job order is node order).
         ``done`` (restore path) rebuilds indegrees and the ready frontier
-        from the snapshot's done mask, exactly like the per-job restore.
+        from the snapshot's done mask.
         """
         n = int(dag.n)
         e = int(dag.child_indices.size)
@@ -427,8 +426,8 @@ class StreamArena:
     # -- snapshots -------------------------------------------------------
 
     def snapshot_live(self) -> list[dict[str, Any]]:
-        """Per-live-job snapshot entries, arrival order — byte-identical
-        to the per-job reference's (index, release, n, packed done)."""
+        """Per-live-job snapshot entries in arrival order: index,
+        release, n and the packed done mask."""
         out = []
         for s in self.order_arrival().tolist():
             off = int(self.slot_off[s])

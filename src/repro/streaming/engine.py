@@ -28,25 +28,20 @@ int64 key lexicographic in ``(priority, node)``, from the shared
 prefix slice, and the property suite pins the streaming run bit-identical
 to ``simulate`` on any materialized prefix.
 
-Two execution paths produce the same step sequence bit-for-bit:
-
-* the **per-job reference** (``arena=False``) walks a Python dict of
-  :class:`_LiveJob` objects — simple, allocation-light per job, and the
-  semantics ground truth;
-* the **resident arena** (``arena=True``, the default) keeps every live
-  job packed in one :class:`~repro.streaming.arena.StreamArena` SoA and
-  the whole live frontier as one flat array in policy order (jobs by
-  job key, then nodes by in-job key), so a step commits the prefix
-  ``front[:m_t]``, gathers its children in one ``csr_children`` pass,
-  and re-sorts only the jobs it touched. On top of it,
-  **epoch macro-stepping** detects windows where every walk is forced —
-  no arrival lands before ``t + Δt``, granted capacity is constant and
-  covers the whole frontier, every live DAG is an out-forest, and every
-  frontier chain runs at least ``Δt`` more steps — and commits all ``Δt``
-  steps as one ``macro_fill`` block write, reconstructing the per-step
-  metrics exactly (see :meth:`~repro.streaming.metrics.StreamMetrics.
-  note_macro`). The property suite pins arena ≡ per-job ≡ ``simulate``
-  on summaries, snapshots, and retirement order.
+Every live job is packed in one resident
+:class:`~repro.streaming.arena.StreamArena` SoA, and the whole live
+frontier is one flat array in policy order (jobs by job key, then nodes
+by in-job key), so a step commits the prefix ``front[:m_t]``, gathers
+its children in one ``csr_children`` pass, and re-sorts only the jobs it
+touched. On top of it, **epoch macro-stepping** detects windows where
+every walk is forced — no arrival lands before ``t + Δt``, granted
+capacity is constant and covers the whole frontier, every live DAG is an
+out-forest, and every frontier chain runs at least ``Δt`` more steps —
+and commits all ``Δt`` steps as one ``macro_fill`` block write,
+reconstructing the per-step metrics exactly (see
+:meth:`~repro.streaming.metrics.StreamMetrics.note_macro`). The property
+suite pins the engine to ``simulate`` on per-job flows, retirement
+order, and every summary field.
 
 Crash safety: :meth:`StreamingEngine.snapshot` captures the full logical
 state — arrival cursor, per-live-job done masks, metrics accumulators —
@@ -65,10 +60,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..core import kernels
 from ..core.availability import AvailabilityLike, AvailabilityTrace, as_trace
 from ..core.exceptions import ConfigurationError, SimulationError
 from ..core.job import Job
-from ..core.kernels import get_backend
 from ..core.simulator import EngineStats
 from ..core.util import Array, encode_priorities
 from ..schedulers.base import ArbitraryTieBreak, LongestPathTieBreak, TieBreak
@@ -110,8 +105,7 @@ def _encode_priorities(dag: Any, release: int, tie_break: TieBreak) -> Optional[
 
     Returns ``None`` for a constant kernel (FIFO/arbitrary) — callers
     then use the node ids themselves as keys, so decoding is uniformly
-    ``key % n``. Shared by the per-job reference and the arena path so
-    both commit identical key sequences.
+    ``key % n``.
     """
     kernel = tie_break.priority_kernel(Job(dag, release))
     if kernel is None:  # pragma: no cover - every stream policy is kernelized
@@ -120,44 +114,6 @@ def _encode_priorities(dag: Any, release: int, tie_break: TieBreak) -> Optional[
             f"({type(tie_break).__name__} returned None)"
         )
     return encode_priorities(np.asarray(kernel, dtype=_INT))
-
-
-class _LiveJob:
-    """Resident state of one admitted, not-yet-retired job."""
-
-    __slots__ = (
-        "index",
-        "release",
-        "dag",
-        "n",
-        "is_forest",
-        "enc",
-        "frontier",
-        "indegree",
-        "done",
-        "n_done",
-    )
-
-    def __init__(self, index: int, release: int, dag: Any, tie_break: TieBreak) -> None:
-        self.index = index
-        self.release = release
-        self.dag = dag
-        self.n = int(dag.n)
-        self.is_forest = bool(dag.is_out_forest)
-        self.enc: Optional[Array] = _encode_priorities(dag, release, tie_break)
-        roots = np.asarray(dag.roots, dtype=_INT)
-        self.frontier: Array = (
-            roots.copy() if self.enc is None else np.sort(self.enc[roots])
-        )
-        self.indegree: Array = np.asarray(dag.indegree, dtype=_INT).copy()
-        self.done: Array = np.zeros(self.n, dtype=bool)
-        self.n_done = 0
-
-    def ready_nodes(self) -> Array:
-        """Decoded node ids of the current frontier (ascending node id)."""
-        if self.enc is None:
-            return self.frontier.copy()
-        return np.sort(self.frontier % _INT(self.n))
 
 
 class StreamingEngine:
@@ -189,14 +145,6 @@ class StreamingEngine:
         Optional callback ``(job_index, flow)`` invoked as each job
         retires (tests and tick hooks; the engine stores nothing per
         retired job).
-    arena:
-        ``True`` (default) commits steps through the resident
-        :class:`~repro.streaming.arena.StreamArena` SoA — prefix commits
-        of its policy-ordered frontier plus epoch macro-stepping.
-        ``False`` runs the per-job reference loop. The two paths are
-        bit-identical on every observable surface (metrics, snapshots,
-        retirement order); the flag is deliberately excluded from
-        :attr:`fingerprint`, so checkpoints move freely between them.
     """
 
     def __init__(
@@ -211,7 +159,6 @@ class StreamingEngine:
         max_jobs: Optional[int] = None,
         max_zero_commit_steps: Optional[int] = None,
         on_retire: Optional[Callable[[int, int], None]] = None,
-        arena: bool = True,
     ) -> None:
         if m < 1:
             raise ConfigurationError("m must be >= 1")
@@ -249,13 +196,11 @@ class StreamingEngine:
             else (self._trace.horizon + 1 if self._trace is not None else 1)
         )
         self._on_retire = on_retire
-        self._backend = get_backend()
-        self._arena: Optional[StreamArena] = StreamArena(policy) if arena else None
+        self._arena = StreamArena(policy)
 
         self.t = 0
         self.metrics = StreamMetrics()
-        self.stats = EngineStats(backend=self._backend.name)
-        self._live: dict[int, _LiveJob] = {}
+        self.stats = EngineStats()
         self._live_subjobs = 0
         self._next_index = 0
         self._next_release: Optional[int] = (
@@ -270,14 +215,7 @@ class StreamingEngine:
 
     @property
     def live_jobs(self) -> int:
-        if self._arena is not None:
-            return self._arena.live_jobs
-        return len(self._live)
-
-    @property
-    def arena(self) -> bool:
-        """Whether steps commit through the resident arena path."""
-        return self._arena is not None
+        return self._arena.live_jobs
 
     @property
     def live_subjobs(self) -> int:
@@ -353,18 +291,15 @@ class StreamingEngine:
         capacity = (
             self.m if self._trace is None else self._trace.capacity_at(t)
         )
-        if self._arena is not None:
-            dt = self._try_epoch(t, capacity, t_limit)
-            if dt:
-                # Metrics/stats for all dt steps were reconstructed in
-                # _try_epoch; the window always commits work.
-                self._zero_commit_streak = 0
-                self.t = t + dt
-                return True
-            committed = self._commit_arena(t, capacity)
-            self.stats.stream_arena_steps += 1
-        else:
-            committed = self._commit(t, capacity)
+        dt = self._try_epoch(t, capacity, t_limit)
+        if dt:
+            # Metrics/stats for all dt steps were reconstructed in
+            # _try_epoch; the window always commits work.
+            self._zero_commit_streak = 0
+            self.t = t + dt
+            return True
+        committed = self._commit(t, capacity)
+        self.stats.stream_arena_steps += 1
         self.metrics.note_step(committed, capacity)
         self.stats.stream_steps += 1
         if committed:
@@ -402,29 +337,24 @@ class StreamingEngine:
             if self._would_overflow(n):
                 self.metrics.note_shed(n)
                 self.stats.stream_shed += 1
-            elif self._arena is not None:
-                self._admit_arena(index, self._next_release, dag)
             else:
-                job = _LiveJob(index, self._next_release, dag, self._tie_break)
-                self._live[index] = job
-                self._live_subjobs += n
-                self.metrics.note_admission(n, len(self._live), self._live_subjobs)
+                self._admit_job(index, self._next_release, dag)
             self._advance_cursor()
 
-    def _admit_arena(
+    def _admit_job(
         self, index: int, release: int, dag: Any, done: Optional[Array] = None
     ) -> None:
+        """Place one job in the arena (``done`` given: a restored job)."""
         arena = self._arena
-        assert arena is not None
         n = int(dag.n)
         if self._policy == "srpt" and (
             index >= SRPT_INDEX_LIMIT or n >= SRPT_REMAINING_LIMIT
-        ):  # pragma: no cover - requires ~4e9 arrivals or ~1e9-node jobs
+        ):
             raise ConfigurationError(
-                "srpt arena ranking packs (remaining, index) into one int64 "
-                f"key, which requires index < {SRPT_INDEX_LIMIT} and "
+                "srpt packs (remaining, index) into one int64 job key, "
+                f"which bounds a stream to index < {SRPT_INDEX_LIMIT} and "
                 f"n < {SRPT_REMAINING_LIMIT} (got index={index}, n={n}); "
-                "run with arena=False for streams beyond those bounds"
+                "srpt streams beyond those bounds are unsupported"
             )
         enc = _encode_priorities(dag, release, self._tie_break)
         arena.admit(index, release, dag, enc, done=done)
@@ -455,86 +385,9 @@ class StreamingEngine:
             assert self._next_release is not None
             self._next_release += self._source.gap_before(self._next_index)
 
-    def _policy_order(self) -> list[_LiveJob]:
-        jobs = list(self._live.values())  # insertion order == arrival order
-        if self._policy == "srpt":
-            jobs.sort(key=lambda job: (job.n - job.n_done, job.index))
-        return jobs
-
-    def _commit(self, t: int, capacity: int) -> int:
-        if capacity <= 0:
-            return 0
-        backend = self._backend
-        # Dispatch counts accumulate in locals and flush once per step:
-        # the per-job dict lookups were a measurable fraction of the loop
-        # and double-counted nothing, but cost two hash probes per kernel
-        # call on the hottest path.
-        n_csr = 0
-        n_merge = 0
-        committed = 0
-        retired: list[_LiveJob] = []
-        for job in self._policy_order():
-            if capacity == 0:
-                break
-            frontier = job.frontier
-            if frontier.size == 0:  # pragma: no cover - live jobs stay ready
-                continue
-            take = frontier.size if frontier.size <= capacity else capacity
-            taken = frontier[:take]
-            job.frontier = frontier[take:] if take < frontier.size else _EMPTY
-            capacity -= take
-            committed += take
-            nodes = taken if job.enc is None else taken % _INT(job.n)
-            job.done[nodes] = True
-            job.n_done += take
-            if job.n_done == job.n:
-                retired.append(job)
-                continue
-            dag = job.dag
-            children = backend.csr_children(
-                dag.child_indptr, dag.child_indices, nodes
-            )
-            n_csr += 1
-            if children.size == 0:
-                continue
-            if job.is_forest:
-                job.indegree[children] -= 1
-                newly = children[job.indegree[children] == 0]
-            else:
-                np.subtract.at(job.indegree, children, 1)
-                newly = np.unique(children[job.indegree[children] == 0])
-            if newly.size:
-                add = newly.astype(_INT) if job.enc is None else job.enc[newly]
-                add.sort()
-                job.frontier = backend.merge_sorted(job.frontier, add)
-                n_merge += 1
-        if n_csr or n_merge:
-            dispatches = self.stats.kernel_dispatches
-            if n_csr:
-                dispatches["csr_children"] = (
-                    dispatches.get("csr_children", 0) + n_csr
-                )
-            if n_merge:
-                dispatches["merge_sorted"] = (
-                    dispatches.get("merge_sorted", 0) + n_merge
-                )
-        for job in retired:
-            flow = (t + 1) - job.release
-            self.metrics.record_completion(flow)
-            self.metrics.note_retirement(job.n)
-            self.stats.stream_retired += 1
-            del self._live[job.index]
-            self._live_subjobs -= job.n
-            if self._on_retire is not None:
-                self._on_retire(job.index, flow)
-        return committed
-
-    # -- arena path ------------------------------------------------------
-
     def _retire_slot(self, slot: int, finish: int) -> None:
-        """Retire one completed arena slot (mirrors the per-job flow)."""
+        """Retire one completed arena slot."""
         arena = self._arena
-        assert arena is not None
         n = int(arena.slot_n[slot])
         index = int(arena.slot_index[slot])
         flow = finish - int(arena.slot_release[slot])
@@ -546,28 +399,26 @@ class StreamingEngine:
         if self._on_retire is not None:
             self._on_retire(index, flow)
 
-    def _commit_arena(self, t: int, capacity: int) -> int:
+    def _commit(self, t: int, capacity: int) -> int:
         """One streaming step: commit the prefix ``front[:capacity]``.
 
-        Same step semantics as the per-job :meth:`_commit`: walking jobs
-        in policy order and granting whole frontiers until capacity runs
-        out (the last job truncated in its in-job order) takes exactly a
-        prefix of the policy-ordered ``front``. The step stamps the
-        prefix, gathers its children over the window-global CSR, and
-        re-seats the touched jobs' ready nodes ahead of the rest (see
-        :meth:`StreamArena.advance`).
+        Walking jobs in policy order and granting whole frontiers until
+        capacity runs out (the last job truncated in its in-job order)
+        takes exactly a prefix of the policy-ordered ``front``. The step
+        stamps the prefix, gathers its children over the window-global
+        CSR, and re-seats the touched jobs' ready nodes ahead of the rest
+        (see :meth:`StreamArena.advance`).
         """
         if capacity <= 0:
             return 0
         arena = self._arena
-        assert arena is not None
         taken = arena.front[:capacity]
         k = int(taken.size)
         if k == 0:  # pragma: no cover - live slots stay ready
             return 0
         slots, counts = arena.jobs_of(taken)
         arena.done_stamp[taken] = t + 1
-        children = self._backend.csr_children(arena.indptr, arena.indices, taken)
+        children = kernels.csr_children(arena.indptr, arena.indices, taken)
         dispatches = self.stats.kernel_dispatches
         dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
         newly = _EMPTY
@@ -584,7 +435,7 @@ class StreamingEngine:
                 newly = np.unique(children[arena.indegree[children] == 0])
         arena.advance(k, slots, counts, newly)
         fin = slots[arena.slot_n_done[slots] == arena.slot_n[slots]]
-        for s in fin.tolist():  # policy order, matching the per-job loop
+        for s in fin.tolist():  # policy order
             self._retire_slot(s, t + 1)
         return k
 
@@ -628,7 +479,6 @@ class StreamingEngine:
           :meth:`StreamMetrics.note_macro` replays, bit-identically).
         """
         arena = self._arena
-        assert arena is not None
         if arena.nonforest_live:
             return 0
         front = arena.front
@@ -642,16 +492,15 @@ class StreamingEngine:
             bound = min(bound, t_limit - t)
         if bound < 2:
             return 0
-        backend = self._backend
         dispatches = self.stats.kernel_dispatches
-        dt = backend.chain_min_dt(arena.steps_left, front, bound)
+        dt = kernels.chain_min_dt(arena.steps_left, front, bound)
         # Counted here, not after the dt gate: an aborted window probe
         # still dispatched the kernel.
         dispatches["chain_min_dt"] = dispatches.get("chain_min_dt", 0) + 1
         dt = self._capacity_run(t, dt)
         if dt < 2:
             return 0
-        nxt, term = backend.macro_fill(
+        nxt, term = kernels.macro_fill(
             arena.run_nodes,
             arena.run_pos,
             arena.steps_left,
@@ -664,7 +513,7 @@ class StreamingEngine:
         slots, sizes = arena.jobs_of(front)
         arena.note_commits(slots, _INT(dt) * sizes)
         if term.size:
-            children = backend.csr_children(arena.indptr, arena.indices, term)
+            children = kernels.csr_children(arena.indptr, arena.indices, term)
             dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
             if children.size:
                 arena.indegree[children] -= 1
@@ -707,8 +556,7 @@ class StreamingEngine:
         Per live job only the index, release, and a packed done-bitmask
         are stored; DAGs, priority kernels, frontiers, and indegrees are
         re-derived on restore (the source is index-pure). Entries are in
-        arrival order, which :meth:`from_snapshot` preserves — FIFO/LPF
-        job order is the dict insertion order.
+        arrival order, which :meth:`from_snapshot` preserves.
         """
         return {
             "version": STREAM_SNAPSHOT_VERSION,
@@ -719,19 +567,7 @@ class StreamingEngine:
             "draining": self._draining,
             "zero_commit_streak": self._zero_commit_streak,
             "live_subjobs": self._live_subjobs,
-            "live": (
-                self._arena.snapshot_live()
-                if self._arena is not None
-                else [
-                    {
-                        "index": job.index,
-                        "release": job.release,
-                        "n": job.n,
-                        "done": np.packbits(job.done).tobytes(),
-                    }
-                    for job in self._live.values()
-                ]
-            ),
+            "live": self._arena.snapshot_live(),
             "metrics": self.metrics.state(),
         }
 
@@ -749,7 +585,6 @@ class StreamingEngine:
         max_jobs: Optional[int] = None,
         max_zero_commit_steps: Optional[int] = None,
         on_retire: Optional[Callable[[int, int], None]] = None,
-        arena: bool = True,
     ) -> "StreamingEngine":
         """Rebuild an engine mid-stream from :meth:`snapshot` output.
 
@@ -767,7 +602,6 @@ class StreamingEngine:
             max_jobs=max_jobs,
             max_zero_commit_steps=max_zero_commit_steps,
             on_retire=on_retire,
-            arena=arena,
         )
         version = snapshot.get("version")
         if version != STREAM_SNAPSHOT_VERSION:
@@ -811,23 +645,4 @@ class StreamingEngine:
         done = np.unpackbits(
             np.frombuffer(entry["done"], dtype=np.uint8), count=int(dag.n)
         ).astype(bool)
-        if self._arena is not None:
-            self._admit_arena(index, int(entry["release"]), dag, done=done)
-            return
-        job = _LiveJob(index, int(entry["release"]), dag, self._tie_break)
-        job.done = done
-        job.n_done = int(done.sum())
-        done_nodes = np.nonzero(done)[0].astype(_INT)
-        if done_nodes.size:
-            children = self._backend.csr_children(
-                dag.child_indptr, dag.child_indices, done_nodes
-            )
-            if children.size:
-                if job.is_forest:
-                    job.indegree[children] -= 1
-                else:
-                    np.subtract.at(job.indegree, children, 1)
-        ready = np.nonzero(~done & (job.indegree == 0))[0].astype(_INT)
-        job.frontier = ready if job.enc is None else np.sort(job.enc[ready])
-        self._live[index] = job
-        self._live_subjobs += job.n
+        self._admit_job(index, int(entry["release"]), dag, done=done)

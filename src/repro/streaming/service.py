@@ -16,7 +16,9 @@ pure logical stepper; everything operational lives here:
   livelock is surfaced even with the watchdog disabled.
 * **Metrics ticks** — incremental JSON lines on stdout every
   ``tick_every`` time steps (running max flow, per-decile flow
-  histogram, windowed throughput/utilization, live-window sizes).
+  histogram, windowed throughput/utilization, live-window sizes). A
+  reader that goes away (``repro serve ... | head``) aborts the run like
+  a second signal: checkpoint, ``metrics_out``, status 130.
 * **Checkpoints** — atomic snapshots every ``checkpoint_every`` time
   steps (plus on drain/abort), written via
   :mod:`repro.streaming.checkpoint`. ``resume=True`` restores from the
@@ -162,7 +164,6 @@ def serve(
     quiet: bool = False,
     install_signals: bool = True,
     max_steps: Optional[int] = None,
-    arena: str | bool = "auto",
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
 ) -> int:
@@ -172,20 +173,12 @@ def serve(
     an abort signal (checkpoint + status 130) — the in-process stand-in
     for a kill, used by tests.
 
-    ``arena`` selects the engine's commit path: ``"on"`` (or ``True``)
-    forces the resident-arena fast path, ``"off"`` (or ``False``) the
-    per-job reference loop, and ``"auto"`` — the default — takes the
-    arena. The paths are bit-identical on ticks, checkpoints, and the
-    summary, so the flag never appears in any of them.
+    A ``BrokenPipeError`` from ``out`` (its reader went away) is an abort
+    too: nothing more is written to ``out``, the checkpoint is saved,
+    ``metrics_out`` is written, and the status is 130.
     """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    if arena in ("auto", "on", True):
-        use_arena = True
-    elif arena in ("off", False):
-        use_arena = False
-    else:
-        raise ValueError(f"arena must be 'auto', 'on', or 'off' (got {arena!r})")
     engine_kwargs: dict[str, Any] = dict(
         policy=policy,
         availability=availability,
@@ -193,7 +186,6 @@ def serve(
         max_live_jobs=max_live_jobs,
         max_jobs=max_jobs,
         max_zero_commit_steps=max_zero_commit_steps,
-        arena=use_arena,
     )
     resumed = False
     if resume and checkpoint_path is not None and os.path.exists(checkpoint_path):
@@ -209,6 +201,19 @@ def serve(
         )
     else:
         engine = StreamingEngine(source, m, **engine_kwargs)
+
+    out_closed = False
+
+    def emit(record: dict[str, Any]) -> None:
+        """Write one JSON line to ``out`` unless quiet or its reader left."""
+        nonlocal out_closed
+        if quiet or out_closed:
+            return
+        try:
+            print(json.dumps(record, sort_keys=True), file=out, flush=True)
+        except BrokenPipeError:
+            out_closed = True
+            print(f"stdout closed at t={engine.t}; aborting", file=err)
 
     control = ServeControl()
     previous_handlers: list[tuple[int, Any]] = []
@@ -241,8 +246,10 @@ def serve(
     start = time.perf_counter()
     try:
         while True:
-            if control.abort_requested or (
-                max_steps is not None and steps_taken >= max_steps
+            if (
+                control.abort_requested
+                or out_closed
+                or (max_steps is not None and steps_taken >= max_steps)
             ):
                 if checkpoint_path is not None:
                     save_checkpoint(checkpoint_path, engine.snapshot())
@@ -278,11 +285,11 @@ def serve(
             if not alive:
                 break
             if next_tick is not None and engine.t >= next_tick:
-                tick = engine.metrics.tick(
-                    engine.t, engine.live_jobs, engine.live_subjobs
+                emit(
+                    engine.metrics.tick(
+                        engine.t, engine.live_jobs, engine.live_subjobs
+                    )
                 )
-                if not quiet:
-                    print(json.dumps(tick, sort_keys=True), file=out, flush=True)
                 next_tick = _boundary_after(engine.t, tick_every)
             if next_ckpt is not None and engine.t >= next_ckpt:
                 assert checkpoint_path is not None
@@ -322,8 +329,7 @@ def serve(
         with open(metrics_out, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, sort_keys=True, indent=2)
             handle.write("\n")
-    if not quiet:
-        print(json.dumps(summary, sort_keys=True), file=out, flush=True)
+    emit(summary)
     print(
         f"serve: {summary['subjobs_completed']} subjobs in "
         f"{engine.metrics.steps} steps, {elapsed:.2f}s wall "

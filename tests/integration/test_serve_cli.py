@@ -108,17 +108,44 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     assert clean == resumed
 
 
-def test_arena_flag_paths_are_bit_identical(tmp_path):
-    """`--arena on` and `--arena off` produce identical metrics JSON —
-    the commit path is invisible to every observable surface."""
-    args = [a if a != "400" else "150" for a in STREAM_ARGS]
-    outputs = {}
-    for mode in ("on", "off"):
-        out = tmp_path / f"arena-{mode}.json"
-        result = run_serve(*args, "--arena", mode, "--metrics-out", str(out))
-        assert result.returncode == 0, result.stderr
-        outputs[mode] = json.loads(out.read_text())
-    assert outputs["on"] == outputs["off"]
+def test_closed_stdout_exits_130_without_traceback(tmp_path):
+    """`repro serve ... | head -n 1`: once the reader closes the pipe the
+    run aborts with status 130, saves its checkpoint and metrics, and
+    prints no traceback or exit-time "Exception ignored" line."""
+    args = [a for a in STREAM_ARGS if a != "--quiet"]
+    # A tick every step writes far more than a pipe buffer holds, so the
+    # run cannot finish before the reader leaves.
+    args[args.index("--tick-every") + 1] = "1"
+    ckpt = tmp_path / "pipe.ckpt"
+    out = tmp_path / "pipe.json"
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            *args,
+            "--checkpoint",
+            str(ckpt),
+            "--metrics-out",
+            str(out),
+        ],
+        env=_env(),
+        cwd=REPO_ROOT,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()  # the `head -n 1` reader
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 130, stderr
+    assert json.loads(first)["t"] == 1
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert "stdout closed" in stderr
+    assert ckpt.exists()
+    assert json.loads(out.read_text())["status"] == 130
 
 
 def test_max_steps_interrupt_exit_status(tmp_path):

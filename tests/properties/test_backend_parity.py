@@ -1,20 +1,10 @@
-"""Four-way kernel-backend parity suite.
+"""Batched ≡ per-instance ≡ reference-loop parity suite.
 
-The backend registry's contract is that the backend choice is invisible to
-correctness: for every instance in the corpus, the engine running on the
-backend under test — batched *and* per-instance — must produce completion
-arrays bit-identical to the numpy reference backend *and* to the per-node
-reference loop (``_simulate_reference``). That is the four-way check:
-
-1. ``simulate_batch`` under ``REPRO_BACKEND=<backend>``;
-2. per-instance ``simulate`` under ``REPRO_BACKEND=<backend>``;
-3. per-instance ``simulate`` under ``REPRO_BACKEND=numpy``;
-4. the per-node reference loop (backend-free by construction).
-
-The suite is parametrized over ``REPRO_BACKEND``; the numba parameter
-skips (not fails) when numba is not installed, so the full matrix only
-runs in the optional backend-numba CI job. Kernel-level parity tests pin
-each numba translation against the numpy reference on random inputs.
+For every instance in the corpus, the lockstep batched engine
+(``simulate_batch``), the per-instance engine (``simulate``, with its
+fast/priority/macro paths and the kernels of :mod:`repro.core.kernels`),
+and the per-node reference loop (``_simulate_reference``) must produce
+bit-identical completion arrays.
 
 SRPT rides along with FIFO/LPF here because its vectorized path exercises
 the dynamic-job-order fast path plus the ``merge_sorted`` kernel — and its
@@ -24,9 +14,8 @@ heap path is the retained bit-identity reference for that contract.
 import numpy as np
 import pytest
 
-from repro.core import simulate, simulate_batch
-from repro.core.kernels import available_backends, get_backend
-from repro.core.simulator import _simulate_reference, engine_stats_snapshot
+from repro.core import kernels, simulate, simulate_batch
+from repro.core.simulator import _simulate_reference
 from repro.schedulers import FIFOScheduler, LPFScheduler, ReverseTieBreak
 from repro.schedulers.srpt import SRPTScheduler
 
@@ -36,18 +25,6 @@ from .test_batch_properties import (
     _ragged_batch,
     _random_batch,
 )
-
-_HAS_NUMBA = "numba" in available_backends()
-
-BACKENDS = [
-    "numpy",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not _HAS_NUMBA, reason="numba not installed in this environment"
-        ),
-    ),
-]
 
 BUILDERS = (_chains_batch, _random_batch, _adversarial_batch, _ragged_batch)
 CORPUS = [(b, s) for b in BUILDERS for s in range(2)]
@@ -60,215 +37,33 @@ SCHEDULERS = {
 }
 
 
-@pytest.fixture
-def backend_env(monkeypatch):
-    """Set ``REPRO_BACKEND`` for one test and restore registry state."""
-    from repro.core import kernels
-
-    def activate(name: str) -> None:
-        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, name)
-        kernels._reset_for_testing()
-
-    yield activate
-    kernels._reset_for_testing()
-
-
-def _four_way(instances, make_scheduler, m, backend, activate):
-    activate(backend)
+def _three_way(instances, make_scheduler, m):
     batched = simulate_batch(instances, m, make_scheduler())
-    under_test = [simulate(inst, m, make_scheduler()) for inst in instances]
-    activate("numpy")
-    numpy_runs = [simulate(inst, m, make_scheduler()) for inst in instances]
+    per_instance = [simulate(inst, m, make_scheduler()) for inst in instances]
     refs = [_simulate_reference(inst, m, make_scheduler()) for inst in instances]
-    for b, inst in enumerate(instances):
-        legs = (
-            batched[b].completion,
-            under_test[b].completion,
-            numpy_runs[b].completion,
-            refs[b].completion,
-        )
-        for i, (w, x, y, z) in enumerate(zip(*legs)):
-            assert np.array_equal(w, x), (
-                f"[{backend}] batched vs per-instance: instance {b} job {i}"
-            )
-            assert np.array_equal(x, y), (
-                f"[{backend}] backend vs numpy reference: instance {b} job {i}"
-            )
-            assert np.array_equal(y, z), (
-                f"[{backend}] numpy vs per-node reference: instance {b} job {i}"
-            )
+    for b in range(len(instances)):
+        legs = (batched[b].completion, per_instance[b].completion, refs[b].completion)
+        for i, (x, y, z) in enumerate(zip(*legs)):
+            assert np.array_equal(x, y), f"batched vs per-instance: instance {b} job {i}"
+            assert np.array_equal(y, z), f"per-instance vs reference: instance {b} job {i}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "builder,seed", CORPUS, ids=[f"{b.__name__[1:]}-{s}" for b, s in CORPUS]
 )
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
-def test_four_way_bit_identity(builder, seed, policy, backend, backend_env):
+def test_three_way_bit_identity(builder, seed, policy):
     batch = builder(seed)
     for m in (1, 3, 8):
-        _four_way(batch, SCHEDULERS[policy], m, backend, backend_env)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stats_record_active_backend(backend, backend_env):
-    """EngineStats carries the backend that actually served the run."""
-    backend_env(backend)
-    inst = _random_batch(7)[0]
-    before = engine_stats_snapshot()
-    simulate(inst, 4, FIFOScheduler())
-    delta = engine_stats_snapshot().delta(before)
-    assert delta.backend == get_backend().name
-    assert sum(delta.kernel_dispatches.values()) > 0
-
-
-# ---------------------------------------------------------------------------
-# Kernel-level parity: each numba translation against the numpy reference.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not _HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("seed", range(5))
-def test_kernel_level_parity(seed):
-    from repro.core.kernels import numpy_backend
-    from repro.core.kernels.numba_backend import load
-
-    compiled = load()
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(10, 200))
-    # A random forest CSR: each node's children listed in ascending order.
-    parents = np.array(
-        [-1] + [int(rng.integers(0, i)) for i in range(1, n)], dtype=np.int64
-    )
-    order = np.argsort(parents[1:], kind="stable")
-    indices = (order + 1).astype(np.int64)
-    counts = np.bincount(parents[1:], minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    nodes = np.unique(rng.integers(0, n, size=rng.integers(1, n + 1)))
-
-    np.testing.assert_array_equal(
-        compiled["csr_children"](indptr, indices, nodes),
-        numpy_backend.csr_children(indptr, indices, nodes),
-    )
-
-    comp_a = np.zeros(n, dtype=np.int64)
-    comp_b = np.zeros(n, dtype=np.int64)
-    kids_a = compiled["commit_frontier"](indptr, indices, comp_a, nodes, 7)
-    kids_b = numpy_backend.commit_frontier(indptr, indices, comp_b, nodes, 7)
-    np.testing.assert_array_equal(kids_a, kids_b)
-    np.testing.assert_array_equal(comp_a, comp_b)
-
-    steps = rng.integers(1, 30, size=n).astype(np.int64)
-    bound = int(rng.integers(1, 40))
-    assert compiled["chain_min_dt"](steps, nodes, bound) == (
-        numpy_backend.chain_min_dt(steps, nodes, bound)
-    )
-
-    a = np.unique(rng.integers(0, 1000, size=rng.integers(0, 30)))
-    b = np.unique(rng.integers(1000, 2000, size=rng.integers(0, 30)))
-    np.testing.assert_array_equal(
-        compiled["merge_sorted"](a, b), numpy_backend.merge_sorted(a, b)
-    )
-
-    n_seg = int(rng.integers(1, 8))
-    lens = rng.integers(0, 6, size=n_seg)
-    seg = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-    fkeys = rng.permutation(int(seg[-1])).astype(np.int64)
-    k = np.array([int(rng.integers(0, ln + 1)) for ln in lens], dtype=np.int64)
-    ta, ra = compiled["batch_take"](fkeys, seg, k, int(k.sum()))
-    tb, rb = numpy_backend.batch_take(fkeys, seg, k, int(k.sum()))
-    np.testing.assert_array_equal(ta, tb)
-    np.testing.assert_array_equal(ra, rb)
-
-    # arena_gather: ragged prefix take over a resident frontier buffer.
-    np.testing.assert_array_equal(
-        compiled["arena_gather"](fkeys, seg[:-1].copy(), k, int(k.sum())),
-        numpy_backend.arena_gather(fkeys, seg[:-1].copy(), k, int(k.sum())),
-    )
-
-
-@pytest.mark.skipif(not _HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("seed", range(5))
-def test_arena_commit_parity(seed):
-    """arena_commit mutates fbuf in place; both backends must leave the
-    whole buffer (merged frontiers + untouched slack) byte-identical."""
-    from repro.core.kernels import numpy_backend
-    from repro.core.kernels.numba_backend import load
-
-    compiled = load()
-    rng = np.random.default_rng(seed + 100)
-    n_slots = int(rng.integers(1, 6))
-    slot_cap = 12
-    offsets = (np.arange(n_slots) * slot_cap).astype(np.int64)
-    sizes = rng.integers(0, 6, size=n_slots).astype(np.int64)
-    fbuf = np.zeros(n_slots * slot_cap, dtype=np.int64)
-    pool = rng.permutation(10_000)
-    cursor = 0
-    new_per_slot = []
-    for s in range(n_slots):
-        total = int(sizes[s]) + int(rng.integers(0, 5))
-        draw = np.sort(pool[cursor : cursor + total]).astype(np.int64)
-        cursor += total
-        fbuf[offsets[s] : offsets[s] + sizes[s]] = draw[: sizes[s]]
-        new_per_slot.append(rng.permutation(draw[sizes[s] :]))
-    touched = [s for s in range(n_slots) if new_per_slot[s].size]
-    if not touched:
-        touched = [0]  # degenerate: commit an empty batch to slot 0
-    slots = np.array(touched, dtype=np.int64)
-    seg = np.concatenate(
-        ([0], np.cumsum([new_per_slot[s].size for s in touched]))
-    ).astype(np.int64)
-    new_keys = (
-        np.concatenate([new_per_slot[s] for s in touched])
-        if seg[-1]
-        else np.empty(0, dtype=np.int64)
-    )
-    fbuf_a, fbuf_b = fbuf.copy(), fbuf.copy()
-    compiled["arena_commit"](fbuf_a, offsets, sizes.copy(), slots, seg, new_keys)
-    numpy_backend.arena_commit(fbuf_b, offsets, sizes.copy(), slots, seg, new_keys)
-    np.testing.assert_array_equal(fbuf_a, fbuf_b)
+        _three_way(batch, SCHEDULERS[policy], m)
 
 
 def test_registry_covers_arena_kernels():
-    """The registry's kernel roster includes the arena kernels and the
-    numpy reference implements every name natively."""
-    from repro.core.kernels import KERNEL_NAMES
-
-    backend = get_backend("numpy")
-    assert "arena_gather" in KERNEL_NAMES
-    assert "arena_commit" in KERNEL_NAMES
-    assert backend.supported == frozenset(KERNEL_NAMES)
-    for kname in KERNEL_NAMES:
-        assert callable(getattr(backend, kname))
-
-
-@pytest.mark.skipif(not _HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("seed", range(3))
-def test_macro_fill_parity(seed):
-    """macro_fill on a genuine chain layout (runs of length >= dt)."""
-    from repro.core.kernels import numpy_backend
-    from repro.core.kernels.numba_backend import load
-
-    compiled = load()
-    rng = np.random.default_rng(seed + 50)
-    # Build disjoint chains laid out contiguously in run_nodes.
-    run_lens = rng.integers(3, 12, size=5)
-    run_nodes = np.arange(int(run_lens.sum()), dtype=np.int64)
-    node_index = run_nodes.copy()  # identity layout
-    steps_to_end = np.concatenate(
-        [np.arange(ln, 0, -1, dtype=np.int64) for ln in run_lens]
-    )
-    starts = np.concatenate(([0], np.cumsum(run_lens)[:-1]))
-    gids = starts.astype(np.int64)  # the chain heads
-    dt = 2
-    comp_a = np.zeros(run_nodes.size, dtype=np.int64)
-    comp_b = np.zeros(run_nodes.size, dtype=np.int64)
-    na, ta = compiled["macro_fill"](
-        run_nodes, node_index, steps_to_end, comp_a, gids, 10, dt
-    )
-    nb, tb = numpy_backend.macro_fill(
-        run_nodes, node_index, steps_to_end, comp_b, gids, 10, dt
-    )
-    np.testing.assert_array_equal(na, nb)
-    np.testing.assert_array_equal(ta, tb)
-    np.testing.assert_array_equal(comp_a, comp_b)
+    """``KERNEL_NAMES`` includes the idle arena kernels and every name is
+    a function of :mod:`repro.core.kernels` (the repo benchmark builds
+    its per-kernel dispatch metrics from that tuple)."""
+    assert "arena_gather" in kernels.KERNEL_NAMES
+    assert "arena_commit" in kernels.KERNEL_NAMES
+    assert len(set(kernels.KERNEL_NAMES)) == len(kernels.KERNEL_NAMES)
+    for kname in kernels.KERNEL_NAMES:
+        assert callable(getattr(kernels, kname))

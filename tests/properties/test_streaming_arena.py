@@ -1,41 +1,47 @@
-"""Three-way bit-identity suite for the resident streaming arena.
+"""Bit-identity suite for the streaming engine, pinned to ``simulate()``.
 
-The arena contract (docs/serving.md, docs/engine-internals.md): the
-resident-arena commit path — whole-window kernel passes plus epoch
-macro-stepping — is observationally identical to the retained per-job
-reference loop, which is itself pinned to batch ``simulate()``. Three
-legs, compared on every observable surface:
+The streaming contract (docs/serving.md, docs/engine-internals.md): the
+resident-arena engine — prefix commits of one policy-ordered frontier
+plus epoch macro-stepping — is observationally identical to batch
+``simulate()`` on the materialized stream prefix. Everything the engine
+reports is derived here from ``simulate()``'s schedule alone:
 
-1. **arena** (``arena=True``): SoA commits + ``macro_fill`` epochs;
-2. **per-job** (``arena=False``): the ``_LiveJob`` dict reference;
-3. **simulate**: per-job flows on the materialized stream prefix.
+* per-job flows;
+* retirement order: by finish step, then by the job order at that step
+  (the arrival index under fifo/lpf; ``(subjobs committed in the final
+  step, index)`` under srpt, whose job key is the remaining count);
+* the final ``t`` (the last finish);
+* every field of :meth:`StreamMetrics.summary`, with the live-window
+  high-water marks taken from the jobs' ``[release, finish)`` intervals.
 
 The properties cover fifo/lpf/srpt × Poisson / Galton-Watson /
 adversarial-drip sources × restricted availability traces × random
 SIGKILL epochs (checkpoint → drop the engine → restore from the file
-format), including *cross-path* resumes — a checkpoint written by the
-arena engine drained by the per-job engine and vice versa, since the
-snapshot layout is deliberately path-free.
+format). Snapshots round-trip byte for byte at ``t_limit`` boundaries,
+and epoch macro-windows reproduce the metrics of the same engine stepped
+one step at a time (``t_limit=t+1`` forbids every window).
 
 Engagement guards keep the suite honest: deterministic runs assert the
 arena commit path (``stream_arena_steps``) and the epoch macro path
-(``stream_epoch_steps``) actually fire, so a regression that silently
-routed everything through the reference loop would fail loudly rather
-than pass vacuously.
+(``stream_epoch_steps``) actually fire, so the properties cannot pass
+vacuously.
 """
 
 import json
 import pickle
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.availability import as_trace
 from repro.core.simulator import simulate
 from repro.schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
 from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.srpt import SRPTScheduler
 from repro.streaming import (
     StreamingEngine,
+    StreamMetrics,
     load_checkpoint,
     save_checkpoint,
 )
@@ -73,21 +79,72 @@ def _final_state(engine: StreamingEngine) -> str:
     )
 
 
-def _run_collecting(source, m, *, arena, **kwargs):
-    """Run one engine to completion; returns (engine, per-job flows)."""
-    flows: dict[int, int] = {}
+def _expected(source, n_jobs, m, policy, availability):
+    """What the engine must report, derived from ``simulate()``.
+
+    Returns ``(final_state, retirements)``; ``retirements`` lists
+    ``(index, flow)`` in retirement order.
+    """
+    inst = source.prefix_instance(n_jobs)
+    schedule = simulate(inst, m, _BATCH_FACTORIES[policy](), availability=availability)
+    n_jobs = len(inst)
+    release = [int(job.release) for job in inst]
+    size = [int(job.dag.n) for job in inst]
+    finish = [int(c.max()) for c in schedule.completion]
+    flows = [schedule.job_flow(j) for j in range(n_jobs)]
+
+    def retire_key(j):
+        if policy == "srpt":
+            last_step = int(np.count_nonzero(schedule.completion[j] == finish[j]))
+            return (finish[j], last_step, j)
+        return (finish[j], j)
+
+    retirements = [(j, flows[j]) for j in sorted(range(n_jobs), key=retire_key)]
+
+    # Step t is stepped iff a job is live at it: admitted (release <= t)
+    # and not yet retired (finish > t).
+    t_final = max(finish)
+    live = np.zeros(t_final, dtype=np.int64)
+    live_nodes = np.zeros(t_final, dtype=np.int64)
+    for j in range(n_jobs):
+        live[release[j] : finish[j]] += 1
+        live_nodes[release[j] : finish[j]] += size[j]
+    stepped = np.flatnonzero(live)
+    trace = None if availability is None else as_trace(availability, m)
+
+    metrics = StreamMetrics()
+    metrics.jobs_admitted = n_jobs
+    metrics.subjobs_admitted = metrics.subjobs_completed = sum(size)
+    metrics.busy = sum(size)
+    metrics.steps = int(stepped.size)
+    metrics.idle_skipped_steps = t_final - metrics.steps
+    metrics.capacity_granted = sum(
+        m if trace is None else trace.capacity_at(int(t)) for t in stepped
+    )
+    metrics.live_job_hwm = int(live.max())
+    metrics.live_subjob_hwm = int(live_nodes.max())
+    for flow in flows:
+        metrics.record_completion(flow)  # also counts jobs_completed
+    state = json.dumps(
+        {"t": t_final, "summary": metrics.summary()}, sort_keys=True
+    )
+    return state, retirements
+
+
+def _run_collecting(source, m, **kwargs):
+    """Run one engine to completion; returns (engine, retirements)."""
+    retirements: list[tuple[int, int]] = []
     engine = StreamingEngine(
         source,
         m,
-        arena=arena,
-        on_retire=lambda index, flow: flows.__setitem__(index, flow),
+        on_retire=lambda index, flow: retirements.append((index, flow)),
         **kwargs,
     )
     engine.run()
-    return engine, flows
+    return engine, retirements
 
 
-@settings(max_examples=25)
+@settings(max_examples=60)
 @given(
     policy=st.sampled_from(POLICIES),
     kind=st.sampled_from(("poisson", "galton", "drip")),
@@ -98,40 +155,23 @@ def _run_collecting(source, m, *, arena, **kwargs):
         st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=15)
     ),
 )
-def test_arena_matches_per_job_and_simulate(
-    policy, kind, seed, n_jobs, m, availability
-):
-    """arena ≡ per-job on (t, summary) and retirement order/flows, and
-    both ≡ ``simulate()`` on per-job flows over the materialized prefix."""
+def test_arena_matches_simulate(policy, kind, seed, n_jobs, m, availability):
+    """Flows, retirement order, final ``t`` and the whole summary equal
+    the values derived from ``simulate()`` on the materialized prefix."""
     avail = None if availability is None else [min(v, m) for v in availability]
-    kwargs = dict(policy=policy, availability=avail)
-    arena_engine, arena_flows = _run_collecting(
-        _source(kind, seed, n_jobs, m), m, arena=True, **kwargs
+    engine, retirements = _run_collecting(
+        _source(kind, seed, n_jobs, m), m, policy=policy, availability=avail
     )
-    ref_engine, ref_flows = _run_collecting(
-        _source(kind, seed, n_jobs, m), m, arena=False, **kwargs
+    state, expected = _expected(
+        _source(kind, seed, n_jobs, m), n_jobs, m, policy, avail
     )
-    assert _final_state(arena_engine) == _final_state(ref_engine)
-    # Same flows AND the same retirement order (dicts preserve it).
-    assert list(arena_flows.items()) == list(ref_flows.items())
-    # The arena engine must actually have used the arena path.
-    if arena_engine.stats.stream_steps > 0:
+    assert retirements == expected
+    assert _final_state(engine) == state
+    if engine.stats.stream_steps > 0:
         assert (
-            arena_engine.stats.stream_arena_steps
-            + arena_engine.stats.stream_epoch_steps
+            engine.stats.stream_arena_steps + engine.stats.stream_epoch_steps
             > 0
         )
-    assert ref_engine.stats.stream_arena_steps == 0
-    # Third leg: the batch engine on the materialized prefix.
-    schedule = simulate(
-        _source(kind, seed, n_jobs, m).prefix_instance(n_jobs),
-        m,
-        _BATCH_FACTORIES[policy](),
-        availability=avail,
-    )
-    assert [arena_flows[j] for j in range(n_jobs)] == [
-        schedule.job_flow(j) for j in range(n_jobs)
-    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,43 +182,30 @@ def test_arena_matches_per_job_and_simulate(
     n_jobs=st.integers(1, 25),
     m=st.integers(2, 6),
     epochs=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-    resume_paths=st.lists(st.booleans(), min_size=3, max_size=3),
     availability=st.one_of(
         st.none(), st.lists(st.integers(0, 2), min_size=1, max_size=15)
     ),
 )
-def test_kill_restore_cross_path_bit_identical(
-    tmp_path_factory,
-    policy,
-    kind,
-    seed,
-    n_jobs,
-    m,
-    epochs,
-    resume_paths,
-    availability,
+def test_kill_restore_matches_simulate(
+    tmp_path_factory, policy, kind, seed, n_jobs, m, epochs, availability
 ):
-    """checkpoint → SIGKILL → restore → drain reproduces the uninterrupted
-    per-job run exactly — with each restore drawn onto a random path
-    (arena or per-job), so checkpoints cross the path boundary freely."""
+    """checkpoint → SIGKILL → restore → drain, repeated, still ends in
+    the state derived from ``simulate()``."""
     source = _source(kind, seed, n_jobs, m)
     avail = None if availability is None else [min(v, m) for v in availability]
     kwargs = dict(policy=policy, availability=avail)
-
-    reference = StreamingEngine(source, m, arena=False, **kwargs)
-    reference.run()
-    expected = _final_state(reference)
+    expected, _ = _expected(source, n_jobs, m, policy, avail)
 
     path = tmp_path_factory.mktemp("ckpt") / "arena.ckpt"
-    engine = StreamingEngine(source, m, arena=True, **kwargs)
-    for epoch, use_arena in zip(epochs, resume_paths):
+    engine = StreamingEngine(source, m, **kwargs)
+    for epoch in epochs:
         for _ in range(epoch):
             if not engine.step():
                 break
         save_checkpoint(path, engine.snapshot())
         # "Kill": drop the engine entirely; restore from disk only.
         engine = StreamingEngine.from_snapshot(
-            load_checkpoint(path), source, m, arena=use_arena, **kwargs
+            load_checkpoint(path), source, m, **kwargs
         )
     engine.run()
     assert _final_state(engine) == expected
@@ -189,27 +216,71 @@ def test_kill_restore_cross_path_bit_identical(
     policy=st.sampled_from(POLICIES),
     kind=st.sampled_from(("poisson", "drip")),
     seed=st.integers(0, 10_000),
-    cuts=st.lists(st.integers(1, 80), min_size=1, max_size=2),
+    cuts=st.lists(st.integers(1, 80), min_size=1, max_size=3),
 )
-def test_snapshot_bytes_identical_across_paths(policy, kind, seed, cuts):
-    """At every drawn time boundary the two paths produce byte-identical
-    pickled snapshots (the checkpoint file payload), stepping each engine
-    with ``t_limit`` so macro-windows respect the boundary."""
+def test_snapshot_round_trip_at_t_limit_boundaries(policy, kind, seed, cuts):
+    """At every drawn ``t_limit`` boundary, restoring a snapshot and
+    snapshotting again gives the same pickled bytes (the checkpoint
+    payload), and the restored engine carries on as the original."""
     m = 4
     n_jobs = 20
-    kwargs = dict(policy=policy)
-    arena_engine = StreamingEngine(_source(kind, seed, n_jobs, m), m, arena=True, **kwargs)
-    ref_engine = StreamingEngine(_source(kind, seed, n_jobs, m), m, arena=False, **kwargs)
+    engine = StreamingEngine(_source(kind, seed, n_jobs, m), m, policy=policy)
     t = 0
     for cut in cuts:
         t += cut
-        for engine in (arena_engine, ref_engine):
-            while not engine.complete and engine.t < t:
-                engine.step(t_limit=t)
-        assert arena_engine.t == ref_engine.t
-        assert pickle.dumps(arena_engine.snapshot()) == pickle.dumps(
-            ref_engine.snapshot()
+        while not engine.complete and engine.t < t:
+            engine.step(t_limit=t)
+        payload = pickle.dumps(engine.snapshot())
+        engine = StreamingEngine.from_snapshot(
+            pickle.loads(payload), _source(kind, seed, n_jobs, m), m, policy=policy
         )
+        assert pickle.dumps(engine.snapshot()) == payload
+    engine.run()
+    expected, _ = _expected(
+        _source(kind, seed, n_jobs, m), n_jobs, m, policy, None
+    )
+    assert _final_state(engine) == expected
+
+
+def _per_step(engine: StreamingEngine) -> bool:
+    """One step with every epoch macro-window forbidden."""
+    return engine.step(t_limit=engine.t + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    seed=st.integers(0, 10_000),
+    period=st.integers(1, 5),
+    every=st.integers(2, 12),
+)
+def test_epoch_windows_match_per_step_metrics(policy, seed, period, every):
+    """Across every tick boundary, an engine free to macro-step emits the
+    same tick (windowed throughput/utilization included) and holds the
+    same metrics state as the same engine stepped one step at a time."""
+    m = 4
+
+    def source():
+        return AdversarialDripSource(m, period=period, seed=seed, n_jobs=12)
+
+    fast = StreamingEngine(source(), m, policy=policy)
+    slow = StreamingEngine(source(), m, policy=policy)
+    boundary = every
+    while True:
+        alive = True
+        while alive and fast.t < boundary:
+            alive = fast.step(t_limit=boundary)
+        while slow.t < fast.t and _per_step(slow):
+            pass
+        assert slow.t == fast.t
+        assert slow.metrics.state() == fast.metrics.state()
+        if not alive:
+            break
+        assert fast.metrics.tick(fast.t, fast.live_jobs, fast.live_subjobs) == (
+            slow.metrics.tick(slow.t, slow.live_jobs, slow.live_subjobs)
+        )
+        boundary += every
+    assert slow.stats.stream_epoch_steps == 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +293,7 @@ def test_arena_commit_path_engages():
     policy-ordered front: exactly one CSR child gather per step, and no
     dispatch of the ragged ``arena_gather``/``arena_commit`` kernels."""
     source = PoissonSource(rate=0.7, seed=11, dag_nodes=40, n_jobs=60)
-    engine = StreamingEngine(source, 6, policy="srpt", arena=True)
+    engine = StreamingEngine(source, 6, policy="srpt")
     engine.run()
     assert engine.stats.stream_arena_steps == 403
     assert engine.stats.kernel_dispatches == {
@@ -235,7 +306,7 @@ def test_epoch_macro_path_engages():
     """A chain-heavy drip stream qualifies for epoch macro-windows, and
     the compressed steps are accounted (each macro covers >= 2 steps)."""
     source = AdversarialDripSource(4, period=3, seed=5, n_jobs=30)
-    engine = StreamingEngine(source, 4, policy="fifo", arena=True)
+    engine = StreamingEngine(source, 4, policy="fifo")
     engine.run()
     assert engine.stats.stream_epoch_steps > 0
     assert (
@@ -243,38 +314,42 @@ def test_epoch_macro_path_engages():
         >= 2 * engine.stats.stream_epoch_steps
     )
     assert engine.stats.kernel_dispatches.get("macro_fill", 0) > 0
-    # The macro path must not have cost bit-identity.
+    # The macro path must not have cost bit-identity: it ends where the
+    # one-step-at-a-time engine and simulate() do.
     reference = StreamingEngine(
-        AdversarialDripSource(4, period=3, seed=5, n_jobs=30),
-        4,
-        policy="fifo",
-        arena=False,
+        AdversarialDripSource(4, period=3, seed=5, n_jobs=30), 4, policy="fifo"
     )
-    reference.run()
+    while _per_step(reference):
+        pass
+    assert reference.stats.stream_epoch_steps == 0
     assert _final_state(engine) == _final_state(reference)
+    expected, _ = _expected(
+        AdversarialDripSource(4, period=3, seed=5, n_jobs=30), 30, 4, "fifo", None
+    )
+    assert _final_state(engine) == expected
 
 
 def test_epoch_macro_respects_t_limit():
-    """With ``t_limit`` pinning every step, macro-windows never cross the
-    boundary: the engine visits exactly the same ``t`` values."""
-    def visited(arena: bool, t_limit_every: int) -> list[int]:
+    """With ``t_limit`` pinning every boundary, macro-windows never cross
+    it: the engine stops at every boundary the per-step engine visits."""
+    def visited(step) -> list[int]:
         engine = StreamingEngine(
             AdversarialDripSource(4, period=3, seed=9, n_jobs=15),
             4,
             policy="fifo",
-            arena=arena,
         )
         seen = [engine.t]
-        while True:
-            boundary = (engine.t // t_limit_every + 1) * t_limit_every
-            if not engine.step(t_limit=boundary):
-                break
+        while step(engine):
             seen.append(engine.t)
         return seen
 
-    arena_ts = visited(True, 7)
-    ref_ts = visited(False, 7)
-    # The arena path may compress runs of t values into macro jumps, but
-    # must stop at every boundary the per-step path stops at.
-    boundaries = {t for t in ref_ts if t % 7 == 0}
-    assert boundaries <= set(arena_ts)
+    every = 7
+    fast_ts = visited(
+        lambda engine: engine.step(t_limit=(engine.t // every + 1) * every)
+    )
+    slow_ts = visited(_per_step)
+    # The fast engine may compress runs of t values into macro jumps, but
+    # must stop at every boundary the per-step engine stops at.
+    assert len(fast_ts) < len(slow_ts)
+    boundaries = {t for t in slow_ts if t % every == 0}
+    assert boundaries <= set(fast_ts)

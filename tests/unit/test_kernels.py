@@ -1,122 +1,18 @@
-"""Unit tests for the kernel backend registry (``repro.core.kernels``).
+"""Unit tests for the engine kernels (``repro.core.kernels``).
 
-Covers name resolution from ``REPRO_BACKEND``, per-process caching, the
-graceful numba-missing fallback (silent numpy dispatch plus exactly one
-``RuntimeWarning``), unknown-name rejection, per-kernel dispatch counts in
-``EngineStats``, and the warmup / compile-latency smoke (numba only).
+Covers the per-kernel dispatch counts in ``EngineStats``, the defensive
+merge of stats objects pickled before the dispatch and streaming fields
+existed, and the two arena kernels that no engine path dispatches any
+more (``arena_gather``/``arena_commit``), each against a plain
+per-slot reference.
 """
 
-import warnings
+import dataclasses
 
 import numpy as np
-import pytest
 
 from repro.core import kernels
-from repro.core.exceptions import ConfigurationError
-from repro.core.kernels import (
-    BACKEND_ENV_VAR,
-    KERNEL_NAMES,
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-    warmup,
-)
-
-_HAS_NUMBA = "numba" in available_backends()
-
-
-@pytest.fixture(autouse=True)
-def clean_registry(monkeypatch):
-    """Each test starts with no cached backends and no env override."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    kernels._reset_for_testing()
-    yield
-    kernels._reset_for_testing()
-
-
-class TestResolution:
-    def test_default_is_numpy(self):
-        assert resolve_backend_name() == "numpy"
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert backend.requested == "numpy"
-        assert backend.supported == frozenset(KERNEL_NAMES)
-
-    def test_env_var_resolved_per_call(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().requested == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "NumPy ")
-        assert resolve_backend_name() == "numpy"
-
-    def test_unknown_backend_is_loud(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ConfigurationError, match="cuda"):
-            get_backend()
-
-    def test_backend_cached_per_name(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_available_backends_always_has_numpy(self):
-        names = available_backends()
-        assert names[0] == "numpy"
-        assert set(names) <= {"numpy", "numba"}
-
-
-class TestFallback:
-    @pytest.fixture
-    def without_numba(self, monkeypatch):
-        """Force the numba backend to be unavailable (even if installed)."""
-        from repro.core.kernels import numba_backend
-
-        def unavailable():
-            raise BackendUnavailable("numba is not installed (forced by test)")
-
-        monkeypatch.setattr(numba_backend, "load", unavailable)
-
-    def test_numba_request_falls_back_to_numpy(self, monkeypatch, without_numba):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = get_backend()
-        assert backend.name == "numpy"  # what actually serves calls
-        assert backend.requested == "numba"  # what the caller asked for
-        fallback_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(fallback_warnings) == 1
-        assert "falling back" in str(fallback_warnings[0].message)
-        numpy_backend = get_backend("numpy")
-        for kname in KERNEL_NAMES:
-            assert getattr(backend, kname) is getattr(numpy_backend, kname)
-
-    def test_fallback_warns_only_once(self, monkeypatch, without_numba):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            get_backend()
-            kernels._CACHE.clear()  # drop the cache, keep the warned set
-            get_backend()
-        fallback_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(fallback_warnings) == 1
-
-    def test_simulation_dispatches_silently_on_fallback(
-        self, monkeypatch, without_numba
-    ):
-        """REPRO_BACKEND=numba without numba must still run — on numpy."""
-        from repro.core import DAG, Instance, Job, simulate
-        from repro.schedulers import FIFOScheduler
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        dag = DAG.from_parents(np.array([-1, 0, 0, 1, 1], dtype=np.int64))
-        inst = Instance([Job(dag, 0)])
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            schedule = simulate(inst, 2, FIFOScheduler())
-        schedule.validate()
-        assert schedule.engine_stats.backend == "numpy"
+from repro.core.kernels import KERNEL_NAMES
 
 
 class TestDispatchCounts:
@@ -134,69 +30,91 @@ class TestDispatchCounts:
         before = engine_stats_snapshot()
         simulate(inst, 3, FIFOScheduler())
         delta = engine_stats_snapshot().delta(before)
-        assert delta.backend == "numpy"
         assert set(delta.kernel_dispatches) <= set(KERNEL_NAMES)
         assert sum(delta.kernel_dispatches.values()) > 0
-        assert "backend=numpy" in delta.summary()
         assert "kernels[" in delta.summary()
 
     def test_old_snapshot_merge_is_defensive(self):
-        """add() must accept stats objects predating the backend fields."""
-        import dataclasses
-
+        """add() must accept stats objects predating the dispatch and
+        streaming fields."""
         from repro.core.simulator import EngineStats
 
         class OldStats:
-            """A snapshot in the pre-backend format: every counter except
-            the two new fields."""
+            """A snapshot in the first format: no dispatch counts and no
+            streaming counters."""
 
         old = OldStats()
         for f in dataclasses.fields(EngineStats):
-            if f.name not in ("backend", "kernel_dispatches"):
-                default = (
-                    f.default_factory()
-                    if f.default is dataclasses.MISSING
-                    else f.default
-                )
-                setattr(old, f.name, default)
+            if f.name == "kernel_dispatches" or f.name.startswith("stream_"):
+                continue
+            default = (
+                f.default_factory()
+                if f.default is dataclasses.MISSING
+                else f.default
+            )
+            setattr(old, f.name, default)
         old.steps = 5
 
         fresh = EngineStats()
         fresh.kernel_dispatches["commit_frontier"] = 2
-        fresh.backend = "numpy"
+        fresh.stream_steps = 4
         fresh.add(old)  # must not raise
         assert fresh.steps == 5
-        assert fresh.backend == "numpy"
+        assert fresh.stream_steps == 4
         assert fresh.kernel_dispatches == {"commit_frontier": 2}
 
-    def test_conflicting_backends_merge_to_mixed(self):
-        from repro.core.simulator import EngineStats
 
-        a = EngineStats()
-        a.backend = "numpy"
-        b = EngineStats()
-        b.backend = "numba"
-        a.add(b)
-        assert a.backend == "mixed"
+def _slot_layout(rng, slot_cap=12):
+    """A resident frontier buffer of sorted per-slot key runs plus, per
+    slot, an unsorted batch of new keys disjoint from every resident one."""
+    n_slots = int(rng.integers(1, 6))
+    offsets = (np.arange(n_slots) * slot_cap).astype(np.int64)
+    sizes = rng.integers(0, 6, size=n_slots).astype(np.int64)
+    fbuf = np.zeros(n_slots * slot_cap, dtype=np.int64)
+    pool = rng.permutation(10_000)
+    cursor = 0
+    new_per_slot = []
+    for s in range(n_slots):
+        total = int(sizes[s]) + int(rng.integers(0, 5))
+        draw = np.sort(pool[cursor : cursor + total]).astype(np.int64)
+        cursor += total
+        fbuf[offsets[s] : offsets[s] + sizes[s]] = draw[: sizes[s]]
+        new_per_slot.append(rng.permutation(draw[sizes[s] :]))
+    return fbuf, offsets, sizes, new_per_slot
 
 
-class TestWarmup:
-    def test_warmup_exercises_every_kernel(self):
-        warmup(get_backend("numpy"))  # must not raise
+class TestArenaKernels:
+    def test_arena_gather_takes_each_slice_prefix(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            fbuf, offsets, sizes, _ = _slot_layout(rng)
+            k = np.array(
+                [int(rng.integers(0, n + 1)) for n in sizes], dtype=np.int64
+            )
+            taken = kernels.arena_gather(fbuf, offsets, k, int(k.sum()))
+            expected = [
+                fbuf[off : off + int(n)] for off, n in zip(offsets, k)
+            ]
+            np.testing.assert_array_equal(taken, np.concatenate(expected))
 
-    @pytest.mark.skipif(not _HAS_NUMBA, reason="numba not installed")
-    def test_cold_vs_warm_compile_latency(self):
-        """After warmup, every numba kernel call is compile-free: a warm
-        call must run orders of magnitude under any plausible compile
-        time. Generous bound — this is a smoke test, not a benchmark."""
-        import time
-
-        backend = get_backend("numba")
-        warmup(backend)  # cold: triggers (or disk-loads) every compile
-        steps = np.array([5, 4, 3], dtype=np.int64)
-        gids = np.array([0, 2], dtype=np.int64)
-        t0 = time.perf_counter()
-        for _ in range(10):
-            backend.chain_min_dt(steps, gids, 9)
-        warm = (time.perf_counter() - t0) / 10
-        assert warm < 0.05, f"warm kernel call took {warm:.3f}s — recompiling?"
+    def test_arena_commit_merges_each_slot_in_place(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed + 100)
+            fbuf, offsets, sizes, new_per_slot = _slot_layout(rng)
+            touched = [s for s, new in enumerate(new_per_slot) if new.size]
+            if not touched:
+                continue
+            slots = np.array(touched, dtype=np.int64)
+            seg = np.concatenate(
+                ([0], np.cumsum([new_per_slot[s].size for s in touched]))
+            ).astype(np.int64)
+            new_keys = np.concatenate([new_per_slot[s] for s in touched])
+            expected = fbuf.copy()
+            for s in touched:
+                off, n = int(offsets[s]), int(sizes[s])
+                merged = np.sort(
+                    np.concatenate((fbuf[off : off + n], new_per_slot[s]))
+                )
+                expected[off : off + merged.size] = merged
+            kernels.arena_commit(fbuf, offsets, sizes, slots, seg, new_keys)
+            np.testing.assert_array_equal(fbuf, expected)

@@ -56,7 +56,7 @@ def test_rule_catalog_is_stable():
         "RPR005",  # failure paths
         "RPR006",  # macro-step contract
         "RPR007",  # batch-capable contract
-        "RPR008",  # kernel-backend style discipline
+        "RPR008",  # kernel-module style discipline
         "RPR009",  # streaming unbounded-accumulation discipline
         "RPR101", "RPR102", "RPR103",  # scheduler contracts
         "RPR201", "RPR202", "RPR203",  # engine safety
@@ -582,7 +582,7 @@ def test_get_rule_unknown_id():
 
 
 # ----------------------------------------------------------------------
-# RPR008 — kernel-backend KERNEL_STYLE discipline
+# RPR008 — kernel-module KERNEL_STYLE discipline
 # ----------------------------------------------------------------------
 
 
@@ -595,7 +595,7 @@ class TestKernelStyleScope:
         return [v for v in report.violations if v.rule_id == "RPR008"]
 
     def test_silent_without_kernel_style(self):
-        # The same loop outside a declared backend module is fine.
+        # The same loop outside a declared kernel module is fine.
         assert self._lint(
             """\
             def walk(nodes):
@@ -603,41 +603,6 @@ class TestKernelStyleScope:
                 for u in nodes:
                     total += u
                 return total
-            """
-        ) == []
-
-    def test_nopython_allows_loops_but_not_dicts(self):
-        violations = self._lint(
-            """\
-            KERNEL_STYLE = "nopython"
-
-            def k_scan(steps, gids, bound):
-                best = bound
-                for i in range(gids.shape[0]):
-                    best = min(best, steps[gids[i]])
-                return best
-
-            def k_bad(gids):
-                seen = {}
-                for g in gids:
-                    seen[g] = True
-                return seen
-            """
-        )
-        assert len(violations) == 1
-        assert "dict" in violations[0].message
-        assert "k_bad" in violations[0].message
-
-    def test_nopython_ignores_module_level_tables(self):
-        # The kernel-name dispatch dict lives outside the k_ bodies.
-        assert self._lint(
-            """\
-            KERNEL_STYLE = "nopython"
-
-            def k_ok(x):
-                return x + 1
-
-            TABLE = {"ok": k_ok}
             """
         ) == []
 
@@ -686,48 +651,21 @@ class TestKernelStyleScope:
         assert [v for v in report.violations if v.rule_id == "RPR008"] == []
         assert report.suppressed_count == 1
 
-    def test_nopython_flags_returned_list_literal(self):
-        violations = self._lint(
-            """\
-            KERNEL_STYLE = "nopython"
-
-            def k_arena_gather(fbuf, starts, k):
-                out = 0
-                for i in range(starts.shape[0]):
-                    out += k[i]
-                return [out]
-
-            def k_arena_commit(fbuf, seg):
-                return seg, [s for s in seg]
-            """
-        )
-        assert len(violations) == 2
-        assert all("Python list" in v.message for v in violations)
-        assert {"k_arena_gather", "k_arena_commit"} == {
-            v.message.split("`")[1] for v in violations
-        }
-
     def test_shipped_backends_cover_arena_kernels(self):
-        # Both shipped backends declare KERNEL_STYLE, so the new
+        # The shipped kernel module declares KERNEL_STYLE, so its
         # arena_gather/arena_commit kernels sit under RPR008. Pin the
-        # coverage: the sources are clean as shipped, and stripping the
-        # numpy backend's one reasoned escape hatch (the int64-overflow
-        # per-slot fallback inside arena_commit) makes the rule fire
-        # exactly there.
+        # coverage: the source is clean as shipped, and stripping its one
+        # reasoned escape hatch (the int64-overflow per-slot fallback
+        # inside arena_commit) makes the rule fire exactly there.
         import inspect
 
-        from repro.core.kernels import numba_backend, numpy_backend
+        from repro.core import kernels
 
-        for mod in (numpy_backend, numba_backend):
-            src = inspect.getsource(mod)
-            report = lint_source(src, path="backend.py", rules=[self.RULE])
-            assert [
-                v for v in report.violations if v.rule_id == "RPR008"
-            ] == [], mod.__name__
-        stripped = inspect.getsource(numpy_backend).replace(
-            "# repro-lint: disable=RPR008", "# pragma-off"
-        )
-        report = lint_source(stripped, path="backend.py", rules=[self.RULE])
+        src = inspect.getsource(kernels)
+        report = lint_source(src, path="kernels.py", rules=[self.RULE])
+        assert [v for v in report.violations if v.rule_id == "RPR008"] == []
+        stripped = src.replace("# repro-lint: disable=RPR008", "# pragma-off")
+        report = lint_source(stripped, path="kernels.py", rules=[self.RULE])
         fired = [v for v in report.violations if v.rule_id == "RPR008"]
         assert len(fired) == 1
         assert "arena_commit" in fired[0].message

@@ -43,8 +43,10 @@ def tool(tmp_path, monkeypatch):
     monkeypatch.setattr(mod, "MICROBENCHES", {"tiny": tiny})
     monkeypatch.setattr(mod, "SWEEP_BENCHES", {"tiny_sweep": (tiny_sweep, 1)})
     # Same (factory, rounds) shape as SWEEP_BENCHES; tiny_sweep already
-    # exercises that loop, so keep the real serve soaks out of a unit test.
+    # exercises that loop, so keep the real serve soaks and the adversary
+    # build out of a unit test.
     monkeypatch.setattr(mod, "STREAM_BENCHES", {})
+    monkeypatch.setattr(mod, "BUILD_BENCHES", {})
     monkeypatch.setattr(mod, "LINT_BENCHES", {"tiny_lint": tiny_lint})
     monkeypatch.setattr(mod, "BASELINE_PATH", tmp_path / "BENCH_engine.json")
     return mod

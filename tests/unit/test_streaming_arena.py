@@ -1,31 +1,28 @@
 """Unit tests for the streaming arena: the policy-ordered frontier
-invariant, dispatch accounting, compaction bounds, and the service-level
-``arena`` switch.
+invariant, dispatch accounting, compaction bounds, and the SRPT key
+bound.
 
 The property suite (``tests/properties/test_streaming_arena.py``) pins
-the arena path's *semantics* against the per-job reference; this module
-pins the pieces those properties cannot see from the outside — that
-after every step the arena's flat ``front`` is exactly the live ready
-set sorted by (job key, in-job rank), that
-``EngineStats.kernel_dispatches`` counts exactly the kernel calls the
-engine actually made (the per-job accounting used to pay two dict
-probes per call on the hot loop; the accumulate-locals-flush-once
-rewrite must not change the numbers), and that compaction keeps the
-arena's node buffers keyed to the live high-water mark instead of the
-stream length.
+the engine's *semantics* against ``simulate()``; this module pins the
+pieces those properties cannot see from the outside — that after every
+step the arena's flat ``front`` is exactly the live ready set sorted by
+(job key, in-job rank), that ``EngineStats.kernel_dispatches`` counts
+exactly the kernel calls the engine actually made, that compaction keeps
+the arena's node buffers keyed to the live high-water mark instead of
+the stream length, and that an srpt stream past the packed job key's
+bound fails with a named error.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core import Instance, Job
+from repro.core import Instance, Job, kernels
+from repro.core.exceptions import ConfigurationError
 from repro.core.util import csr_gather
 from repro.schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
 from repro.streaming import StreamingEngine
-from repro.streaming.service import serve
 from repro.workloads import map_reduce_dag, random_attachment_tree, series_of_trees
 from repro.workloads.arrivals import (
     AdversarialDripSource,
@@ -150,14 +147,14 @@ class TestPolicyOrderedFront:
         assert seen[engages] > 0
 
 
-def _counting_backend(engine: StreamingEngine) -> dict[str, int]:
-    """Swap the engine's backend for a call-counting shim; returns the
-    live counter dict."""
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count every call into :mod:`repro.core.kernels`; returns the live
+    counter dict."""
     counts: dict[str, int] = {}
-    backend = engine._backend
 
     def wrap(name):
-        kernel = getattr(backend, name)
+        kernel = getattr(kernels, name)
 
         def counted(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
@@ -165,59 +162,31 @@ def _counting_backend(engine: StreamingEngine) -> dict[str, int]:
 
         return counted
 
-    engine._backend = dataclasses.replace(
-        backend,
-        **{
-            name: wrap(name)
-            for name in (
-                "csr_children",
-                "merge_sorted",
-                "arena_gather",
-                "arena_commit",
-                "chain_min_dt",
-                "macro_fill",
-            )
-        },
-    )
+    for name in kernels.KERNEL_NAMES:
+        monkeypatch.setattr(kernels, name, wrap(name))
     return counts
 
 
 class TestDispatchAccounting:
     """``kernel_dispatches`` equals the calls the engine actually made."""
 
-    def _run(self, *, arena: bool, policy: str = "srpt"):
-        source = PoissonSource(rate=0.6, seed=17, dag_nodes=15, n_jobs=50)
-        engine = StreamingEngine(source, 4, policy=policy, arena=arena)
-        counts = _counting_backend(engine)
-        engine.run()
-        return engine, counts
-
-    @pytest.mark.parametrize("policy", ("fifo", "srpt"))
-    def test_per_job_counts_are_exact(self, policy):
-        engine, counts = self._run(arena=False, policy=policy)
-        assert counts["csr_children"] > 0
-        assert counts["merge_sorted"] > 0
-        recorded = {
-            name: count
-            for name, count in engine.stats.kernel_dispatches.items()
-            if count
-        }
-        assert recorded == counts
-
-    def test_arena_counts_are_exact(self):
+    def test_arena_counts_are_exact(self, kernel_calls):
         # The policy-ordered front commits a step as one prefix slice:
         # one csr_children gather per arena step (188) plus one for the
         # epoch window whose run terminals have children, one
         # chain_min_dt per epoch probe, one macro_fill per window — and
         # no ragged arena_gather/arena_commit pass, under every policy.
         for policy in ("fifo", "lpf", "srpt"):
-            engine, counts = self._run(arena=True, policy=policy)
+            kernel_calls.clear()
+            source = PoissonSource(rate=0.6, seed=17, dag_nodes=15, n_jobs=50)
+            engine = StreamingEngine(source, 4, policy=policy)
+            engine.run()
             recorded = {
                 name: count
                 for name, count in engine.stats.kernel_dispatches.items()
                 if count
             }
-            assert recorded == counts
+            assert recorded == kernel_calls
             assert engine.stats.stream_arena_steps == 188
             assert engine.stats.stream_epoch_steps == 1
             assert recorded == {
@@ -233,7 +202,7 @@ class TestCompaction:
         # flow keeps small; without compaction the node buffers would
         # grow with the stream.
         source = PoissonSource(rate=0.25, seed=3, dag_nodes=12, n_jobs=600)
-        engine = StreamingEngine(source, 8, policy="fifo", arena=True)
+        engine = StreamingEngine(source, 8, policy="fifo")
         engine.run()
         arena = engine._arena
         assert arena is not None
@@ -247,7 +216,7 @@ class TestCompaction:
 
     def test_arena_empties_when_stream_drains(self):
         source = PoissonSource(rate=0.5, seed=8, dag_nodes=10, n_jobs=40)
-        engine = StreamingEngine(source, 4, policy="lpf", arena=True)
+        engine = StreamingEngine(source, 4, policy="lpf")
         engine.run()
         arena = engine._arena
         assert arena is not None
@@ -257,44 +226,18 @@ class TestCompaction:
         assert arena.order_arrival().size == 0
 
 
-class TestServeArenaSwitch:
-    def _serve(self, tmp_path, arena):
-        out = tmp_path / f"metrics-{arena}.json"
-        status = serve(
-            PoissonSource(rate=0.5, seed=21, dag_nodes=10, n_jobs=120),
-            4,
-            policy="srpt",
-            availability=[3, 1, 2, 3, 3],
-            tick_every=0,
-            quiet=True,
-            install_signals=False,
-            metrics_out=out,
-            arena=arena,
-        )
-        assert status == 0
-        return out.read_text()
+class TestSrptKeyBound:
+    def test_admission_past_the_index_bound_is_a_named_error(self, monkeypatch):
+        # srpt packs (remaining, index) into one int64 job key; with the
+        # index bound lowered to 3 the fourth admission (index 3) must
+        # fail loudly instead of corrupting the key.
+        from repro.streaming import engine as engine_mod
 
-    def test_on_off_metrics_identical(self, tmp_path):
-        assert self._serve(tmp_path, "on") == self._serve(tmp_path, "off")
-
-    def test_auto_takes_arena(self):
-        engine = StreamingEngine(
-            PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=5), 2
-        )
-        assert engine.arena  # constructor default
-        off = StreamingEngine(
-            PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=5),
-            2,
-            arena=False,
-        )
-        assert not off.arena
-
-    def test_bad_value_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="arena"):
-            serve(
-                PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=5),
-                2,
-                arena="maybe",
-                quiet=True,
-                install_signals=False,
-            )
+        monkeypatch.setattr(engine_mod, "SRPT_INDEX_LIMIT", 3)
+        source = PoissonSource(rate=5.0, seed=2, dag_nodes=8, n_jobs=10)
+        engine = StreamingEngine(source, 1, policy="srpt")
+        with pytest.raises(ConfigurationError, match="unsupported") as info:
+            engine.run()
+        assert "index < 3" in str(info.value)
+        assert "index=3" in str(info.value)
+        assert engine.metrics.jobs_admitted == 3

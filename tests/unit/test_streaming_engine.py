@@ -313,3 +313,75 @@ class TestServeLoop:
         assert status == 3
         # The stalled state was checkpointed for post-mortem/resume.
         assert load_checkpoint(ckpt)["t"] > 0
+
+    def test_closed_stdout_aborts_with_checkpoint(self, tmp_path):
+        """A reader that goes away (``repro serve ... | head``) aborts the
+        run: status 130, the checkpoint and ``metrics_out`` are written,
+        and resuming reproduces the clean run's summary."""
+        import io
+
+        class ClosingPipe(io.StringIO):
+            """Accepts two tick lines, then behaves like a closed pipe."""
+
+            def __init__(self):
+                super().__init__()
+                self.lines = 0
+
+            def write(self, text):
+                if self.lines >= 2:
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.lines += text.count("\n")
+                return super().write(text)
+
+        source_kwargs = dict(rate=0.7, seed=6, dag_nodes=10, n_jobs=40)
+        common = dict(install_signals=False, stall_timeout=None, tick_every=5)
+        clean_out = tmp_path / "clean.json"
+        status = serve(
+            PoissonSource(**source_kwargs),
+            3,
+            metrics_out=clean_out,
+            out=io.StringIO(),
+            err=io.StringIO(),
+            **common,
+        )
+        assert status == 0
+
+        ckpt = tmp_path / "serve.ckpt"
+        aborted_out = tmp_path / "aborted.json"
+        pipe, err = ClosingPipe(), io.StringIO()
+        status = serve(
+            PoissonSource(**source_kwargs),
+            3,
+            checkpoint_path=ckpt,
+            checkpoint_every=1000,
+            metrics_out=aborted_out,
+            out=pipe,
+            err=err,
+            **common,
+        )
+        assert status == 130
+        assert pipe.getvalue().count("\n") == 2  # nothing after the close
+        assert "stdout closed" in err.getvalue()
+        aborted = json.loads(aborted_out.read_text())
+        assert aborted["status"] == 130
+        assert aborted["complete"] is False
+        assert load_checkpoint(ckpt)["t"] == aborted["t"]
+
+        resumed_out = tmp_path / "resumed.json"
+        status = serve(
+            PoissonSource(**source_kwargs),
+            3,
+            checkpoint_path=ckpt,
+            checkpoint_every=1000,
+            resume=True,
+            metrics_out=resumed_out,
+            out=io.StringIO(),
+            err=io.StringIO(),
+            **common,
+        )
+        assert status == 0
+        clean = json.loads(clean_out.read_text())
+        resumed = json.loads(resumed_out.read_text())
+        assert clean.pop("resumed") is False
+        assert resumed.pop("resumed") is True
+        assert clean == resumed

@@ -1,8 +1,10 @@
 """The bench-baseline tool: save / compare round trip on a stub bench."""
 
 import importlib.util
+import itertools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,7 +91,15 @@ class TestSaveBaseline:
         assert tool.main(["--only", "nope"]) == 2
         assert "unknown bench name" in capsys.readouterr().err
 
-    def test_only_selects_and_save_merges(self, tool, capsys):
+    def test_only_selects_and_save_merges(self, tool, capsys, monkeypatch):
+        # This test is about which benches run and which rows are kept,
+        # not about throughput. One-round timings of the sub-millisecond
+        # stub flip the 20% tolerance on a busy host, so a fixed 1 ms tick
+        # per clock read gives every timed run the same duration.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            tool, "time", SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3)
+        )
         assert tool.main(["--rounds", "1"]) == 0
         full = json.loads(tool.BASELINE_PATH.read_text())
         assert set(full) == {"tiny", "tiny_sweep", "tiny_lint"}

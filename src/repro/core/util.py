@@ -100,17 +100,17 @@ def csr_gather(
     graph algorithms; it avoids a Python-level loop over frontier nodes.
     """
     nodes = as_int_array(nodes)
-    counts = csr_counts(indptr, nodes)
+    row_start = indptr[nodes]
+    counts = indptr[nodes + 1] - row_start
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=_INT), counts
-    # For output slot k, find which node it belongs to and its offset within
-    # that node's row, then index straight into `indices`.
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    node_for_slot = np.repeat(np.arange(nodes.size, dtype=_INT), counts)
-    within = np.arange(total, dtype=_INT) - starts[node_for_slot]
-    values = indices[indptr[nodes][node_for_slot] + within]
+    # Row i fills output slots from out_start[i] = cumsum(counts)[i] -
+    # counts[i] on, and slot k of it reads indices[row_start[i] + k -
+    # out_start[i]]: one per-row shift, repeated across the row, plus k.
+    shift = row_start - counts.cumsum()
+    shift += counts
+    values = indices[np.arange(total, dtype=_INT) + shift.repeat(counts)]
     return values, counts
 
 

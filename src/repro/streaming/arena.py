@@ -29,7 +29,12 @@ Per-node state: encoded int64 priority keys (``dense_rank(priority) * n
 :func:`~repro.core.kernels.macro_fill` can write completion times
 straight into the done array during epoch macro-stepping), and the
 chain-run arrays (``run_nodes`` / ``run_pos`` / ``steps_left``) shifted
-into arena-global ids.
+into arena-global ids. Only epoch windows read the chain-run arrays, and
+few steps qualify for one, so admission leaves them unfilled: the arena
+keeps the slot's DAG until :meth:`StreamArena.fill_runs` writes its
+block, at the slot's offset of that moment, the first time a window
+probe passes the engine's single-child gate with the job on the
+frontier.
 
 **The policy-ordered frontier.** Every stream policy is one list rule:
 order jobs by a job key, then ready nodes by an in-job key. ``front`` is
@@ -100,11 +105,18 @@ class StreamArena:
         Nonzero once the node committed (the value is the completion
         time; only the zero/nonzero distinction is semantic).
     ``indegree``
-        Remaining-parent counts, decremented as parents commit.
+        Remaining-parent counts, decremented as parents commit while a
+        non-forest job is live. Steps with only out-forests live skip
+        the update: a committed forest node's children have it as their
+        only parent, so they are ready at once. A forest child's count
+        is therefore still its initial 1 when its parent commits, which
+        keeps the non-forest update exact for every node.
     ``slot_of``
         Node -> owning slot.
     ``run_nodes`` / ``run_pos`` / ``steps_left``
-        Arena-global chain-run decomposition (epoch macro-stepping).
+        Arena-global chain-run decomposition (epoch macro-stepping);
+        a block holds don't-care values until :meth:`fill_runs` fills
+        it.
 
     ``front`` is the ready set in policy order, and ``slot_key`` the
     per-slot job key it is grouped by.
@@ -125,6 +137,9 @@ class StreamArena:
         self.slot_key = np.zeros(_MIN_SLOT_CAP, dtype=_INT)
         self.slot_live = np.zeros(_MIN_SLOT_CAP, dtype=bool)
         self._slot_forest = np.zeros(_MIN_SLOT_CAP, dtype=bool)
+        # Per slot: the DAG whose chain-run block is not filled yet, or
+        # None once filled or retired.
+        self._runs_pending: list[Any] = [None] * _MIN_SLOT_CAP
         self._node_tail = 0
         self._edge_tail = 0
         self._slot_tail = 0
@@ -211,6 +226,7 @@ class StreamArena:
                 buf = np.zeros(cap, dtype=src.dtype)
                 buf[: src.size] = src
                 setattr(self, name, buf)
+            self._runs_pending = self._runs_pending + [None] * (cap - self._slot_tail)
         slot = self._slot_tail
         self._slot_tail += 1
         return slot
@@ -245,10 +261,7 @@ class StreamArena:
         )
         self.enc[lo:hi] = np.arange(n, dtype=_INT) if enc is None else enc
         self.slot_of[lo:hi] = slot
-        runs = dag.chain_runs
-        self.run_nodes[lo:hi] = runs.order + off
-        self.run_pos[lo:hi] = runs.index_of + off
-        self.steps_left[lo:hi] = runs.steps_to_end
+        self._runs_pending[slot] = dag
         indeg = np.asarray(dag.indegree, dtype=_INT).copy()
         forest = bool(dag.is_out_forest)
         if done is None:
@@ -298,6 +311,7 @@ class StreamArena:
         """Release a completed slot: O(1), space reclaimed on compaction."""
         n = int(self.slot_n[slot])
         self.slot_live[slot] = False
+        self._runs_pending[slot] = None
         self._free_slots.append(slot)  # repro-lint: disable=RPR009 (bounded: free-list length never exceeds the slot-axis high-water mark — _new_slot recycles before growing the axis, so entries track retired-not-yet-reused slots within a fixed capacity)
         self.live_jobs -= 1
         self.live_nodes -= n
@@ -318,13 +332,12 @@ class StreamArena:
         """Run-length split of a nonempty ``front`` slice: the slots it
         covers, in policy order, and how many entries each holds."""
         owners = self.slot_of[gids]
-        cut = np.flatnonzero(owners[1:] != owners[:-1])
-        ends = np.empty(cut.size + 1, dtype=_INT)
-        np.add(cut, 1, out=ends[:-1])
-        ends[-1] = owners.size
-        counts = ends.copy()
-        counts[1:] -= ends[:-1]
-        return owners[ends - 1], counts
+        # Flag every run start, plus the end of the slice.
+        change = np.empty(owners.size + 1, dtype=bool)
+        change[0] = change[-1] = True
+        np.not_equal(owners[1:], owners[:-1], out=change[1:-1])
+        bounds = change.nonzero()[0]
+        return owners[bounds[:-1]], bounds[1:] - bounds[:-1]
 
     def note_commits(self, slots: Array, counts: Array) -> None:
         """Count ``counts[i]`` committed subjobs into ``slots[i]`` (SRPT
@@ -361,6 +374,24 @@ class StreamArena:
         else:
             touched = self.policy_sort(np.concatenate((front[k:rest], newly)))
             self.front = np.concatenate((touched, front[rest:]))
+
+    # -- chain runs ------------------------------------------------------
+
+    def fill_runs(self, slots: Array) -> None:
+        """Fill the chain-run blocks of ``slots`` that are still pending,
+        at each slot's current offset."""
+        pending = self._runs_pending
+        for s in slots.tolist():
+            dag = pending[s]
+            if dag is None:
+                continue
+            pending[s] = None
+            runs = dag.chain_runs
+            lo = int(self.slot_off[s])
+            hi = lo + int(dag.n)
+            self.run_nodes[lo:hi] = runs.order + lo
+            self.run_pos[lo:hi] = runs.index_of + lo
+            self.steps_left[lo:hi] = runs.steps_to_end
 
     # -- compaction ------------------------------------------------------
 

@@ -39,9 +39,12 @@ capacity is constant and covers the whole frontier, every live DAG is an
 out-forest, and every frontier chain runs at least ``Δt`` more steps —
 and commits all ``Δt`` steps as one ``macro_fill`` block write,
 reconstructing the per-step metrics exactly (see
-:meth:`~repro.streaming.metrics.StreamMetrics.note_macro`). The property
-suite pins the engine to ``simulate`` on per-job flows, retirement
-order, and every summary field.
+:meth:`~repro.streaming.metrics.StreamMetrics.note_macro`). Few steps of
+a tree stream qualify, so a probe reads chain runs only past an exact
+single-child gate (every frontier node has one child), and admission
+leaves each job's chain-run block for the first such probe to fill. The
+property suite pins the engine to ``simulate`` on per-job flows,
+retirement order, and every summary field.
 
 Crash safety: :meth:`StreamingEngine.snapshot` captures the full logical
 state — arrival cursor, per-live-job done masks, metrics accumulators —
@@ -79,7 +82,6 @@ __all__ = [
 ]
 
 _INT = np.int64
-_EMPTY = np.empty(0, dtype=_INT)
 
 #: Snapshot schema version (bumped on any incompatible layout change;
 #: :meth:`StreamingEngine.from_snapshot` rejects other versions).
@@ -421,18 +423,16 @@ class StreamingEngine:
         children = kernels.csr_children(arena.indptr, arena.indices, taken)
         dispatches = self.stats.kernel_dispatches
         dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
-        newly = _EMPTY
-        if children.size:
+        if arena.nonforest_live == 0:
+            # A forest child's only parent just committed: it is ready.
+            newly = children
+        else:
             # A committed node's child is never done (it still carries the
             # edge being decremented), so the update below cannot resurrect
             # finished work — including for slots retiring this step, whose
             # final frontier is all leaves.
-            if arena.nonforest_live == 0:
-                arena.indegree[children] -= 1
-                newly = children[arena.indegree[children] == 0]
-            else:
-                np.subtract.at(arena.indegree, children, 1)
-                newly = np.unique(children[arena.indegree[children] == 0])
+            np.subtract.at(arena.indegree, children, 1)
+            newly = np.unique(children[arena.indegree[children] == 0])
         arena.advance(k, slots, counts, newly)
         fin = slots[arena.slot_n_done[slots] == arena.slot_n[slots]]
         for s in fin.tolist():  # policy order
@@ -468,6 +468,10 @@ class StreamingEngine:
         * every live DAG is an out-forest, so interior chain commits hand
           exactly one successor to the next step's frontier (children have
           indegree 1 — no cross-chain coupling);
+        * every frontier node has exactly one child — in an out-forest,
+          exactly when every frontier chain run continues past this step,
+          the ``dt >= 2`` the window needs — so a probe that fails this
+          gate neither fills chain runs nor dispatches ``chain_min_dt``;
         * capacity is constant over the window and covers the whole
           frontier (``F <= c``), so every walk takes every ready node and
           policy order is irrelevant;
@@ -492,10 +496,15 @@ class StreamingEngine:
             bound = min(bound, t_limit - t)
         if bound < 2:
             return 0
+        indptr = arena.indptr
+        if not (indptr[front + 1] - indptr[front] == 1).all():
+            return 0
+        slots, sizes = arena.jobs_of(front)
+        arena.fill_runs(slots)
         dispatches = self.stats.kernel_dispatches
         dt = kernels.chain_min_dt(arena.steps_left, front, bound)
-        # Counted here, not after the dt gate: an aborted window probe
-        # still dispatched the kernel.
+        # Counted before the capacity check below: a probe past the
+        # single-child gate dispatched the kernel even if no window fires.
         dispatches["chain_min_dt"] = dispatches.get("chain_min_dt", 0) + 1
         dt = self._capacity_run(t, dt)
         if dt < 2:
@@ -510,28 +519,22 @@ class StreamingEngine:
             dt,
         )
         dispatches["macro_fill"] = dispatches.get("macro_fill", 0) + 1
-        slots, sizes = arena.jobs_of(front)
         arena.note_commits(slots, _INT(dt) * sizes)
         if term.size:
-            children = kernels.csr_children(arena.indptr, arena.indices, term)
+            # All live DAGs are forests: a terminal's children are ready.
+            children = kernels.csr_children(indptr, arena.indices, term)
             dispatches["csr_children"] = dispatches.get("csr_children", 0) + 1
-            if children.size:
-                arena.indegree[children] -= 1
-                newly = children[arena.indegree[children] == 0]
-                nxt = np.concatenate([nxt, newly])
+            nxt = np.concatenate([nxt, children])
         # The window moved every chain head dt steps: the new front is the
         # continuation heads plus the newly ready children (at most
         # ``total`` entries), in policy order.
         arena.front = arena.policy_sort(nxt)
-        fin_mask = arena.slot_n_done[slots] == arena.slot_n[slots]
-        fin = slots[fin_mask]
-        if fin.size:
-            if self._policy == "srpt":
-                # Final-step policy order among retiring jobs: remaining
-                # equals the (window-constant) frontier size.
-                fin = fin[np.lexsort((arena.slot_index[fin], sizes[fin_mask]))]
-            for s in fin.tolist():
-                self._retire_slot(s, t + dt)
+        # ``slots`` is in window-start key order. A job retiring here had
+        # ``dt * size`` subjobs left, so under srpt that order is (size,
+        # index), the retiring jobs' order at the window's final step.
+        fin = slots[arena.slot_n_done[slots] == arena.slot_n[slots]]
+        for s in fin.tolist():
+            self._retire_slot(s, t + dt)
         self.metrics.note_macro(total, capacity, dt)
         self.stats.steps += dt
         self.stats.selections += total * dt

@@ -31,6 +31,7 @@ import json
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,7 @@ from repro.streaming import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.streaming import arena as arena_mod
 from repro.workloads.arrivals import AdversarialDripSource, PoissonSource
 
 POLICIES = ("fifo", "lpf", "srpt")
@@ -290,16 +292,14 @@ def test_epoch_windows_match_per_step_metrics(policy, seed, period, every):
 
 def test_arena_commit_path_engages():
     """A mixed Poisson stream commits every step through the arena's
-    policy-ordered front: exactly one CSR child gather per step, and no
-    dispatch of the ragged ``arena_gather``/``arena_commit`` kernels."""
+    policy-ordered front: exactly one CSR child gather per step, no
+    dispatch of the ragged ``arena_gather``/``arena_commit`` kernels, and
+    no ``chain_min_dt`` (no epoch probe passes the single-child gate)."""
     source = PoissonSource(rate=0.7, seed=11, dag_nodes=40, n_jobs=60)
     engine = StreamingEngine(source, 6, policy="srpt")
     engine.run()
     assert engine.stats.stream_arena_steps == 403
-    assert engine.stats.kernel_dispatches == {
-        "csr_children": 403,
-        "chain_min_dt": 4,
-    }
+    assert engine.stats.kernel_dispatches == {"csr_children": 403}
 
 
 def test_epoch_macro_path_engages():
@@ -353,3 +353,59 @@ def test_epoch_macro_respects_t_limit():
     assert len(fast_ts) < len(slow_ts)
     boundaries = {t for t in slow_ts if t % every == 0}
     assert boundaries <= set(fast_ts)
+
+
+@pytest.mark.parametrize("restore_at", (None, 30))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lazy_runs_survive_compaction_and_restore(monkeypatch, policy, restore_at):
+    """Chain runs filled at one offset, moved by a compaction, then read
+    by a later epoch window still give the ``simulate()`` reference —
+    run straight through, and with a snapshot restore (which leaves every
+    restored job's runs unfilled again) at step ``restore_at``."""
+    monkeypatch.setattr(arena_mod, "_MIN_NODE_CAP", 16)
+    m, n_jobs = 4, 30
+
+    def source():
+        return AdversarialDripSource(m, period=3, seed=0, n_jobs=n_jobs)
+
+    retirements: list[tuple[int, int]] = []
+    kwargs = dict(
+        policy=policy,
+        on_retire=lambda index, flow: retirements.append((index, flow)),
+    )
+    engine = StreamingEngine(source(), m, **kwargs)
+    epochs = compactions = epochs_on_moved = steps = 0
+    moved: set[int] = set()
+    while True:
+        if steps == restore_at:
+            epochs += engine.stats.stream_epoch_steps
+            compactions += engine._arena.compactions
+            payload = pickle.dumps(engine.snapshot())
+            engine = StreamingEngine.from_snapshot(
+                pickle.loads(payload), source(), m, **kwargs
+            )
+            moved.clear()
+        arena = engine._arena
+        live = np.flatnonzero(arena.slot_live[: arena._slot_tail]).tolist()
+        filled = {
+            s: int(arena.slot_off[s]) for s in live if arena._runs_pending[s] is None
+        }
+        moved &= set(filled)
+        front_slots = set(arena.slot_of[arena.front].tolist())
+        before = (arena.compactions, engine.stats.stream_epoch_steps)
+        if not engine.step():
+            break
+        steps += 1
+        if arena.compactions > before[0]:
+            moved |= {s for s, off in filled.items() if arena.slot_off[s] != off}
+        if engine.stats.stream_epoch_steps > before[1] and moved & front_slots:
+            epochs_on_moved += 1
+    epochs += engine.stats.stream_epoch_steps
+    compactions += engine._arena.compactions
+    assert restore_at is None or steps > restore_at  # restored mid-run
+    state, expected = _expected(source(), n_jobs, m, policy, None)
+    assert retirements == expected
+    assert _final_state(engine) == state
+    assert epochs > 0
+    assert compactions > 0
+    assert epochs_on_moved > 0

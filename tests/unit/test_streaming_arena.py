@@ -1,6 +1,6 @@
 """Unit tests for the streaming arena: the policy-ordered frontier
-invariant, dispatch accounting, compaction bounds, and the SRPT key
-bound.
+invariant, dispatch accounting, compaction bounds, lazily filled chain
+runs, the retirement order of an epoch window, and the SRPT key bound.
 
 The property suite (``tests/properties/test_streaming_arena.py``) pins
 the engine's *semantics* against ``simulate()``; this module pins the
@@ -9,8 +9,10 @@ step the arena's flat ``front`` is exactly the live ready set sorted by
 (job key, in-job rank), that ``EngineStats.kernel_dispatches`` counts
 exactly the kernel calls the engine actually made, that compaction keeps
 the arena's node buffers keyed to the live high-water mark instead of
-the stream length, and that an srpt stream past the packed job key's
-bound fails with a named error.
+the stream length, that admission leaves a DAG's chain runs uncomputed
+until an epoch probe needs them, that jobs retiring at the end of one
+epoch window retire in the policy's order, and that an srpt stream past
+the packed job key's bound fails with a named error.
 """
 
 import pickle
@@ -18,7 +20,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import Instance, Job, kernels
+from repro.core import DAG, Instance, Job, kernels
 from repro.core.exceptions import ConfigurationError
 from repro.core.util import csr_gather
 from repro.schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
@@ -174,8 +176,9 @@ class TestDispatchAccounting:
         # The policy-ordered front commits a step as one prefix slice:
         # one csr_children gather per arena step (188) plus one for the
         # epoch window whose run terminals have children, one
-        # chain_min_dt per epoch probe, one macro_fill per window — and
-        # no ragged arena_gather/arena_commit pass, under every policy.
+        # chain_min_dt per epoch probe that passes the single-child gate,
+        # one macro_fill per window — and no ragged
+        # arena_gather/arena_commit pass, under every policy.
         for policy in ("fifo", "lpf", "srpt"):
             kernel_calls.clear()
             source = PoissonSource(rate=0.6, seed=17, dag_nodes=15, n_jobs=50)
@@ -191,7 +194,7 @@ class TestDispatchAccounting:
             assert engine.stats.stream_epoch_steps == 1
             assert recorded == {
                 "csr_children": 189,
-                "chain_min_dt": 6,
+                "chain_min_dt": 1,
                 "macro_fill": 1,
             }
 
@@ -224,6 +227,48 @@ class TestCompaction:
         assert arena.live_nodes == 0
         assert engine.live_subjobs == 0
         assert arena.order_arrival().size == 0
+
+
+class TestLazyChainRuns:
+    def test_no_chain_runs_without_a_probe_past_the_gate(self):
+        # Every epoch probe on this tree stream fails the single-child
+        # gate, so no admitted DAG ever computes its chain runs.
+        source = PoissonSource(rate=0.7, seed=11, dag_nodes=40, n_jobs=60)
+        instance = source.prefix_instance(60)
+        engine = StreamingEngine(
+            TraceReplaySource.from_instance(instance), 6, policy="srpt"
+        )
+        engine.run()
+        assert not [j for j, job in enumerate(instance) if "chain_runs" in vars(job.dag)]
+        assert engine.stats.stream_arena_steps > 0
+        assert "chain_min_dt" not in engine.stats.kernel_dispatches
+
+
+class TestEpochRetirementOrder:
+    @pytest.mark.parametrize(
+        ("policy", "order"), (("srpt", [1, 0]), ("fifo", [0, 1]))
+    )
+    def test_jobs_retiring_in_one_window_follow_the_policy(self, policy, order):
+        # Job 0 is two parallel 3-chains, job 1 one 3-chain; the three
+        # heads fit m=4, so one 3-step window commits both jobs whole.
+        # srpt retires the smaller job first, fifo the earlier one.
+        two_chains = DAG(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        one_chain = DAG(3, [(0, 1), (1, 2)])
+        source = TraceReplaySource.from_instance(
+            Instance([Job(two_chains, 0), Job(one_chain, 0)])
+        )
+        retired: list[int] = []
+        engine = StreamingEngine(
+            source,
+            4,
+            policy=policy,
+            on_retire=lambda index, flow: retired.append(index),
+        )
+        engine.run()
+        assert engine.stats.stream_epoch_steps == 1
+        assert engine.stats.stream_arena_steps == 0
+        assert engine.t == 3
+        assert retired == order
 
 
 class TestSrptKeyBound:

@@ -118,6 +118,19 @@ class TestCsrGather:
         assert values.size == 0
         assert counts.tolist() == [0, 0]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gather_matches_row_by_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(rng.integers(0, 4, size=n), out=indptr[1:])
+        indices = rng.integers(0, 100, size=int(indptr[-1])).astype(np.int64)
+        nodes = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        values, counts = csr_gather(indptr, indices, nodes)
+        rows = [indices[indptr[u] : indptr[u + 1]] for u in nodes]
+        assert values.tolist() == [v for row in rows for v in row.tolist()]
+        assert counts.tolist() == [row.size for row in rows]
+
 
 class TestSegmentMax:
     def test_basic(self):

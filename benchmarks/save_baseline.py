@@ -115,17 +115,6 @@ def _bench_fifo_parallel_chains():
     return _parallel_chains(), (lambda: FIFOScheduler(ArbitraryTieBreak())), 16
 
 
-def _bench_fifo_parallel_chains_per_step():
-    from repro.schedulers import ArbitraryTieBreak, FIFOScheduler
-
-    return (
-        _parallel_chains(),
-        (lambda: FIFOScheduler(ArbitraryTieBreak())),
-        16,
-        {"use_macro_steps": False},
-    )
-
-
 def _bench_lpf_spider_legs():
     from repro.schedulers import FIFOScheduler, LongestPathTieBreak
 
@@ -140,10 +129,7 @@ def _bench_fifo_adversarial_combs():
     return instance, (lambda: FIFOScheduler(ArbitraryTieBreak())), 16
 
 
-#: name -> setup() returning (instance, scheduler_factory, m) or
-#: (instance, scheduler_factory, m, simulate_kwargs). The ``*_per_step``
-#: twin pins the same workload with macro-stepping off, so the recorded
-#: baseline itself documents the compression win.
+#: name -> setup() returning (instance, scheduler_factory, m).
 MICROBENCHES = {
     "fifo_on_packed_rectangles": _bench_fifo_packed,
     "lpf_on_irregular_trees": _bench_lpf_irregular,
@@ -151,7 +137,6 @@ MICROBENCHES = {
     "srpt_on_irregular_trees": _bench_srpt_irregular,
     "worksteal_on_irregular_trees": _bench_worksteal_irregular,
     "fifo_on_parallel_chains": _bench_fifo_parallel_chains,
-    "fifo_on_parallel_chains_per_step": _bench_fifo_parallel_chains_per_step,
     "lpf_on_spider_legs": _bench_lpf_spider_legs,
     "fifo_on_adversarial_combs": _bench_fifo_adversarial_combs,
 }
@@ -442,12 +427,11 @@ def measure(rounds: int = 3, only: list[str] | None = None) -> dict:
     for name, setup in MICROBENCHES.items():
         if not wanted(name):
             continue
-        instance, scheduler_factory, m, *rest = setup()
-        sim_kwargs = rest[0] if rest else {}
+        instance, scheduler_factory, m = setup()
         best = float("inf")
         for _ in range(rounds):
             start = time.perf_counter()
-            schedule = simulate(instance, m, scheduler_factory(), **sim_kwargs)
+            schedule = simulate(instance, m, scheduler_factory())
             best = min(best, time.perf_counter() - start)
         assert schedule.is_complete
         out[name] = {

@@ -28,23 +28,24 @@ of one Python iteration per subjob. Selections below
 :data:`_SCALAR_THRESHOLD` nodes take a scalar path — for tiny steps the
 fixed cost of array dispatch exceeds the loop it replaces.
 
-On top of that sits a *steady-state fast path* for the packed-rectangle
-regime of Lemmas 5.1/5.5: when a scheduler declares the FIFO frontier
-contract (:attr:`Scheduler.supports_fast_forward`) and the ready frontier
-of a prefix of jobs fits the machine exactly, the selection is *forced* —
-no tie-break can change it — so the engine commits whole layers and
-advances many steps per scheduler dispatch, resynchronizing the scheduler
-(:meth:`Scheduler.resync`) only when the forced regime ends. Schedules are
-bit-identical to the reference per-node loop (kept as
-:func:`_simulate_reference` and enforced by the differential-equivalence
+On top of that sits the *list-rule path*. FIFO, LPF and SRPT are list
+rules: they walk released jobs by a job key and take each job's ready
+subjobs by a per-node priority. A scheduler says so with one method,
+:meth:`Scheduler.frontier_priorities`; when it returns an array and no
+observer or fault injector is attached, the engine runs the whole instance
+itself on per-job frontier arrays and never dispatches the scheduler.
+Each step commits whole frontiers along the job walk and resolves a
+mid-job truncation as a prefix of the truncated job's priority-sorted
+frontier. Schedules are bit-identical to the reference per-node loop (kept
+as :func:`_simulate_reference` and enforced by the differential-equivalence
 tests).
 
-On chain-heavy out-forest instances the fast path additionally
+On chain-heavy out-forest instances the list-rule path additionally
 *macro-steps*: using the precomputed chain-run decomposition
 (:attr:`~repro.core.instance.Instance.chain_layout`) it detects that a
 forced selection will repeat verbatim for the next Δt steps and commits
 all Δt schedule columns in one vectorized write (see
-:attr:`Scheduler.macro_step_safe` and ``docs/engine-internals.md``).
+``docs/engine-internals.md``).
 
 Per-run counters are collected in :class:`EngineStats` (attached to the
 returned schedule as ``schedule.engine_stats``) and accumulated process-wide
@@ -100,9 +101,13 @@ Selection = Sequence[tuple[int, int]] | Array
 class Scheduler(abc.ABC):
     """Protocol every scheduling policy implements.
 
-    Lifecycle: ``reset`` once per run, then at each time step the engine
-    calls ``on_job_arrival`` for jobs with ``r_i == t``, ``on_nodes_ready``
-    for subjobs that became ready at ``t``, and finally ``select``.
+    Lifecycle: ``reset`` once per run, then :meth:`frontier_priorities`
+    unless an observer or fault injector is attached. If it returns an
+    array the scheduler is a *list rule*: the engine runs the whole
+    instance itself and calls nothing else on it. Otherwise, at each time
+    step the engine calls ``on_job_arrival`` for jobs with ``r_i == t``,
+    ``on_nodes_ready`` (or ``on_ready_gids``) for subjobs that became
+    ready at ``t``, and finally ``select``.
     """
 
     #: Whether the policy inspects job DAGs beyond what a non-clairvoyant
@@ -110,65 +115,16 @@ class Scheduler(abc.ABC):
     #: experiment tables report it.
     clairvoyant: bool = False
 
-    #: Opt-in to the engine's steady-state fast path. Setting this True
-    #: declares the *FIFO frontier contract*: at every step the scheduler
-    #: selects ready subjobs by walking released unfinished jobs in
-    #: ascending job-id order, taking from each job as many of its ready
-    #: subjobs as remaining capacity allows (which subjobs are taken when a
-    #: job is truncated may depend on the tie-break). Whenever the capacity
-    #: boundary falls exactly on a job boundary the selection *set* is
-    #: forced, and the engine may commit it without calling
-    #: :meth:`select` — it will call :meth:`resync` before the next real
-    #: ``select``. Schedulers that opt in MUST implement :meth:`resync` and
-    #: MUST NOT keep selection-relevant state that a resync cannot rebuild
-    #: (e.g. RNG streams advanced per ready node).
-    supports_fast_forward: bool = False
-
-    #: Opt-in to chain-run macro-stepping on top of the fast path
-    #: (requires :attr:`supports_fast_forward`; ignored without it).
-    #: Setting this True declares that when a *forced* whole-frontier
-    #: selection would repeat verbatim for the next Δt steps — every
-    #: selected gid sits on a chain run, no arrival or capacity change
-    #: intervenes — the engine may commit all Δt schedule columns in one
-    #: batch without any per-step callbacks in between. Schedulers whose
-    #: behaviour depends on observing each step individually (beyond what
-    #: :meth:`resync` rebuilds) must leave it False; fault hooks,
-    #: observers, and impure tie-breaks force the per-step path anyway.
-    #: Lint rule RPR006 flags declarations that contradict per-step hooks.
-    macro_step_safe: bool = False
-
-    #: Opt-in to the batched multi-instance engine
-    #: (:func:`simulate_batch`). Setting this True declares that the
-    #: scheduler's behaviour on every instance is *fully determined* by its
-    #: priority kernel under the FIFO frontier contract: with
-    #: :attr:`supports_fast_forward` True and
-    #: :meth:`frontier_priorities` returning an array, each step's
-    #: selection is exactly the capacity-smallest ready subjobs by
-    #: ``(job id, kernel priority, node id)`` — so B independent instances
-    #: can be advanced in lockstep array passes with no per-instance
-    #: dispatch at all. Schedulers that keep per-step observable state
-    #: (hooks beyond what the kernel encodes, impure tie-breaks) must
-    #: leave it False; :func:`simulate_batch` then falls back to
-    #: per-instance :func:`simulate` runs. Lint rule RPR007 flags
-    #: declarations that contradict per-instance-only hooks.
-    batch_capable: bool = False
-
-    #: Opt-in to a *dynamic job walk order* on the fast path. False (the
-    #: default) keeps the FIFO walk: released unfinished jobs in ascending
-    #: job-id order. Setting True declares that the scheduler's ``select``
-    #: walks jobs in exactly the order :meth:`fast_path_job_order` returns
-    #: — which the engine recomputes every step from its authoritative
-    #: unfinished counts — taking whole ready frontiers until capacity
-    #: runs out, like the FIFO contract in every other respect. This is
-    #: what lets non-FIFO job orders that are pure functions of engine
-    #: state (e.g. SRPT's remaining-work order) use the forced-frontier
-    #: fast path, priority commits, and chain-run macro-stepping.
-    #: Macro-safety note: a macro window only commits whole frontiers, and
-    #: committed jobs' unfinished counts only decrease while excluded
-    #: jobs' stay constant — so for any walk order that is monotone in
-    #: (unfinished, job id) the committed prefix cannot be overtaken
-    #: mid-window. Orders that are not monotone in the engine-tracked
-    #: counts must leave :attr:`macro_step_safe` False.
+    #: The job walk of a list rule (see :meth:`frontier_priorities`).
+    #: False (the default) is the FIFO walk: released unfinished jobs in
+    #: ascending job-id order. True declares that the walk is the order
+    #: :meth:`fast_path_job_order` returns, which the engine recomputes
+    #: every step from its authoritative unfinished counts (e.g. SRPT's
+    #: remaining-work order). The order must be monotone in (unfinished,
+    #: job id): a macro window only commits whole frontiers, committed
+    #: jobs' counts only decrease and excluded jobs' stay constant, so the
+    #: committed prefix then cannot be overtaken mid-window.
+    #: :func:`simulate_batch` runs only FIFO walks in lockstep.
     dynamic_job_order: bool = False
 
     #: Opt-in to flat ready delivery: when True (and no observer is
@@ -188,7 +144,7 @@ class Scheduler(abc.ABC):
     def fast_path_job_order(
         self, jobs: list[int], unfinished: Array
     ) -> list[int]:
-        """Walk order over ``jobs`` for one fast-path commit scan.
+        """Walk order over ``jobs`` for one list-rule commit scan.
 
         Only consulted when :attr:`dynamic_job_order` is True. ``jobs``
         are the released jobs with ready work this step (ascending ids);
@@ -200,18 +156,21 @@ class Scheduler(abc.ABC):
         return jobs
 
     def frontier_priorities(self, instance: Instance) -> Optional[Array]:
-        """Flat per-global-node int64 priorities for the engine's
-        *priority commit* (smaller = sooner, ties by ascending id).
+        """Flat per-global-node int64 priorities (smaller = sooner, ties by
+        ascending id), or ``None``.
 
-        Consulted once per run, after :meth:`reset`, and only when
-        :attr:`supports_fast_forward` is True. Returning an array extends
-        the forced-frontier fast path to *truncated* steps: when capacity
-        runs out mid-job the engine itself takes the priority-best ready
-        subjobs of that job via one stable argsort, so :meth:`select` (and
-        :meth:`resync`) are never dispatched at all. The array must order
-        every job's nodes exactly as the scheduler's own tie-break would;
-        returning ``None`` (the default) keeps the job-boundary-only fast
-        path.
+        The one declaration that a scheduler is a *list rule*: at every
+        step it walks released unfinished jobs (by id, or by
+        :meth:`fast_path_job_order` when :attr:`dynamic_job_order` is
+        True) and takes from each job as many of its ready subjobs as
+        remaining capacity allows, in this array's order. Called once per
+        run, after :meth:`reset`, when no observer or fault injector is
+        attached. Returning an array hands the whole run to the engine: it
+        commits every step itself, macro-steps chain runs on out-forests,
+        and batches FIFO walks in :func:`simulate_batch`; the scheduler
+        gets no further callback. The array must order every job's nodes
+        exactly as the scheduler's own :meth:`select` would. ``None`` (the
+        default) means the engine dispatches :meth:`select` every step.
         """
         return None
 
@@ -231,21 +190,6 @@ class Scheduler(abc.ABC):
         with subjobs whose last predecessor completed at ``t``.
         """
 
-    def resync(self, t: int, state: "EngineState") -> None:
-        """Rebuild ready bookkeeping after an engine fast-forward.
-
-        Called at time ``t`` when the engine committed one or more forced
-        selections without consulting the scheduler (see
-        :attr:`supports_fast_forward`). Implementations must rebuild all
-        selection-relevant state from ``state`` (authoritative unfinished
-        counts, release flags, and per-job ready frontiers via
-        :meth:`EngineState.ready_nodes`).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} sets supports_fast_forward but does not "
-            "implement resync()"
-        )
-
     @abc.abstractmethod
     def select(self, t: int, capacity: int) -> Selection:
         """Return up to ``capacity`` ready subjobs to run during
@@ -260,7 +204,8 @@ class Scheduler(abc.ABC):
 class SimulationObserver:
     """Optional per-step callback hook (used by analyses that need online
     state, e.g. measuring ready-set sizes over time). Passing an observer
-    disables the fast path so every step is observed with its selection."""
+    disables the list-rule path so every step is observed with its
+    selection."""
 
     def on_step(
         self, t: int, selection: Selection, state: "EngineState"
@@ -274,7 +219,7 @@ class FaultHooks(Protocol):
     The concrete implementation (:class:`repro.faults.FaultInjector`) lives
     outside the engine so the core never depends on workload/randomness
     plumbing; any object with this shape works. Attaching one disables the
-    steady-state fast path (every step must be observable for the hooks to
+    list-rule path (every step must be observable for the hooks to
     fire deterministically) and flat-gid ready delivery (perturbation is
     defined on per-job delivery groups).
 
@@ -304,18 +249,20 @@ class EngineStats:
     Attributes
     ----------
     steps:
-        Time steps on which work was committed (fast or slow path).
+        Time steps on which work was committed (list-rule or dispatch
+        path).
     fast_forwarded_steps:
-        Steps committed by the forced-frontier fast path, without a
-        ``select`` dispatch.
+        Steps committed by the engine itself on the list-rule path (see
+        :meth:`Scheduler.frontier_priorities`), without a ``select``
+        dispatch.
     kernel_steps:
-        The subset of fast-forwarded steps that truncated a job mid-frontier
-        and were resolved by the scheduler's priority kernel
+        The subset of ``fast_forwarded_steps`` that truncated a job
+        mid-frontier and were resolved by the scheduler's priority kernel
         (:meth:`Scheduler.frontier_priorities`) instead of a dispatch.
     macro_steps:
         Macro-step batch commits: each wrote several consecutive forced
         schedule columns in one vectorized pass (chain-run compression,
-        see :attr:`Scheduler.macro_step_safe`).
+        see ``docs/engine-internals.md``).
     compressed_steps:
         Time steps covered by those macro batches (a subset of
         ``fast_forwarded_steps``; ``compressed_steps / macro_steps`` is the
@@ -323,9 +270,11 @@ class EngineStats:
     selections:
         Subjobs scheduled in total.
     select_calls:
-        Scheduler ``select`` dispatches (slow-path steps).
+        Scheduler ``select`` dispatches (dispatch-path steps).
     resyncs:
-        :meth:`Scheduler.resync` calls issued when leaving the fast path.
+        Always 0. The engine picks its path once per run and never
+        hands a run back to the scheduler mid-way; the field stays only
+        because the repo benchmark (``perfbench``) reads it by name.
     sim_seconds:
         Wall-clock time spent inside :func:`simulate` /
         :func:`simulate_batch`.
@@ -397,7 +346,7 @@ class EngineStats:
 
     @property
     def fast_fraction(self) -> float:
-        """Fraction of committed steps handled by the fast path."""
+        """Fraction of committed steps handled by the list-rule path."""
         return self.fast_forwarded_steps / max(1, self.steps)
 
     def add(self, other: "EngineStats") -> None:
@@ -494,7 +443,7 @@ class EngineStats:
             f"kernel={self.kernel_steps} macro={self.macro_steps} "
             f"compressed={self.compressed_steps} "
             f"selections={self.selections} "
-            f"select_calls={self.select_calls} resyncs={self.resyncs} "
+            f"select_calls={self.select_calls} "
             f"ns/subjob={self.ns_per_subjob:.0f}"
         )
         if self.batch_steps or self.fallback_runs:
@@ -720,7 +669,6 @@ def simulate(
     observer: Optional[SimulationObserver] = None,
     availability: Optional[AvailabilityLike] = None,
     fault_injector: Optional[FaultHooks] = None,
-    use_macro_steps: Optional[bool] = None,
 ) -> Schedule:
     """Run ``scheduler`` on ``instance`` with ``m`` processors to completion.
 
@@ -735,7 +683,7 @@ def simulate(
         scheduler).
     observer:
         Optional hook receiving ``(t, selection, state)`` after each step.
-        Supplying one disables the fast path (every step is observed).
+        Supplying one disables the list-rule path (every step is observed).
     availability:
         Optional fluctuating allocation: an
         :class:`~repro.core.availability.AvailabilityTrace` (or plain
@@ -747,15 +695,8 @@ def simulate(
         Optional :class:`FaultHooks` (see :class:`repro.faults.
         FaultInjector`): may kill/restart the scheduler mid-run (the engine
         rebuilds its state from the committed prefix) and perturb ready
-        delivery group order. Attaching one disables the fast path and
-        flat-gid delivery so both engines drive the hooks identically.
-    use_macro_steps:
-        Chain-run macro-stepping override. ``None`` (default) lets the
-        scheduler's :attr:`Scheduler.macro_step_safe` contract decide;
-        ``False`` forces the per-step fast path even for safe schedulers
-        (the reference configuration the macro equivalence tests compare
-        against); ``True`` still requires the contract — it never enables
-        macro-stepping for a scheduler that did not declare it safe.
+        delivery group order. Attaching one disables the list-rule path
+        and flat-gid delivery so both engines drive the hooks identically.
 
     Returns
     -------
@@ -829,28 +770,28 @@ def simulate(
         avail_vals = list(trace.values)
         avail_len = len(avail_vals)
         avail_tail = trace.tail
-    fast_ok = (
-        observer is None
-        and fault_injector is None
-        and scheduler.supports_fast_forward
-    )
-    # Dynamic job walk order (see Scheduler.dynamic_job_order): schedulers
-    # whose job order is a pure function of the engine's own unfinished
-    # counts (e.g. SRPT) hand the fast path their walk order each step —
-    # the FIFO ascending-id walk otherwise.
-    dyn_order = (
-        scheduler.fast_path_job_order
-        if fast_ok and scheduler.dynamic_job_order
+    # List-rule path (see Scheduler.frontier_priorities): a scheduler that
+    # returns a flat priority kernel is run by the engine alone for the
+    # whole run. Each step commits whole ready frontiers along the job walk
+    # and resolves a mid-job truncation by the kernel; select() is never
+    # dispatched. Observers and fault hooks need every step dispatched.
+    prio_flat: Optional[Array] = (
+        scheduler.frontier_priorities(instance)
+        if observer is None and fault_injector is None
         else None
     )
-    # Flat priority kernel (see Scheduler.frontier_priorities): with one the
-    # fast path also covers truncated-mid-job steps, committing the cap-best
-    # ready subjobs by a stable argsort — select() is never dispatched.
-    prio_flat: Optional[Array] = (
-        scheduler.frontier_priorities(instance) if fast_ok else None
+    list_rule = prio_flat is not None
+    # Dynamic job walk order (see Scheduler.dynamic_job_order): schedulers
+    # whose job order is a pure function of the engine's own unfinished
+    # counts (e.g. SRPT) hand the list-rule path their walk order each
+    # step — the FIFO ascending-id walk otherwise.
+    dyn_order = (
+        scheduler.fast_path_job_order
+        if list_rule and scheduler.dynamic_job_order
+        else None
     )
-    # Encoded priority frontiers: with a non-constant kernel the fast path
-    # stores each frontier pre-sorted by the composite key
+    # Encoded priority frontiers: with a non-constant kernel the list-rule
+    # path stores each frontier pre-sorted by the composite key
     # ``rank(priority) * n_total + gid`` — unique per node and lexicographic
     # in (priority, id) — so a mid-job truncation is a plain prefix slice
     # instead of a per-step argsort. Priorities are dense-ranked first so the
@@ -860,20 +801,13 @@ def simulate(
     # (preserving the contiguous-slice child gather).
     n_total = flat.n_nodes
     prio_enc = None if prio_flat is None else encode_priorities(prio_flat)
-    # Chain-run macro-stepping (see Scheduler.macro_step_safe and
-    # docs/engine-internals.md): when the forced whole-frontier selection
-    # would repeat verbatim for the next Δt steps — every committed gid on
-    # a chain run, no arrival, no capacity change — commit all Δt schedule
-    # columns in one vectorized write instead of Δt loop iterations.
-    # Restricted to out-forest instances: only there may the fast path skip
-    # interior indegree decrements entirely (the forest exit below zeroes
-    # indegrees wholesale from the done mask).
-    macro_ok = (
-        fast_ok
-        and is_forest
-        and scheduler.macro_step_safe
-        and use_macro_steps is not False
-    )
+    # Chain-run macro-stepping (see docs/engine-internals.md): when the
+    # forced whole-frontier selection would repeat verbatim for the next Δt
+    # steps — every committed gid on a chain run, no arrival, no capacity
+    # change — commit all Δt schedule columns in one vectorized write
+    # instead of Δt loop iterations. Restricted to out-forest instances,
+    # where the list-rule path keeps no indegrees at all.
+    macro_ok = list_rule and is_forest
     run_nodes: Optional[Array] = None
     node_index: Optional[Array] = None
     steps_to_end: Optional[Array] = None
@@ -889,14 +823,12 @@ def simulate(
     use_flat_ready = (
         scheduler.wants_ready_gids and observer is None and fault_injector is None
     )
-    # ready_per_job only feeds the fast-path frontier scan; skip its upkeep
-    # on the batched slow path when nothing reads it.
-    track_per_job = fast_ok or not use_flat_ready
-    # While fast_run is True the engine runs on per-job frontier arrays and
-    # defers ready_mask/done_flat (and, for forests, indegree) upkeep; the
-    # deferred state is materialized when leaving fast mode, right before
-    # the scheduler is resynced.
-    fast_run = False
+    # ready_per_job feeds the list-rule walk and observers; the dispatch
+    # path skips its batched upkeep under flat delivery (never observed).
+    track_per_job = not use_flat_ready
+    # The list-rule path keeps each live job's ready frontier as an array
+    # and leaves ready_mask/done_flat (and, for forests, indegrees) alone:
+    # without an observer nothing reads them.
     frontiers: list[Optional[Array]] = [None] * n_jobs
     # Invariant: stored frontiers are ascending — in gids when ``prio_enc``
     # is None, else in encoded (priority, id) keys. fr_contig[j] marks
@@ -922,19 +854,18 @@ def simulate(
             job_id = int(arrival_order[next_arrival_idx])
             job = instance[job_id]
             state.released[job_id] = True
-            scheduler.on_job_arrival(t, job_id, job)
             roots = job.dag.roots
-            if fast_run:
-                # The scheduler's ready bookkeeping is stale anyway while
-                # fast-forwarded; resync() will deliver it wholesale.
+            if list_rule:
+                # Straight into the job's frontier; the scheduler is never
+                # told (it is never dispatched either).
                 fr = offsets[job_id] + roots  # roots are ascending
                 if prio_enc is not None:
-                    fr = np.sort(prio_enc[fr])
-                    frontiers[job_id] = fr
+                    frontiers[job_id] = np.sort(prio_enc[fr])
                 else:
                     frontiers[job_id] = fr
                     fr_contig[job_id] = bool(fr[-1] - fr[0] == fr.size - 1)
             else:
+                scheduler.on_job_arrival(t, job_id, job)
                 root_gids = offsets[job_id] + roots
                 ready_mask[root_gids] = True
                 if use_flat_ready:
@@ -955,9 +886,6 @@ def simulate(
             t = int(releases[arrival_order[next_arrival_idx]])
             continue
 
-        while head < n_jobs and unfinished[head] == 0:
-            head += 1
-
         # This step's allocation m_t (constant m without a trace).
         cap_t = (
             m
@@ -966,14 +894,14 @@ def simulate(
         )
 
         # ------------------------------------------------------------------
-        # Steady-state fast path: under the FIFO frontier contract the
-        # selection is forced whenever the capacity boundary falls on a job
-        # boundary — commit whole ready layers without dispatching.
+        # List-rule path: walk the jobs, commit whole ready frontiers while
+        # they fit, and let the kernel pick the truncated job's share.
         # ------------------------------------------------------------------
-        if fast_ok:
+        if list_rule:
+            while head < n_jobs and unfinished[head] == 0:
+                head += 1
             cap = cap_t
             commit_jobs: list[int] = []
-            forced = True
             trunc_job = -1
             walk: Iterable[int]
             if dyn_order is None:
@@ -991,229 +919,183 @@ def simulate(
                 if c <= cap:
                     commit_jobs.append(j)
                     cap -= c
-                elif prio_flat is not None:
+                else:
                     trunc_job = j  # truncation mid-job: the kernel decides
                     break
+            if macro_ok and trunc_job < 0 and commit_jobs:
+                # Macro-step commit: find Δt, the number of steps this
+                # exact forced selection pattern repeats. Three bounds:
+                # the gap to the next arrival (a new job changes the
+                # packing), the shortest chain-run remainder among the
+                # committed frontiers (a slot stays forced only while
+                # its node has a sole in-chain successor), and the
+                # window over which the availability trace stays cap_t.
+                if next_arrival_idx < n_jobs:
+                    dt = int(releases[arrival_order[next_arrival_idx]]) - t
                 else:
-                    forced = False  # truncation mid-job: tie-break decides
-                    break
-            if forced:
-                if not fast_run:
-                    # Entering fast mode: snapshot each live frontier out of
-                    # the mask; from here mask/done upkeep is deferred.
-                    for j in range(head, next_arrival_idx):
-                        if unfinished[j] > 0:
-                            lo, hi = offsets_list[j], offsets_list[j + 1]
-                            fr = np.nonzero(ready_mask[lo:hi])[0]
-                            fr += lo
-                            if prio_enc is not None:
-                                fr = np.sort(prio_enc[fr])
-                                frontiers[j] = fr
-                            else:
-                                frontiers[j] = fr
-                                fr_contig[j] = bool(
-                                    fr.size == 0
-                                    or fr[-1] - fr[0] == fr.size - 1
-                                )
-                    fast_run = True
-                    indeg_list = None  # scalar-path copy goes stale
-                if macro_ok and trunc_job < 0 and commit_jobs:
-                    # Macro-step commit: find Δt, the number of steps this
-                    # exact forced selection pattern repeats. Three bounds:
-                    # the gap to the next arrival (a new job changes the
-                    # packing), the shortest chain-run remainder among the
-                    # committed frontiers (a slot stays forced only while
-                    # its node has a sole in-chain successor), and the
-                    # window over which the availability trace stays cap_t.
-                    if next_arrival_idx < n_jobs:
-                        dt = int(releases[arrival_order[next_arrival_idx]]) - t
-                    else:
-                        dt = total_left  # chain remainders tighten below
-                    macro_gids: list[Array] = []
-                    if dt > 1:
-                        assert steps_to_end is not None  # set when macro_ok
-                        for j in commit_jobs:
-                            fr = frontiers[j]
-                            assert fr is not None
-                            g = fr if prio_enc is None else fr % n_total
-                            macro_gids.append(g)
-                            dt = int(k_min_dt(steps_to_end, g, dt))
-                            n_min_dt += 1
-                            if dt == 1:
-                                break
-                    if dt > 1 and avail_vals is not None and t < avail_len:
-                        # Inside the explicit trace prefix m_t may vary;
-                        # past it the tail is constant and equals cap_t
-                        # (this step already drew it), so no bound applies.
-                        span = 1
-                        while span < dt:
-                            tk = t + span
-                            if (
-                                avail_vals[tk] if tk < avail_len else avail_tail
-                            ) != cap_t:
-                                break
-                            span += 1
-                        dt = span
-                    if dt > 1:
-                        assert run_nodes is not None and node_index is not None
-                        assert steps_to_end is not None
-                        k = 0
-                        for j, gids in zip(commit_jobs, macro_gids):
-                            nxt, term = k_macro(
-                                run_nodes,
-                                node_index,
-                                steps_to_end,
-                                completion_flat,
-                                gids,
-                                t,
-                                dt,
-                            )
-                            kids = k_children(
-                                child_indptr, child_indices, term
-                            )
-                            n_macro += 1
-                            n_children += 1
-                            # (Forest: every child's sole parent — a run
-                            # terminal committed in the last column — is
-                            # done, so all gathered children are ready.)
-                            new = np.concatenate((nxt, kids))
-                            if prio_enc is None:
-                                nfr = np.sort(new)
-                                nsz = nfr.size
-                                fr_contig[j] = bool(
-                                    nsz == 0 or nfr[-1] - nfr[0] == nsz - 1
-                                )
-                            else:
-                                nfr = np.sort(prio_enc[new])
-                                nsz = nfr.size
-                            frontiers[j] = nfr
-                            c = gids.size
-                            ready_per_job[j] = nsz
-                            unfinished[j] -= c * dt
-                            ready_total += nsz - c
-                            k += c * dt
-                        total_left -= k
-                        stats.steps += dt
-                        stats.fast_forwarded_steps += dt
-                        stats.macro_steps += 1
-                        stats.compressed_steps += dt
-                        stats.selections += k
-                        t += dt
-                        continue
-                finish = t + 1
-                k = 0
-                for j in commit_jobs:
-                    fr = frontiers[j]
-                    assert fr is not None  # commit_jobs have live frontiers
-                    gids = fr if prio_enc is None else fr % n_total
-                    if fr_contig[j]:
-                        # Contiguous CSR rows: concatenated children are one
-                        # slice (the common layered shape).
-                        completion_flat[gids] = finish
-                        kids = child_indices[
-                            child_indptr[gids[0]] : child_indptr[gids[-1] + 1]
-                        ]
-                    else:
-                        kids = k_commit(
-                            child_indptr,
-                            child_indices,
+                    dt = total_left  # chain remainders tighten below
+                macro_gids: list[Array] = []
+                if dt > 1:
+                    assert steps_to_end is not None  # set when macro_ok
+                    for j in commit_jobs:
+                        fr = frontiers[j]
+                        assert fr is not None
+                        g = fr if prio_enc is None else fr % n_total
+                        macro_gids.append(g)
+                        dt = int(k_min_dt(steps_to_end, g, dt))
+                        n_min_dt += 1
+                        if dt == 1:
+                            break
+                if dt > 1 and avail_vals is not None and t < avail_len:
+                    # Inside the explicit trace prefix m_t may vary;
+                    # past it the tail is constant and equals cap_t
+                    # (this step already drew it), so no bound applies.
+                    span = 1
+                    while span < dt:
+                        tk = t + span
+                        if (
+                            avail_vals[tk] if tk < avail_len else avail_tail
+                        ) != cap_t:
+                            break
+                        span += 1
+                    dt = span
+                if dt > 1:
+                    assert run_nodes is not None and node_index is not None
+                    assert steps_to_end is not None
+                    k = 0
+                    for j, gids in zip(commit_jobs, macro_gids):
+                        nxt, term = k_macro(
+                            run_nodes,
+                            node_index,
+                            steps_to_end,
                             completion_flat,
                             gids,
-                            finish,
+                            t,
+                            dt,
                         )
-                        n_commit += 1
-                    if not is_forest:
-                        np.subtract.at(indeg, kids, 1)
-                        kids = np.unique(kids[indeg[kids] == 0])
-                    # (For forests every child's sole parent just completed.)
-                    if prio_enc is None:
-                        # Sort to keep the frontier-ascending invariant
-                        # (np.unique output above is already sorted).
-                        nfr = np.sort(kids) if is_forest else kids
-                        ksz = nfr.size
-                        fr_contig[j] = bool(
-                            ksz == 0 or nfr[-1] - nfr[0] == ksz - 1
+                        kids = k_children(
+                            child_indptr, child_indices, term
                         )
-                    else:
-                        nfr = np.sort(prio_enc[kids])
-                        ksz = nfr.size
-                    frontiers[j] = nfr
-                    taken = gids.size
-                    ready_per_job[j] = ksz
-                    unfinished[j] -= taken
-                    ready_total += ksz - taken
-                    k += taken
-                if trunc_job >= 0:
-                    # Priority commit: resolve the mid-job truncation with
-                    # the flat kernel. Frontiers are pre-sorted in tie-break
-                    # order — by encoded (priority, id) keys, or by gid when
-                    # the kernel is constant — so the cap-best nodes are a
-                    # plain prefix slice; the engine never consults the
-                    # scheduler and no per-step sort of the whole frontier
-                    # by priority is needed.
-                    j = trunc_job
-                    fr = frontiers[j]
-                    # trunc_job is only set when a kernel exists, and its
-                    # frontier was materialized on fast-mode entry.
-                    assert fr is not None
-                    taken_enc = fr[:cap]
-                    rest = fr[cap:]
-                    gids = (
-                        taken_enc if prio_enc is None else taken_enc % n_total
-                    )
+                        n_macro += 1
+                        n_children += 1
+                        # (Forest: every child's sole parent — a run
+                        # terminal committed in the last column — is
+                        # done, so all gathered children are ready.)
+                        new = np.concatenate((nxt, kids))
+                        if prio_enc is None:
+                            nfr = np.sort(new)
+                            nsz = nfr.size
+                            fr_contig[j] = bool(
+                                nsz == 0 or nfr[-1] - nfr[0] == nsz - 1
+                            )
+                        else:
+                            nfr = np.sort(prio_enc[new])
+                            nsz = nfr.size
+                        frontiers[j] = nfr
+                        c = gids.size
+                        ready_per_job[j] = nsz
+                        unfinished[j] -= c * dt
+                        ready_total += nsz - c
+                        k += c * dt
+                    total_left -= k
+                    stats.steps += dt
+                    stats.fast_forwarded_steps += dt
+                    stats.macro_steps += 1
+                    stats.compressed_steps += dt
+                    stats.selections += k
+                    t += dt
+                    continue
+            finish = t + 1
+            k = 0
+            for j in commit_jobs:
+                fr = frontiers[j]
+                assert fr is not None  # commit_jobs have live frontiers
+                gids = fr if prio_enc is None else fr % n_total
+                if fr_contig[j]:
+                    # Contiguous CSR rows: concatenated children are one
+                    # slice (the common layered shape).
+                    completion_flat[gids] = finish
+                    kids = child_indices[
+                        child_indptr[gids[0]] : child_indptr[gids[-1] + 1]
+                    ]
+                else:
                     kids = k_commit(
-                        child_indptr, child_indices, completion_flat, gids, finish
+                        child_indptr,
+                        child_indices,
+                        completion_flat,
+                        gids,
+                        finish,
                     )
                     n_commit += 1
-                    if not is_forest:
-                        np.subtract.at(indeg, kids, 1)
-                        kids = np.unique(kids[indeg[kids] == 0])
-                    if prio_enc is not None:
-                        kids = prio_enc[kids]
-                    new_fr = np.concatenate((rest, kids))
-                    new_fr.sort()
-                    frontiers[j] = new_fr
-                    nsz = new_fr.size
-                    if prio_enc is None:
-                        fr_contig[j] = bool(
-                            nsz == 0 or new_fr[-1] - new_fr[0] == nsz - 1
-                        )
-                    ready_per_job[j] = nsz
-                    unfinished[j] -= cap
-                    ready_total += nsz - fr.size
-                    k += cap
-                    stats.kernel_steps += 1
-                total_left -= k
-                stats.steps += 1
-                stats.fast_forwarded_steps += 1
-                stats.selections += k
-                t = finish
-                continue
-
-        # ------------------------------------------------------------------
-        # Dispatch path: consult the scheduler, first materializing any
-        # deferred fast-mode state and resyncing the scheduler's view.
-        # ------------------------------------------------------------------
-        if fast_run:
-            np.not_equal(completion_flat, 0, out=done_flat)
-            ready_mask[:] = False
-            for j in range(n_jobs):
+                if not is_forest:
+                    np.subtract.at(indeg, kids, 1)
+                    kids = np.unique(kids[indeg[kids] == 0])
+                # (For forests every child's sole parent just completed.)
+                if prio_enc is None:
+                    # Sort to keep the frontier-ascending invariant
+                    # (np.unique output above is already sorted).
+                    nfr = np.sort(kids) if is_forest else kids
+                    ksz = nfr.size
+                    fr_contig[j] = bool(
+                        ksz == 0 or nfr[-1] - nfr[0] == ksz - 1
+                    )
+                else:
+                    nfr = np.sort(prio_enc[kids])
+                    ksz = nfr.size
+                frontiers[j] = nfr
+                taken = gids.size
+                ready_per_job[j] = ksz
+                unfinished[j] -= taken
+                ready_total += ksz - taken
+                k += taken
+            if trunc_job >= 0:
+                # Priority commit: resolve the mid-job truncation with
+                # the flat kernel. Frontiers are pre-sorted in tie-break
+                # order — by encoded (priority, id) keys, or by gid when
+                # the kernel is constant — so the cap-best nodes are a
+                # plain prefix slice; the engine never consults the
+                # scheduler and no per-step sort of the whole frontier
+                # by priority is needed.
+                j = trunc_job
                 fr = frontiers[j]
-                if fr is not None:
-                    if fr.size:
-                        ids = fr if prio_enc is None else fr % n_total
-                        ready_mask[ids] = True
-                        if is_forest:
-                            indeg[ids] = 0
-                    frontiers[j] = None
-            if is_forest:
-                # Forest fast mode skips decrements: every node enabled
-                # during the run is now done or in a frontier — zero both.
-                indeg[done_flat] = 0
-            fast_run = False
-            scheduler.resync(t, state)
-            stats.resyncs += 1
+                assert fr is not None  # trunc_job has ready work
+                taken_enc = fr[:cap]
+                rest = fr[cap:]
+                gids = (
+                    taken_enc if prio_enc is None else taken_enc % n_total
+                )
+                kids = k_commit(
+                    child_indptr, child_indices, completion_flat, gids, finish
+                )
+                n_commit += 1
+                if not is_forest:
+                    np.subtract.at(indeg, kids, 1)
+                    kids = np.unique(kids[indeg[kids] == 0])
+                if prio_enc is not None:
+                    kids = prio_enc[kids]
+                new_fr = np.concatenate((rest, kids))
+                new_fr.sort()
+                frontiers[j] = new_fr
+                nsz = new_fr.size
+                if prio_enc is None:
+                    fr_contig[j] = bool(
+                        nsz == 0 or new_fr[-1] - new_fr[0] == nsz - 1
+                    )
+                ready_per_job[j] = nsz
+                unfinished[j] -= cap
+                ready_total += nsz - fr.size
+                k += cap
+                stats.kernel_steps += 1
+            total_left -= k
+            stats.steps += 1
+            stats.fast_forwarded_steps += 1
+            stats.selections += k
+            t = finish
+            continue
 
+        # ------------------------------------------------------------------
+        # Dispatch path: consult the scheduler.
+        # ------------------------------------------------------------------
         if fault_injector is not None and fault_injector.should_crash(t):
             # Crash/restart: throw the scheduler's private state away and
             # rebuild it from the committed schedule prefix — the engine
@@ -1544,11 +1426,12 @@ def _batch_priorities(
 ) -> list[Optional[Array]]:
     """Probe per-instance eligibility for the lockstep path.
 
-    Mirrors :func:`simulate`'s kernel setup: ``reset`` then
+    Mirrors :func:`simulate`'s list-rule setup: ``reset`` then
     :meth:`Scheduler.frontier_priorities` per instance. ``None`` entries
-    mark instances that must fall back to per-instance runs.
+    mark instances that must fall back to per-instance runs: all of them
+    when the job walk is not FIFO (:attr:`Scheduler.dynamic_job_order`).
     """
-    if not (scheduler.batch_capable and scheduler.supports_fast_forward):
+    if scheduler.dynamic_job_order:
         return [None] * len(instances)
     kernels: list[Optional[Array]] = []
     for inst in instances:
@@ -1563,7 +1446,6 @@ def _simulate_batch_packed(
     prio_full: Array,
     traces: Optional[list[Optional[AvailabilityTrace]]],
     max_steps: int,
-    macro_ok: bool,
     stats: EngineStats,
 ) -> Array:
     """Advance every instance of ``batch`` in lockstep; returns the
@@ -1697,7 +1579,7 @@ def _simulate_batch_packed(
         # selected nodes, the window over which every instance's capacity
         # keeps its regime, and the macro block memory budget.
         dt = 1
-        if macro_ok and not truncated_any:
+        if is_forest and not truncated_any:
             if p < n_roots:
                 dt = int(arr_rel[p]) - t
             else:
@@ -1806,7 +1688,6 @@ def simulate_batch(
     *,
     availability: BatchAvailability = None,
     max_steps: Optional[int] = None,
-    use_macro_steps: Optional[bool] = None,
     batch: Optional[InstanceBatch] = None,
 ) -> list[Schedule]:
     """Run ``scheduler`` on many independent instances in lockstep.
@@ -1817,9 +1698,9 @@ def simulate_batch(
     batched chain-run macro-step. Results are **bit-identical** to running
     :func:`simulate` per instance (enforced by the three-way property
     suite): eligibility is exactly the regime in which the per-instance
-    engine never dispatches ``select`` — the scheduler declares
-    :attr:`Scheduler.batch_capable` (and the fast-forward contract) and
-    exposes a priority kernel for the instance. Ineligible instances are
+    engine never dispatches ``select`` — the scheduler is a list rule
+    (:meth:`Scheduler.frontier_priorities` returns a kernel for the
+    instance) with the FIFO job walk. Ineligible instances are
     transparently routed through per-instance :func:`simulate` (counted in
     :attr:`EngineStats.fallback_runs`).
 
@@ -1834,7 +1715,7 @@ def simulate_batch(
     availability:
         One spec for the whole batch, or a per-instance sequence of specs
         (see :data:`BatchAvailability`).
-    max_steps / use_macro_steps:
+    max_steps:
         As for :func:`simulate`; the default step bound covers the whole
         batch.
     batch:
@@ -1893,13 +1774,8 @@ def simulate_batch(
         sub_traces = (
             None if traces is None else [traces[b] for b in eligible]
         )
-        macro_ok = (
-            packed.all_out_forests
-            and scheduler.macro_step_safe
-            and use_macro_steps is not False
-        )
         completion_flat = _simulate_batch_packed(
-            packed, m, prio_full, sub_traces, max_steps, macro_ok, stats
+            packed, m, prio_full, sub_traces, max_steps, stats
         )
         for view, b in zip(
             packed.completion_views(completion_flat), eligible
@@ -1920,7 +1796,6 @@ def simulate_batch(
                 scheduler,
                 availability=None if traces is None else traces[b],
                 max_steps=max_steps,
-                use_macro_steps=use_macro_steps,
             )
     assert all(s is not None for s in results)
     return results  # type: ignore[return-value]

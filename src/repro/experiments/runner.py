@@ -269,14 +269,10 @@ def _run_trials_chunk(task: tuple) -> tuple[list, Any]:
 
     from ..core import engine_stats_snapshot, simulate_batch
 
-    instances, m, scheduler_factory, availability, use_macro_steps = task
+    instances, m, scheduler_factory, availability = task
     before = engine_stats_snapshot()
     schedules = simulate_batch(
-        instances,
-        m,
-        scheduler_factory(),
-        availability=availability,
-        use_macro_steps=use_macro_steps,
+        instances, m, scheduler_factory(), availability=availability
     )
     completions = [np.concatenate(s.completion) for s in schedules]
     return completions, engine_stats_snapshot().delta(before)
@@ -321,7 +317,6 @@ def run_trials(
     scheduler_factory,
     *,
     availability: Any = None,
-    use_macro_steps: Optional[bool] = None,
     n_workers: Optional[int] = None,
     batch_node_budget: int = 1_000_000,
 ) -> list:
@@ -332,9 +327,8 @@ def run_trials(
     a fresh instance per batch chunk), so eligible trials advance in
     lockstep through :func:`~repro.core.simulate_batch` instead of paying
     one Python engine loop — or one process-pool dispatch — per trial.
-    Ineligible trials (no priority kernel, scheduler not
-    ``batch_capable``) fall back to per-instance runs inside
-    ``simulate_batch`` itself.
+    Ineligible trials (not a list rule, or not the FIFO job walk) fall
+    back to per-instance runs inside ``simulate_batch`` itself.
 
     Chunking: the sweep is split into contiguous chunks of at most
     ``batch_node_budget`` total subjobs (bounding each batch's working
@@ -386,7 +380,6 @@ def run_trials(
                     m,
                     scheduler_factory,
                     chunk_avail(start, stop),
-                    use_macro_steps,
                 ),
             )
             for start, stop in spans
@@ -409,7 +402,6 @@ def run_trials(
                 m,
                 scheduler_factory(),
                 availability=chunk_avail(start, stop),
-                use_macro_steps=use_macro_steps,
             )
         )
     return schedules

@@ -12,18 +12,17 @@ Rule families (see :mod:`repro.lint.rules` and ``docs/lint.md``):
 
 * ``RPR0xx`` — determinism hazards (global RNG state, unordered iteration
   feeding scheduler selections, wall-clock/entropy reads);
-* ``RPR1xx`` — scheduler-contract rules (fast-forward requires ``resync``,
-  ``select`` must not mutate the model, engine-reserved private names);
+* ``RPR1xx`` — scheduler-contract rules (``select`` must not mutate the
+  model, engine-reserved private names);
 * ``RPR2xx`` — engine-safety rules (no in-place ops on frozen CSR arrays —
   now interprocedural, following tainted arrays through helper calls —
   no bare ``except``, no mutable default arguments);
 * ``RPR30x`` — picklability of experiment-harness callables;
-* ``RPR31x`` — whole-program contract verification: declared
-  ``batch_capable`` / ``macro_step_safe`` / tie-break purity opt-ins are
-  checked against *inferred* per-function effect summaries built over a
-  cross-module call graph (:mod:`repro.lint.callgraph`,
-  :mod:`repro.lint.summaries`), with the offending call path named in
-  every message.
+* ``RPR31x`` — whole-program contract verification: a tie-break's
+  declared purity is checked against *inferred* per-function effect
+  summaries built over a cross-module call graph
+  (:mod:`repro.lint.callgraph`, :mod:`repro.lint.summaries`), with the
+  offending call path named in every message.
 
 Violations can be suppressed per line with an *explained* pragma::
 

@@ -1,7 +1,7 @@
 """Cross-module symbol table and call graph for whole-program lint rules.
 
 Per-file AST rules see one module at a time; the interprocedural rules
-(RPR201's call-site taint lookup, the RPR31x contract verifiers) need to
+(RPR201's call-site taint lookup, the RPR312 purity verifier) need to
 know *which function a call lands in*, across modules. This module builds
 that map:
 

@@ -1,15 +1,9 @@
-"""C1 scheduler-contract rules: RPR101 (fast-forward requires resync),
-RPR102 (select must not mutate the model), RPR103 (engine-reserved names),
-RPR006 (macro_step_safe must not contradict per-step hooks), RPR007
-(batch_capable must not contradict per-instance hooks).
+"""C1 scheduler-contract rules: RPR102 (select must not mutate the model)
+and RPR103 (engine-reserved names).
 
-The engine's fast-forward optimisation skips ``select()`` calls while a
-scheduler's frontier is FIFO-stable; any scheduler that opts in via
-``supports_fast_forward`` therefore *must* implement ``resync`` so the
-engine can rebuild its bookkeeping after a skip. Similarly, ``select``
-observes the instance through read-only state — mutating ``Instance`` /
-``DAG`` / ``Job`` objects there corrupts every other scheduler sharing the
-instance (they are reused across experiment sweeps).
+``select`` observes the instance through read-only state — mutating
+``Instance`` / ``DAG`` / ``Job`` objects there corrupts every other
+scheduler sharing the instance (they are reused across experiment sweeps).
 """
 
 from __future__ import annotations
@@ -20,15 +14,11 @@ from typing import TYPE_CHECKING, Iterator
 from ..model import Violation
 from ..registry import Rule, register_rule
 from .common import attribute_parts, iter_functions
-from .determinism import ImpureTieBreakKeyRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import FileContext
 
 __all__ = [
-    "BatchCapableContractRule",
-    "FastForwardContractRule",
-    "MacroStepContractRule",
     "ReservedEngineNameRule",
     "SelectMutatesModelRule",
 ]
@@ -48,51 +38,6 @@ def _names_defined_in_class_body(node: ast.ClassDef) -> set[str]:
         ):
             defined.add(stmt.target.id)
     return defined
-
-
-@register_rule
-class FastForwardContractRule(Rule):
-    rule_id = "RPR101"
-    title = "supports_fast_forward requires resync"
-    rationale = (
-        "a scheduler advertising `supports_fast_forward` lets the engine "
-        "skip `select()` calls; after a skip the engine calls `resync` so "
-        "the scheduler can rebuild its bookkeeping from `EngineState`. "
-        "Defining the flag without `resync` silently inherits a resync that "
-        "knows nothing about this class's state."
-    )
-    bad_example = """\
-class EagerScheduler:
-    supports_fast_forward = True
-
-    def select(self, m, state):
-        return []
-"""
-    good_example = """\
-class EagerScheduler:
-    supports_fast_forward = True
-
-    def resync(self, state):
-        pass
-
-    def select(self, m, state):
-        return []
-"""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            defined = _names_defined_in_class_body(node)
-            if "supports_fast_forward" in defined and "resync" not in defined:
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"class `{node.name}` defines `supports_fast_forward` "
-                    "but not `resync`; a fast-forwarding scheduler must "
-                    "rebuild its bookkeeping after skipped steps",
-                )
 
 
 #: Local/attribute names that (by repo convention) refer to shared model
@@ -225,182 +170,3 @@ class MyScheduler(Scheduler):
             if name.endswith("Scheduler") or name.endswith("SchedulerBase"):
                 return True
         return False
-
-
-@register_rule
-class MacroStepContractRule(Rule):
-    rule_id = "RPR006"
-    title = "macro_step_safe must not contradict per-step hooks"
-    rationale = (
-        "declaring `macro_step_safe = True` lets the engine batch several "
-        "consecutive forced steps into one macro commit with NO per-step "
-        "callbacks in between; a class that also defines the per-step "
-        "`on_step` hook, an impure `key()`, or `pure = False` depends on "
-        "exactly the step-by-step behaviour the macro path skips, so the "
-        "declaration silently diverges from the per-step engines. Drop "
-        "one of the two declarations."
-    )
-    bad_example = """\
-class TracingScheduler(Scheduler):
-    macro_step_safe = True
-
-    def on_step(self, t, selection, state):
-        self._trace.append(t)
-"""
-    good_example = """\
-class ChainScheduler(Scheduler):
-    macro_step_safe = True
-
-    def resync(self, t, state):
-        pass
-"""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._declares_macro_safe(node):
-                continue
-            if "on_step" in _names_defined_in_class_body(node):
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"class `{node.name}` declares `macro_step_safe = True` "
-                    "but defines the per-step hook `on_step`; macro commits "
-                    "batch steps without callbacks, so the hook would miss "
-                    "every compressed step",
-                )
-            if ImpureTieBreakKeyRule._declares_impure(node):
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"class `{node.name}` declares `macro_step_safe = True` "
-                    "alongside `pure = False`; an impure policy re-evaluates "
-                    "per step, which macro commits skip",
-                )
-            for func in iter_functions(node):
-                if func.name != "key":
-                    continue
-                for sub in ast.walk(func):
-                    if not isinstance(sub, ast.Call):
-                        continue
-                    why = ImpureTieBreakKeyRule._impure_call(ctx, sub)
-                    if why is not None:
-                        yield self.violation(
-                            ctx,
-                            sub.lineno,
-                            sub.col_offset,
-                            f"`{node.name}.key()` {why} while the class "
-                            "declares `macro_step_safe = True`; an impure "
-                            "key needs per-step evaluation, which macro "
-                            "commits skip",
-                        )
-
-    @staticmethod
-    def _declares_macro_safe(node: ast.ClassDef) -> bool:
-        """``macro_step_safe = True`` as a constant in the class body
-        (a property or computed value expresses a conditional contract
-        and is left to the runtime/tests)."""
-        return _declares_constant_true(node, "macro_step_safe")
-
-
-def _declares_constant_true(node: ast.ClassDef, name: str) -> bool:
-    """``name = True`` as a literal constant in the class body."""
-    for stmt in node.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == name
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            ):
-                return True
-    return False
-
-
-#: Per-instance engine callbacks the batched lockstep engine never
-#: dispatches: a batch-capable scheduler defining one depends on behaviour
-#: its batched runs cannot observe.
-_PER_INSTANCE_HOOKS = ("on_step", "on_job_arrival", "on_nodes_ready")
-
-
-@register_rule
-class BatchCapableContractRule(Rule):
-    rule_id = "RPR007"
-    title = "batch_capable must not contradict per-instance hooks"
-    rationale = (
-        "declaring `batch_capable = True` routes the scheduler's runs "
-        "through `simulate_batch`, whose lockstep loop resolves every "
-        "selection from the frontier priority kernel and NEVER dispatches "
-        "the per-instance callbacks (`on_step`, `on_job_arrival`, "
-        "`on_nodes_ready`) or `select`. A class that both opts in and "
-        "defines a per-instance-only hook (or declares `pure = False`, or "
-        "ships no `frontier_priorities` kernel at all) depends on exactly "
-        "the per-step dispatch the batched engine skips, so batched and "
-        "per-instance runs silently diverge. Make the flag conditional (a "
-        "property, like `FIFOScheduler.batch_capable`) or drop the hook."
-    )
-    bad_example = """\
-class TracingScheduler(Scheduler):
-    batch_capable = True
-
-    def frontier_priorities(self, instance):
-        return self._kernel
-
-    def on_step(self, t, selection, state):
-        self._trace.append(t)
-"""
-    good_example = """\
-class KernelScheduler(Scheduler):
-    batch_capable = True
-
-    def frontier_priorities(self, instance):
-        return self._kernel
-"""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _declares_constant_true(node, "batch_capable"):
-                continue
-            defined = _names_defined_in_class_body(node)
-            for hook in _PER_INSTANCE_HOOKS:
-                if hook in defined:
-                    yield self.violation(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"class `{node.name}` declares `batch_capable = "
-                        f"True` but defines the per-instance hook `{hook}`; "
-                        "the batched lockstep engine never dispatches it, "
-                        "so batched runs would silently skip the hook",
-                    )
-            if ImpureTieBreakKeyRule._declares_impure(node):
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"class `{node.name}` declares `batch_capable = True` "
-                    "alongside `pure = False`; batched selection is "
-                    "kernel-determined and cannot re-evaluate an impure "
-                    "policy per step",
-                )
-            if "frontier_priorities" not in defined:
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"class `{node.name}` declares `batch_capable = True` "
-                    "but defines no `frontier_priorities`; without a "
-                    "priority kernel every batched run falls back to the "
-                    "per-instance engine, making the declaration dead",
-                )

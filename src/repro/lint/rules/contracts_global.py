@@ -1,29 +1,21 @@
-"""W1 whole-program contract verification: RPR310 (batch_capable vs
-inferred effects), RPR311 (macro_step_safe vs inferred effects), RPR312
-(pure tie-break whose ``key()`` is transitively impure).
+"""W1 whole-program contract verification: RPR312 (pure tie-break whose
+``key()`` is transitively impure).
 
-The per-file contract rules (RPR006/RPR007) catch declarations that
-contradict *same-class* structure — an ``on_step`` hook next to
-``batch_capable = True``. This module catches the contradictions no
-single file can show: a scheduler whose ``select()`` looks clean but
-reaches an unseeded RNG draw two helper calls away, in another module.
+The per-file rule RPR004 catches a ``key()`` that draws randomness
+*directly*. This module catches what no single file can show: a tie-break
+whose ``key()`` looks clean but reaches an unseeded RNG draw two helper
+calls away, in another module.
 
-The rules consult the whole-program effect summaries
+The rule consults the whole-program effect summaries
 (:mod:`repro.lint.summaries`) through
 :meth:`FileContext.lookup_summary`, which both returns the transitively
 closed effects of a method and records the lookup as an incremental-cache
 dependency — so editing a helper three modules down correctly re-lints
-the scheduler that declared the contract. Every violation names the full
-call path from the declared method to the offending effect
-(``select -> pkg.helpers.jitter -> pkg.helpers.draw``), because "your
+the tie-break that calls it. Every violation names the full call path
+from the method to the offending effect
+(``key -> pkg.helpers.jitter -> pkg.helpers.draw``), because "your
 contract is wrong somewhere below this call" is not actionable and
 "this exact chain reads the RNG" is.
-
-Only **constant** declarations (``batch_capable = True`` as a literal in
-the class body) are checked, mirroring RPR006/RPR007: a property such as
-``FIFOScheduler.batch_capable`` expresses a *conditional* contract whose
-truth depends on runtime configuration, which static analysis should not
-second-guess.
 """
 
 from __future__ import annotations
@@ -34,17 +26,12 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from ..model import Violation
 from ..registry import Rule, register_rule
 from ..summaries import EffectRecord, FunctionSummary
-from .contracts import _declares_constant_true
 from .determinism import ImpureTieBreakKeyRule
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import FileContext
 
-__all__ = [
-    "BatchCapableEffectsRule",
-    "MacroStepEffectsRule",
-    "TransitiveImpureTieBreakRule",
-]
+__all__ = ["TransitiveImpureTieBreakRule"]
 
 #: Effect kinds that contradict a determinism contract: anything that
 #: makes repeated evaluation return different answers.
@@ -76,130 +63,6 @@ def _method_summary(
     ctx: "FileContext", class_name: str, method: str
 ) -> FunctionSummary | None:
     return ctx.lookup_summary(f"{ctx.module_name}.{class_name}.{method}")
-
-
-class _ContractEffectsRule(Rule):
-    """Shared machinery: flag inferred nondeterminism in the methods that a
-    constant-``True`` contract declaration promises are replayable."""
-
-    #: The class-body flag whose constant-True declaration opts in.
-    contract_flag = ""
-    #: Methods whose transitive effects the contract constrains.
-    checked_methods: tuple[str, ...] = ()
-    #: Why the contradiction matters, appended to every message.
-    consequence = ""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _declares_constant_true(node, self.contract_flag):
-                continue
-            for func in _methods(node, self.checked_methods):
-                summary = _method_summary(ctx, node.name, func.name)
-                if summary is None:
-                    continue
-                start = f"{node.name}.{func.name}"
-                for effect in _dedup_effects(
-                    summary.effects_of_kind(*_NONDET_KINDS)
-                ):
-                    yield self.violation(
-                        ctx,
-                        func.lineno,
-                        func.col_offset,
-                        f"`{start}()` reaches nondeterminism — "
-                        f"{effect.detail} "
-                        f"(call path: {effect.route(start)}, "
-                        f"line {effect.line}) — while the class declares "
-                        f"`{self.contract_flag} = True`; {self.consequence}",
-                    )
-
-
-@register_rule
-class BatchCapableEffectsRule(_ContractEffectsRule):
-    rule_id = "RPR310"
-    title = "batch_capable selection paths must be effect-free"
-    rationale = (
-        "`batch_capable = True` routes runs through `simulate_batch`, whose "
-        "lockstep loop replays selections purely from the frontier priority "
-        "kernel. If `select()`, `frontier_priorities()`, or `resync()` "
-        "consults an RNG stream, the clock, or the environment — directly "
-        "or through any chain of helpers — the per-instance engine and the "
-        "batched engine observe different values and silently diverge. "
-        "RPR007 checks the class body; this rule checks what the methods "
-        "actually *reach*, across modules, and names the call path."
-    )
-    bad_example = """\
-def _draw(rng):
-    return rng.random()
-
-class JitterScheduler(Scheduler):
-    batch_capable = True
-
-    def frontier_priorities(self, instance):
-        return self._kernel
-
-    def select(self, m, state):
-        return _draw(self._rng)
-"""
-    good_example = """\
-class KernelScheduler(Scheduler):
-    batch_capable = True
-
-    def frontier_priorities(self, instance):
-        return self._kernel
-
-    def select(self, m, state):
-        return sorted(state.ready)[:m]
-"""
-
-    contract_flag = "batch_capable"
-    checked_methods = ("select", "frontier_priorities", "resync")
-    consequence = (
-        "batched lockstep replay resolves selections from the precomputed "
-        "kernel, so the hidden nondeterminism makes batched and "
-        "per-instance runs diverge"
-    )
-
-
-@register_rule
-class MacroStepEffectsRule(_ContractEffectsRule):
-    rule_id = "RPR311"
-    title = "macro_step_safe selection paths must be effect-free"
-    rationale = (
-        "`macro_step_safe = True` lets the engine compress runs of forced "
-        "steps into one macro commit, skipping the per-step re-evaluation "
-        "in between. A `select()` or `key()` that reads an RNG stream, the "
-        "clock, or the environment — anywhere down its helper chain — "
-        "observes *fewer* reads under macro stepping than under per-step "
-        "execution, so the two modes diverge. RPR006 checks the class "
-        "body; this rule checks what the methods transitively reach and "
-        "names the call path."
-    )
-    bad_example = """\
-def _jitter(rng):
-    return rng.random()
-
-class SweepScheduler(Scheduler):
-    macro_step_safe = True
-
-    def select(self, m, state):
-        return _jitter(self._rng)
-"""
-    good_example = """\
-class ChainScheduler(Scheduler):
-    macro_step_safe = True
-
-    def select(self, m, state):
-        return sorted(state.ready)[:m]
-"""
-
-    contract_flag = "macro_step_safe"
-    checked_methods = ("select", "key")
-    consequence = (
-        "macro commits skip the per-step evaluations where those reads "
-        "would have happened, so compressed and per-step runs diverge"
-    )
 
 
 @register_rule

@@ -92,7 +92,9 @@ def sample_sizes(n, seed):
 
 #: Method names whose bodies decide which subjobs run, and therefore must
 #: not depend on hash/iteration order.
-_ORDER_SENSITIVE_METHODS = frozenset({"select", "resync"})
+_ORDER_SENSITIVE_METHODS = frozenset(
+    {"select", "frontier_priorities", "fast_path_job_order"}
+)
 
 #: Calls whose result does not depend on the iteration order of their
 #: iterable argument, so an unordered iterable flowing straight into them
@@ -133,8 +135,9 @@ class UnorderedIterationRule(Rule):
     rule_id = "RPR002"
     title = "no unordered iteration in scheduler selection paths"
     rationale = (
-        "`select()`/`resync()` decide which subjobs run; iterating a set or "
-        "a dict view there makes the schedule depend on hash order. Iterate "
+        "`select()` and the list-rule hooks (`frontier_priorities()`, "
+        "`fast_path_job_order()`) decide which subjobs run; iterating a set "
+        "or a dict view there makes the schedule depend on hash order. Iterate "
         "`sorted(...)` (or feed the container into an order-insensitive "
         "reduction such as min/max/sum/heapq.nsmallest)."
     )

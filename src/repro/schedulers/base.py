@@ -30,8 +30,9 @@ unlocks two vectorized hot paths (see ``docs/engine-internals.md``):
 * :class:`BucketReadyQueue` — a bucket queue keyed by the kernel that pops
   in exactly :class:`ReadyHeap` order without any per-node ``key()``
   calls; and
-* the engine's *priority commit*: with a flat kernel the engine can apply
-  a truncated FIFO-frontier selection itself via one stable argsort.
+* the engine's list-rule path: :func:`flat_priority_kernel` concatenates
+  the per-job kernels for ``Scheduler.frontier_priorities``, and the
+  engine then runs the whole instance without dispatching the scheduler.
 
 Custom tie-breaks that return ``None`` (the default, and what
 :class:`RandomTieBreak` does) transparently fall back to the pure-Python
@@ -47,6 +48,7 @@ from typing import Any, Iterable, Optional, Union
 
 import numpy as np
 
+from ..core.instance import Instance
 from ..core.job import Job
 from ..core.util import Array
 
@@ -62,6 +64,7 @@ __all__ = [
     "BucketReadyQueue",
     "ReadyQueue",
     "make_ready_queue",
+    "flat_priority_kernel",
 ]
 
 _INT = np.int64
@@ -81,19 +84,10 @@ class TieBreak(abc.ABC):
 
     #: True iff ``key(job, node)`` is a deterministic function of its
     #: arguments alone — no hidden state advanced per call (RNG streams,
-    #: call counters). Pure tie-breaks survive a heap rebuild from engine
-    #: state unchanged, which is what lets schedulers built on them opt in
-    #: to the engine fast path (``Scheduler.supports_fast_forward``).
+    #: call counters). Only pure tie-breaks may be precomputed as a
+    #: :meth:`priority_kernel`, which is what makes the schedulers built
+    #: on them list rules (``Scheduler.frontier_priorities``).
     pure: bool = True
-
-    #: True iff this tie-break is compatible with the engine's chain-run
-    #: macro-stepping (``Scheduler.macro_step_safe``): batching several
-    #: consecutive *forced* whole-frontier commits — which never consult
-    #: the tie-break at all — must not change behaviour. That holds for
-    #: any :attr:`pure` rule (and the engine additionally requires purity),
-    #: so the default is True; set False only for a tie-break that keeps
-    #: per-step state the forced path would skip updating.
-    macro_step_safe: bool = True
 
     def reset(self, seed: Optional[int] = None) -> None:
         """Reinitialize any internal state (e.g. RNG) before a run."""
@@ -252,10 +246,11 @@ class BucketReadyQueue:
     Drop-in replacement for :class:`ReadyHeap` when the tie-break has a
     :meth:`TieBreak.priority_kernel`: pops ascending ``(kernel[v], v)``,
     which by the kernel contract is exactly :class:`ReadyHeap` order (the
-    property tests pin this bit-for-bit). Priorities are bounded — heights
-    and degrees are at most ``n`` — so the bucket array is small, push is
-    O(1) amortized, and ``pop_up_to(k)`` slices whole buckets instead of
-    popping a binary heap node-by-node.
+    property tests pin this bit-for-bit). There are at most ``n`` buckets:
+    a kernel spanning fewer than ``n`` values (ids, heights, degrees) maps
+    value to bucket by offset, and a wider one is dense-ranked first, which
+    keeps its order and ties. Push is O(1) amortized, and ``pop_up_to(k)``
+    slices whole buckets instead of popping a binary heap node-by-node.
 
     Invariants: every bucket list is sorted ascending; ``_min_bucket`` is a
     lower bound on the first non-empty bucket (advanced past empties during
@@ -268,8 +263,15 @@ class BucketReadyQueue:
         p = np.asarray(priorities, dtype=_INT)
         lo = int(p.min()) if p.size else 0
         hi = int(p.max()) if p.size else 0
-        self._bucket_of: Array = p if lo == 0 else p - lo
-        self._buckets: list[list[int]] = [[] for _ in range(hi - lo + 1)]
+        if hi - lo >= p.size > 0:
+            # Wide kernel: one bucket per distinct value, not per integer.
+            values, rank = np.unique(p, return_inverse=True)
+            self._bucket_of: Array = rank.astype(_INT, copy=False)
+            n_buckets = values.size
+        else:
+            self._bucket_of = p if lo == 0 else p - lo
+            n_buckets = hi - lo + 1
+        self._buckets: list[list[int]] = [[] for _ in range(n_buckets)]
         self._min_bucket = len(self._buckets)
         self._len = 0
 
@@ -371,3 +373,21 @@ def make_ready_queue(job: Job, policy: TieBreak) -> ReadyQueue:
     if kernel is None:
         return ReadyHeap(job, policy)
     return BucketReadyQueue(kernel)
+
+
+def flat_priority_kernel(policy: TieBreak, instance: Instance) -> Optional[Array]:
+    """``policy``'s per-job priority kernels concatenated in job order: one
+    int64 priority per global node, as ``Scheduler.frontier_priorities``
+    returns it. ``None`` for an impure tie-break, for one whose kernel is
+    missing on any job, and for an empty instance."""
+    if not policy.pure:
+        return None
+    kernels: list[Array] = []
+    for job in instance:
+        kernel = policy.priority_kernel(job)
+        if kernel is None:
+            return None
+        kernels.append(kernel)
+    if not kernels:
+        return None
+    return np.concatenate(kernels)

@@ -30,24 +30,15 @@ __all__ = ["LPFScheduler", "lpf_schedule", "lpf_flow"]
 class LPFScheduler(FIFOScheduler):
     """FIFO across jobs, Longest-Path-First within a job (clairvoyant).
 
-    Runs on the vectorized height-kernel path by default (heights are the
-    LPF priority, precomputed per job — see ``docs/engine-internals.md``);
-    ``use_priority_kernel=False`` forces the pure-Python reference heap.
-    Inherits FIFO's ``macro_step_safe`` declaration: on chain-heavy
-    out-forests (spider legs, rectangle tails) the engine compresses runs
-    of forced LPF steps into single macro commits.
+    A list rule like FIFO (heights are the LPF priority kernel, precomputed
+    per job — see ``docs/engine-internals.md``): with no observer or fault
+    injector the engine runs it without dispatching, and on chain-heavy
+    out-forests (spider legs, rectangle tails) it compresses runs of forced
+    LPF steps into single macro commits.
     """
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        use_priority_kernel: Optional[bool] = None,
-    ) -> None:
-        super().__init__(
-            tie_break=LongestPathTieBreak(),
-            seed=seed,
-            use_priority_kernel=use_priority_kernel,
-        )
+    def __init__(self, seed: Optional[int] = None) -> None:
+        super().__init__(tie_break=LongestPathTieBreak(), seed=seed)
 
     @property
     def name(self) -> str:

@@ -264,4 +264,4 @@ def test_sarif_output_is_valid_json(tmp_path, seeded_package):
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {r["ruleId"] for r in run["results"]} >= {"RPR202", "RPR310"}
+    assert {r["ruleId"] for r in run["results"]} >= {"RPR202", "RPR312"}

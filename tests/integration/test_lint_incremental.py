@@ -24,13 +24,11 @@ _FILES = {
         "    return draw()\n"
     ),
     "pkg/sched.py": (
+        "from repro.schedulers import TieBreak\n"
         "from .helpers import jitter\n"
-        "class BatchScheduler:\n"
-        "    batch_capable = True\n"
-        "    def frontier_priorities(self, instance):\n"
-        "        return None\n"
-        "    def select(self, m, state):\n"
-        "        return jitter()\n"
+        "class JitterTieBreak(TieBreak):\n"
+        "    def key(self, job, node):\n"
+        "        return (jitter(), node)\n"
     ),
     "pkg/clean.py": "def add(a, b):\n    return a + b\n",
     "pkg/sloppy.py": (
@@ -78,15 +76,15 @@ def test_warm_run_is_byte_identical_and_reuses_cache(tmp_path):
 
 def test_editing_distant_helper_invalidates_dependents(tmp_path):
     """sched.py never changes, but fixing the RNG read two modules away
-    must clear sched.py's cached RPR310 finding on the next warm run."""
+    must clear sched.py's cached RPR312 finding on the next warm run."""
     pkg = _write_tree(tmp_path, _FILES)
     cache = tmp_path / "cache"
     cold = lint_paths([pkg], cache_dir=cache)
-    assert any(v.rule_id == "RPR310" for v in cold.violations)
+    assert any(v.rule_id == "RPR312" for v in cold.violations)
 
     (pkg / "rand_util.py").write_text("def draw():\n    return 0.5\n")
     warm = lint_paths([pkg], cache_dir=cache)
-    assert not any(v.rule_id == "RPR310" for v in warm.violations)
+    assert not any(v.rule_id == "RPR312" for v in warm.violations)
     # And the invalidation is precise: the unrelated sloppy.py finding
     # came straight from cache and is still present.
     assert any(v.rule_id == "RPR202" for v in warm.violations)
@@ -98,13 +96,13 @@ def test_breaking_a_helper_creates_findings_in_unchanged_files(tmp_path):
     pkg = _write_tree(tmp_path, files)
     cache = tmp_path / "cache"
     cold = lint_paths([pkg], cache_dir=cache)
-    assert not any(v.rule_id == "RPR310" for v in cold.violations)
+    assert not any(v.rule_id == "RPR312" for v in cold.violations)
 
     # Re-introduce the RNG read: the cached (clean) sched.py entry must
     # be re-linted because its recorded summary dependency changed.
     (pkg / "rand_util.py").write_text(_FILES["pkg/rand_util.py"])
     warm = lint_paths([pkg], cache_dir=cache)
-    assert any(v.rule_id == "RPR310" for v in warm.violations)
+    assert any(v.rule_id == "RPR312" for v in warm.violations)
 
 
 def test_cache_survives_syntax_errors(tmp_path):

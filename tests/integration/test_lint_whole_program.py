@@ -1,10 +1,10 @@
 """Whole-program lint: interprocedural findings across a fixture package.
 
-The acceptance fixture for the RPR31x family: a scheduler that declares
-``batch_capable = True`` while its ``select()`` reaches an unseeded RNG
-read two helper calls deep, in *other modules*. No per-file rule can see
-the contradiction; the whole-program analyzer must flag it at the
-declaration site and name the full call chain in the message.
+The acceptance fixture for the RPR31x family: a tie-break that stays
+``pure`` while its ``key()`` reaches an unseeded RNG read two helper calls
+deep, in *other modules*. No per-file rule can see the contradiction; the
+whole-program analyzer must flag it at the ``key()`` definition and name
+the full call chain in the message.
 """
 
 import json
@@ -35,19 +35,16 @@ def _write_fixture(root):
         "def jitter():\n"
         "    return draw()\n"
     )
-    # The contract declaration, two modules away from the RNG read.
+    # The implied purity contract, two modules away from the RNG read.
     (pkg / "sched.py").write_text(
+        "from repro.schedulers import TieBreak\n"
+        "\n"
         "from .helpers import jitter\n"
         "\n"
         "\n"
-        "class BatchScheduler:\n"
-        "    batch_capable = True\n"
-        "\n"
-        "    def frontier_priorities(self, instance):\n"
-        "        return None\n"
-        "\n"
-        "    def select(self, m, state):\n"
-        "        return jitter()\n"
+        "class JitterTieBreak(TieBreak):\n"
+        "    def key(self, job, node):\n"
+        "        return (jitter(), node)\n"
     )
     return pkg
 
@@ -57,19 +54,19 @@ def fixture_pkg(tmp_path):
     return _write_fixture(tmp_path)
 
 
-def test_hidden_rng_two_calls_deep_fires_rpr310(fixture_pkg):
-    report = lint_paths([fixture_pkg], rules=[RULES["RPR310"]])
-    hits = [v for v in report.violations if v.rule_id == "RPR310"]
+def test_hidden_rng_two_calls_deep_fires_rpr312(fixture_pkg):
+    report = lint_paths([fixture_pkg], rules=[RULES["RPR312"]])
+    hits = [v for v in report.violations if v.rule_id == "RPR312"]
     assert len(hits) == 1, [v.format() for v in report.violations]
     (violation,) = hits
-    # Flagged at the scheduler's `select`, not at the distant RNG read.
+    # Flagged at the tie-break's `key`, not at the distant RNG read.
     assert violation.path.endswith("sched.py")
     # The message names the complete helper chain.
     assert (
-        "BatchScheduler.select -> pkg.helpers.jitter -> pkg.rand_util.draw"
+        "JitterTieBreak.key -> pkg.helpers.jitter -> pkg.rand_util.draw"
         in violation.message
     )
-    assert "batch_capable" in violation.message
+    assert "pure = False" in violation.message
 
 
 def test_full_ruleset_flags_both_layers(fixture_pkg):
@@ -80,14 +77,14 @@ def test_full_ruleset_flags_both_layers(fixture_pkg):
     # The distant read itself trips the per-file rule in rand_util.py ...
     assert any(v.path.endswith("rand_util.py") for v in by_rule["RPR001"])
     # ... and the contract contradiction is pinned to the scheduler.
-    assert any(v.path.endswith("sched.py") for v in by_rule["RPR310"])
+    assert any(v.path.endswith("sched.py") for v in by_rule["RPR312"])
 
 
 def test_fixing_the_distant_helper_clears_the_finding(fixture_pkg):
     (fixture_pkg / "rand_util.py").write_text(
         "def draw():\n    return 0.5\n"
     )
-    report = lint_paths([fixture_pkg], rules=[RULES["RPR310"]])
+    report = lint_paths([fixture_pkg], rules=[RULES["RPR312"]])
     assert report.violations == []
 
 
@@ -113,4 +110,4 @@ def test_restrict_reports_only_named_files(fixture_pkg):
     assert all(v.path == sched for v in report.violations)
     # The interprocedural finding survives scoping: the unchanged helper
     # modules still feed the call graph.
-    assert any(v.rule_id == "RPR310" for v in report.violations)
+    assert any(v.rule_id == "RPR312" for v in report.violations)

@@ -6,9 +6,9 @@ fast/priority/macro paths and the kernels of :mod:`repro.core.kernels`),
 and the per-node reference loop (``_simulate_reference``) must produce
 bit-identical completion arrays.
 
-SRPT rides along with FIFO/LPF here because its vectorized path exercises
-the dynamic-job-order fast path plus the ``merge_sorted`` kernel — and its
-heap path is the retained bit-identity reference for that contract.
+SRPT rides along with FIFO/LPF here because its list-rule run exercises
+the dynamic-job-order walk, and ``simulate_batch`` must route it per
+instance (its job walk is not FIFO).
 """
 
 import numpy as np

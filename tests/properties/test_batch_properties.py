@@ -25,6 +25,7 @@ from repro.schedulers import (
     LPFScheduler,
     RandomTieBreak,
     ReverseTieBreak,
+    TieBreak,
 )
 from repro.workloads import (
     build_fifo_adversary,
@@ -210,22 +211,31 @@ def test_impure_tie_break_falls_back_per_instance():
             assert np.array_equal(x, y)
 
 
+class _KeyOnlyReverseTieBreak(TieBreak):
+    """Pure, but with no priority kernel: FIFO on it is not a list rule."""
+
+    def key(self, job, node):
+        return (-node,)
+
+
 def test_mixed_eligibility_batches():
-    """A kernel-less scheduler config (use_priority_kernel=False) makes
-    every instance ineligible; the batched entry point must transparently
-    produce the same schedules anyway and count the fallbacks."""
+    """A pure ``key()``-only tie-break has no kernel, which makes every
+    instance ineligible; the batched entry point must transparently
+    produce the reference schedules anyway and count the fallbacks."""
     from repro.core import engine_stats_snapshot
 
     batch = _chains_batch(2)
     before = engine_stats_snapshot()
     schedules = simulate_batch(
-        batch, 4, FIFOScheduler(use_priority_kernel=False)
+        batch, 4, FIFOScheduler(_KeyOnlyReverseTieBreak())
     )
     delta = engine_stats_snapshot().delta(before)
     assert delta.fallback_runs == len(batch)
     for b, inst in enumerate(batch):
-        per = simulate(inst, 4, FIFOScheduler(use_priority_kernel=False))
-        for x, y in zip(schedules[b].completion, per.completion):
+        ref = _simulate_reference(
+            inst, 4, FIFOScheduler(_KeyOnlyReverseTieBreak())
+        )
+        for x, y in zip(schedules[b].completion, ref.completion):
             assert np.array_equal(x, y)
 
 

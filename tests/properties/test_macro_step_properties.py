@@ -1,11 +1,12 @@
 """Property suite for chain-run macro-stepping.
 
 Three-way differential testing: for every corpus instance the macro engine
-(``simulate`` with a ``macro_step_safe`` scheduler), the per-step vectorized
-engine (``use_macro_steps=False``), and the per-node reference loop
-(``_simulate_reference``) must produce bit-identical completion arrays —
-including under every adversarial/random availability trace and with chaos
-hooks attached (which must force the per-step fallback: ``macro_steps == 0``).
+(``simulate`` on a list rule's out-forest), the same run with an observer
+attached (which dispatches ``select`` every step), and the per-node
+reference loop (``_simulate_reference``) must produce bit-identical
+completion arrays — including under every adversarial/random availability
+trace and with chaos hooks attached (which must force the per-step
+fallback: ``macro_steps == 0``).
 
 A dedicated pure-chain test asserts the macro path actually engages
 (``macro_steps > 0``) so the equivalence above is never vacuous.
@@ -135,18 +136,19 @@ SCHEDULERS = {
 
 
 def _three_way(instance, make_scheduler, m, **kwargs):
-    """Assert macro / per-step / reference bit-identity; return the macro
+    """Assert macro / dispatched / reference bit-identity; return the macro
     run's schedule (whose ``engine_stats`` callers may inspect)."""
     macro = simulate(instance, m, make_scheduler(), **kwargs)
-    per_step = simulate(
-        instance, m, make_scheduler(), use_macro_steps=False, **kwargs
+    dispatched = simulate(
+        instance, m, make_scheduler(), observer=SimulationObserver(), **kwargs
     )
-    assert per_step.engine_stats.macro_steps == 0
+    assert dispatched.engine_stats.macro_steps == 0
+    assert dispatched.engine_stats.select_calls == dispatched.engine_stats.steps
     ref = _simulate_reference(instance, m, make_scheduler(), **kwargs)
     for i, (a, b, c) in enumerate(
-        zip(macro.completion, per_step.completion, ref.completion)
+        zip(macro.completion, dispatched.completion, ref.completion)
     ):
-        assert np.array_equal(a, b), f"macro vs per-step diverged on job {i}"
+        assert np.array_equal(a, b), f"macro vs dispatched diverged on job {i}"
         assert np.array_equal(a, c), f"macro vs reference diverged on job {i}"
     macro.validate()
     return macro
@@ -239,20 +241,3 @@ def test_impure_tiebreak_never_macro_steps():
     inst = Instance([Job(_chain(40), 0)])
     s = simulate(inst, 2, FIFOScheduler(RandomTieBreak(seed=3)))
     assert s.engine_stats.macro_steps == 0
-
-
-def test_use_macro_steps_flag_is_a_pure_toggle():
-    """``use_macro_steps=False`` must change counters only, never the
-    schedule; ``True`` cannot force macro past an ineligible contract."""
-    inst = Instance([Job(_chain(50), 0), Job(_spider(3, 20), 2)])
-    on = simulate(inst, 4, FIFOScheduler())
-    off = simulate(inst, 4, FIFOScheduler(), use_macro_steps=False)
-    assert on.engine_stats.macro_steps > 0
-    assert off.engine_stats.macro_steps == 0
-    assert all(
-        np.array_equal(a, b) for a, b in zip(on.completion, off.completion)
-    )
-    forced = simulate(
-        inst, 4, FIFOScheduler(RandomTieBreak(seed=1)), use_macro_steps=True
-    )
-    assert forced.engine_stats.macro_steps == 0

@@ -7,7 +7,9 @@ engine: suppression pragmas (with the mandatory-reason policy), import
 alias resolution, report aggregation, and the JSON payload shape.
 """
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -54,16 +56,22 @@ def test_rule_catalog_is_stable():
     expected = {
         "RPR001", "RPR002", "RPR003", "RPR004",  # determinism
         "RPR005",  # failure paths
-        "RPR006",  # macro-step contract
-        "RPR007",  # batch-capable contract
         "RPR008",  # kernel-module style discipline
         "RPR009",  # streaming unbounded-accumulation discipline
-        "RPR101", "RPR102", "RPR103",  # scheduler contracts
+        "RPR102", "RPR103",  # scheduler contracts
         "RPR201", "RPR202", "RPR203",  # engine safety
         "RPR301",  # picklability
-        "RPR310", "RPR311", "RPR312",  # whole-program contract verification
+        "RPR312",  # whole-program contract verification
     }
     assert expected <= set(RULES)
+
+
+def test_lint_doc_has_one_section_per_rule():
+    """``docs/lint.md`` documents every registered rule exactly once, under a
+    ``#### RPRnnn`` heading, and documents no unregistered id."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "lint.md"
+    headings = re.findall(r"^#### (RPR\d{3})\b", doc.read_text(), flags=re.M)
+    assert sorted(headings) == sorted(rule.rule_id for rule in ALL_RULES)
 
 
 # ----------------------------------------------------------------------

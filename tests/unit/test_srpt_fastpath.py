@@ -1,18 +1,17 @@
-"""SRPT dynamic-job-order fast path: contract and bit-identity tests.
+"""SRPT as a list rule: contract and bit-identity tests.
 
-SRPT joined the engine's forced-frontier fast path via the
-``dynamic_job_order`` contract: its (remaining work, job id) walk is a
-pure function of the engine's own unfinished counts, so the engine
-recomputes it per step and never dispatches ``select`` on the kernel
-path. The heap path (``use_priority_kernel=False``) is the retained
-per-node reference; everything here is checked bit-identical against it.
+SRPT's (remaining work, job id) walk is a pure function of the engine's
+own unfinished counts (``dynamic_job_order``), so with a kernel tie-break
+the engine recomputes it per step and never dispatches ``select``. With an
+observer attached the engine dispatches SRPT's one ``select`` path instead.
+Everything here is checked bit-identical against ``_simulate_reference``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DAG, Instance, Job, simulate
-from repro.core.simulator import EngineState
+from repro.core import DAG, Instance, Job, SimulationObserver, simulate
+from repro.core.simulator import _simulate_reference
 from repro.schedulers.base import (
     ArbitraryTieBreak,
     DepthTieBreak,
@@ -56,8 +55,8 @@ def _assert_identical(a, b):
 def test_fast_path_matches_heap_reference(tie_break, m):
     inst = _stream()
     fast = simulate(inst, m, SRPTScheduler(tie_break()))
-    heap = simulate(inst, m, SRPTScheduler(tie_break(), use_priority_kernel=False))
-    _assert_identical(fast, heap)
+    ref = _simulate_reference(inst, m, SRPTScheduler(tie_break()))
+    _assert_identical(fast, ref)
     stats = fast.engine_stats
     assert stats.select_calls == 0, "kernel path dispatched select()"
     assert stats.fast_forwarded_steps == stats.steps
@@ -66,19 +65,42 @@ def test_fast_path_matches_heap_reference(tie_break, m):
 def test_contract_declared_only_on_kernel_path():
     inst = _stream(3)
     s = SRPTScheduler()
-    assert not s.supports_fast_forward  # before reset: unknown instance
     s.reset(inst, 4)
-    assert s.supports_fast_forward
-    assert s.frontier_priorities(inst) is not None
-
-    heap = SRPTScheduler(use_priority_kernel=False)
-    heap.reset(inst, 4)
-    assert not heap.supports_fast_forward
-    assert heap.frontier_priorities(inst) is None
+    kernel = s.frontier_priorities(inst)
+    assert kernel is not None
+    assert kernel.shape == (inst.flat_graph.n_nodes,)
 
     random_tb = SRPTScheduler(RandomTieBreak(7), seed=7)
     random_tb.reset(inst, 4)
-    assert not random_tb.supports_fast_forward  # impure tie-break
+    assert random_tb.frontier_priorities(inst) is None  # impure tie-break
+
+
+@pytest.mark.parametrize(
+    "tie_break", [ArbitraryTieBreak, DepthTieBreak, LongestPathTieBreak]
+)
+@pytest.mark.parametrize("traced", [False, True], ids=["constant", "trace"])
+def test_dispatched_select_matches_fast_path_and_reference(tie_break, traced):
+    """An observer forces SRPT's one ``select`` path every step; it must
+    agree with the list-rule run and with the reference loop."""
+    inst = _stream(4)
+    m = 3
+    kwargs = {}
+    if traced:
+        rng = np.random.default_rng(7)
+        kwargs["availability"] = rng.integers(0, m + 1, size=150).tolist()
+    fast = simulate(inst, m, SRPTScheduler(tie_break()), **kwargs)
+    observed = simulate(
+        inst,
+        m,
+        SRPTScheduler(tie_break()),
+        observer=SimulationObserver(),
+        **kwargs,
+    )
+    ref = _simulate_reference(inst, m, SRPTScheduler(tie_break()), **kwargs)
+    _assert_identical(fast, ref)
+    _assert_identical(observed, ref)
+    assert fast.engine_stats.select_calls == 0
+    assert observed.engine_stats.select_calls == observed.engine_stats.steps
 
 
 def test_random_tie_break_still_dispatches():
@@ -97,19 +119,15 @@ def test_parity_under_fluctuating_availability(m):
     rng = np.random.default_rng(42)
     trace = rng.integers(0, m + 1, size=200).tolist()
     fast = simulate(inst, m, SRPTScheduler(), availability=trace)
-    heap = simulate(
-        inst, m, SRPTScheduler(use_priority_kernel=False), availability=trace
-    )
-    _assert_identical(fast, heap)
+    ref = _simulate_reference(inst, m, SRPTScheduler(), availability=trace)
+    _assert_identical(fast, ref)
 
 
 def test_macro_stepping_engages_on_chains():
     inst = _chains()
     fast = simulate(inst, 2, SRPTScheduler(DepthTieBreak()))
-    heap = simulate(
-        inst, 2, SRPTScheduler(DepthTieBreak(), use_priority_kernel=False)
-    )
-    _assert_identical(fast, heap)
+    ref = _simulate_reference(inst, 2, SRPTScheduler(DepthTieBreak()))
+    _assert_identical(fast, ref)
     assert fast.engine_stats.macro_steps > 0, (
         "chain-heavy SRPT run never macro-stepped — the dynamic-order "
         "macro contract is not engaging"
@@ -120,29 +138,3 @@ def test_fast_path_job_order_is_srpt_order():
     s = SRPTScheduler()
     unfinished = np.array([5, 3, 3, 9], dtype=np.int64)
     assert s.fast_path_job_order([0, 1, 2, 3], unfinished) == [1, 2, 0, 3]
-
-
-def test_resync_rebuilds_selection_state():
-    """After resync from authoritative engine state, select() must serve
-    the (remaining, job id) walk from the rebuilt frontiers."""
-    dag = DAG.from_parents(np.array([-1, 0, 0, 1, 1], dtype=np.int64))
-    inst = Instance([Job(dag, 0), Job(dag, 0)])
-    s = SRPTScheduler()
-    s.reset(inst, 4)
-    state = EngineState(inst, 4)
-    state.released[:] = True
-    # Job 0 untouched (5 left, roots ready); job 1 has node 0 done and
-    # nodes 1, 2 ready (4 left) — so job 1 leads the SRPT order.
-    state.ready_mask[state.offsets[0] + 0] = True
-    state.completion_flat[state.offsets[1] + 0] = 1
-    state.unfinished_counts[1] -= 1
-    state.ready_mask[state.offsets[1] + 1] = True
-    state.ready_mask[state.offsets[1] + 2] = True
-    s.resync(1, state)
-    sel = np.asarray(s.select(1, 4))
-    expected = np.array(
-        [state.offsets[1] + 1, state.offsets[1] + 2, state.offsets[0] + 0],
-        dtype=np.int64,
-    )
-    np.testing.assert_array_equal(np.sort(sel[:2]), expected[:2])
-    assert sel[2] == expected[2]

@@ -187,7 +187,10 @@ class Scheduler(abc.ABC):
 
         For a job arriving at ``t`` this is called (after
         :meth:`on_job_arrival`) with the DAG's roots; afterwards it is called
-        with subjobs whose last predecessor completed at ``t``.
+        with subjobs whose last predecessor completed at ``t``. A crash
+        rebuild (:meth:`FaultHooks.should_crash`) calls :meth:`reset`,
+        replays :meth:`on_job_arrival` for every released job, and then
+        calls this once per unfinished job with its whole ready frontier.
         """
 
     @abc.abstractmethod

@@ -4,10 +4,11 @@
 observer and records what post-hoc schedule inspection cannot see — the
 *online* state: how many subjobs were ready at each step (the scheduler's
 instantaneous parallelism), how many jobs were alive, how much work was
-backlogged. Experiment tables use it for utilization and backlog columns;
-it is also the honest way to measure "how far behind OPT the scheduler's
-outstanding work is", the quantity the paper's Section 1 discussion and
-Section 6 induction revolve around.
+backlogged. ``examples/cluster_report.py`` uses it for utilization and
+backlog columns (no experiment table does); it is also the honest way to
+measure "how far behind OPT the scheduler's outstanding work is", the
+quantity the paper's Section 1 discussion and Section 6 induction revolve
+around.
 """
 
 from __future__ import annotations

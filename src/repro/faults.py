@@ -219,7 +219,8 @@ def run_chaos_trials(
     selected availability pattern plus fresh random traces:
 
     * the vectorized engine and the reference loop produce **bit-identical
-      valid schedules** under the trace, with and without an attached
+      valid schedules** for FIFO, LPF and SRPT (with the LPF tie-break)
+      under the trace, with and without an attached
       :class:`FaultInjector` (scheduler crash/restart + perturbed ready
       delivery);
     * **Lemma 5.5**: MC replay of a packed LPF tail is work-conserving
@@ -234,8 +235,17 @@ def run_chaos_trials(
     from .analysis.invariants import check_mc_busy, head_tail_shape
     from .core import Instance, Job, simulate
     from .core.simulator import _simulate_reference
-    from .schedulers import FIFOScheduler, LPFScheduler, lpf_schedule
+    from .schedulers import (
+        FIFOScheduler,
+        LongestPathTieBreak,
+        LPFScheduler,
+        SRPTScheduler,
+        lpf_schedule,
+    )
     from .workloads.random_trees import random_attachment_tree
+
+    def srpt() -> SRPTScheduler:
+        return SRPTScheduler(LongestPathTieBreak())
 
     report = ChaosReport(seed=seed)
     rng = np.random.default_rng(seed)
@@ -276,19 +286,20 @@ def run_chaos_trials(
                     ),
                 ),
             ):
-                for scheduler_cls in (FIFOScheduler, LPFScheduler):
+                for make_scheduler in (FIFOScheduler, LPFScheduler, srpt):
                     report.traces_checked += 1
+                    scheduler = make_scheduler()
                     fast = simulate(
                         instance,
                         m,
-                        scheduler_cls(),
+                        scheduler,
                         availability=trace,
                         fault_injector=injector,
                     )
                     ref = _simulate_reference(
                         instance,
                         m,
-                        scheduler_cls(),
+                        make_scheduler(),
                         availability=trace,
                         fault_injector=injector,
                     )
@@ -297,8 +308,7 @@ def run_chaos_trials(
                         report.perturbed_steps += injector.perturbed_steps
                     if not fast.is_feasible():
                         report.failures.append(
-                            f"invalid schedule [{label}] "
-                            f"{scheduler_cls.__name__}: {tag}"
+                            f"invalid schedule [{label}] {scheduler.name}: {tag}"
                         )
                     if not all(
                         np.array_equal(a, b)
@@ -306,7 +316,7 @@ def run_chaos_trials(
                     ):
                         report.failures.append(
                             f"engine/reference divergence [{label}] "
-                            f"{scheduler_cls.__name__}: {tag}"
+                            f"{scheduler.name}: {tag}"
                         )
 
             # Lemma 5.5: MC replay of a packed LPF tail never idles a

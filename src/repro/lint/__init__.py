@@ -15,14 +15,12 @@ Rule families (see :mod:`repro.lint.rules` and ``docs/lint.md``):
 * ``RPR1xx`` — scheduler-contract rules (``select`` must not mutate the
   model, engine-reserved private names);
 * ``RPR2xx`` — engine-safety rules (no in-place ops on frozen CSR arrays —
-  now interprocedural, following tainted arrays through helper calls —
-  no bare ``except``, no mutable default arguments);
-* ``RPR30x`` — picklability of experiment-harness callables;
-* ``RPR31x`` — whole-program contract verification: a tie-break's
-  declared purity is checked against *inferred* per-function effect
-  summaries built over a cross-module call graph
+  interprocedural, following tainted arrays through helper calls over a
+  cross-module call graph and per-function mutation summaries
   (:mod:`repro.lint.callgraph`, :mod:`repro.lint.summaries`), with the
-  offending call path named in every message.
+  helper route named in every message — no bare ``except``, no mutable
+  default arguments);
+* ``RPR30x`` — picklability of experiment-harness callables.
 
 Violations can be suppressed per line with an *explained* pragma::
 

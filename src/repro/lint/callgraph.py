@@ -1,8 +1,8 @@
 """Cross-module symbol table and call graph for whole-program lint rules.
 
-Per-file AST rules see one module at a time; the interprocedural rules
-(RPR201's call-site taint lookup, the RPR312 purity verifier) need to
-know *which function a call lands in*, across modules. This module builds
+Per-file AST rules see one module at a time; RPR201's interprocedural
+leg (its call-site taint lookup) needs to know *which function a call
+lands in*, across modules. This module builds
 that map:
 
 * :func:`module_name_for` — ``src/repro/core/dag.py`` → ``repro.core.dag``
@@ -17,9 +17,9 @@ that map:
   invokes.
 
 Resolution is deliberately conservative: a call that cannot be resolved to
-a project-local function returns ``None`` and the interprocedural rules
-treat it as effect-free (external library calls are vetted by the per-file
-rules instead). The descriptors are plain tuples so they serialize into
+a project-local function returns ``None`` and the interprocedural leg
+treats it as mutation-free (external library calls are vetted by the
+per-file checks instead). The descriptors are plain tuples so they serialize into
 the incremental cache (:mod:`repro.lint.engine`) without re-parsing.
 """
 

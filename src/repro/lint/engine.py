@@ -2,14 +2,14 @@
 
 ``lint_source`` is the unit every test exercises (lint one string);
 ``lint_paths`` walks directories, builds the cross-module
-:class:`~repro.lint.summaries.SummaryTable` shared by the
-interprocedural rules, and aggregates a
+:class:`~repro.lint.summaries.SummaryTable` that RPR201's interprocedural
+leg reads, and aggregates a
 :class:`~repro.lint.model.LintReport` with deterministic ordering.
 
 ``lint_paths`` additionally supports:
 
 * an **incremental cache** (``cache_dir=``): per-file findings, symbol
-  tables, and local effect summaries are keyed by content hash plus a
+  tables, and local mutation summaries are keyed by content hash plus a
   fingerprint of the rule set itself. A file is re-analyzed only when its
   bytes change, the rules change, or one of the *call-summary lookups it
   performed last time* now resolves differently — each lookup a rule makes
@@ -94,8 +94,8 @@ class FileContext:
 
     When built by ``lint_paths`` (or ``lint_source``) the context carries
     the whole-program ``project`` summary table; rules reach it through
-    :meth:`lookup_call` / :meth:`lookup_summary`, which also record the
-    lookup as a cache dependency in :attr:`deps`.
+    :meth:`lookup_call`, which also records the lookup as a cache
+    dependency in :attr:`deps`.
     """
 
     def __init__(
@@ -139,13 +139,6 @@ class FileContext:
         self.deps.append(
             ["call", self.module_name, class_name, desc[0], desc[1], qualname, fingerprint]
         )
-        return summary
-
-    def lookup_summary(self, qualname: str) -> Optional[FunctionSummary]:
-        """Closed summary for a fully-qualified function name (dep-recorded)."""
-        summary = self.project.get(qualname) if self.project is not None else None
-        fingerprint = summary_fingerprint(summary) if summary is not None else None
-        self.deps.append(["qual", qualname, fingerprint])
         return summary
 
     # -- per-file analyses -------------------------------------------------
@@ -396,32 +389,23 @@ def _deps_valid(deps: list[list[Any]], table: SummaryTable) -> bool:
 
     This is the precise invalidation step: cached findings survive only if
     every call-summary lookup the rules performed last time resolves to
-    the same function with the same effect fingerprint today. It catches
+    the same function with the same mutation fingerprint today. It catches
     both changed helpers *and* previously-unresolved calls that now
     resolve (e.g. a helper module newly added to the tree).
     """
     for dep in deps:
-        if not dep:
+        if not dep or dep[0] != "call":
             return False
-        if dep[0] == "call":
-            _, module, class_name, kind, name, qualname, fingerprint = dep
-            info = table.index.resolve_call(module, (kind, name), class_name)
-            new_qualname = info.qualname if info is not None else None
-            if new_qualname != qualname:
-                return False
-            if new_qualname is not None:
-                summary = table.get(new_qualname)
-                new_fp = summary_fingerprint(summary) if summary is not None else None
-                if new_fp != fingerprint:
-                    return False
-        elif dep[0] == "qual":
-            _, qualname, fingerprint = dep
-            summary = table.get(qualname)
+        _, module, class_name, kind, name, qualname, fingerprint = dep
+        info = table.index.resolve_call(module, (kind, name), class_name)
+        new_qualname = info.qualname if info is not None else None
+        if new_qualname != qualname:
+            return False
+        if new_qualname is not None:
+            summary = table.get(new_qualname)
             new_fp = summary_fingerprint(summary) if summary is not None else None
             if new_fp != fingerprint:
                 return False
-        else:
-            return False
     return True
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from . import (
     contracts,
-    contracts_global,
     determinism,
     engine_safety,
     failure_paths,
@@ -15,7 +14,6 @@ from . import (
 
 __all__ = [
     "contracts",
-    "contracts_global",
     "determinism",
     "engine_safety",
     "failure_paths",

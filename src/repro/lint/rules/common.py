@@ -8,7 +8,6 @@ from typing import Iterator, Union
 __all__ = [
     "FunctionNode",
     "attribute_parts",
-    "expression_root",
     "iter_functions",
     "walk_in_order",
 ]
@@ -42,14 +41,6 @@ def attribute_parts(node: ast.expr) -> list[str] | None:
             return list(reversed(parts))
         else:
             return None
-
-
-def expression_root(node: ast.expr) -> str | None:
-    """The base ``Name`` an attribute/subscript chain hangs off, if any."""
-    cur: ast.expr = node
-    while isinstance(cur, (ast.Attribute, ast.Subscript)):
-        cur = cur.value
-    return cur.id if isinstance(cur, ast.Name) else None
 
 
 def walk_in_order(node: ast.AST) -> Iterator[ast.AST]:

@@ -1,13 +1,11 @@
 """D1 determinism rules: RPR001 (global RNG), RPR002 (unordered iteration
-in scheduler selection paths), RPR003 (wall-clock / entropy reads),
-RPR004 (impure ``TieBreak.key()``).
+in scheduler selection paths), RPR003 (wall-clock / entropy reads).
 
 Every experiment in this repo must be bit-reproducible from an integer
 seed. These rules flag the ways nondeterminism has historically leaked
 into scheduling codebases: process-global RNG state, iteration order of
-unordered containers feeding tie-breaks, reads of the real clock or OS
-entropy pool, and tie-break keys whose value depends on anything beyond
-``(job, node)``.
+unordered containers feeding tie-breaks, and reads of the real clock or
+OS entropy pool.
 """
 
 from __future__ import annotations
@@ -17,24 +15,44 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..model import Violation
 from ..registry import Rule, register_rule
-
-# The canonical nondeterminism tables live in ``repro.lint.summaries`` so
-# that the interprocedural layer and these per-file rules can never drift
-# apart (and so summaries.py needs no import from the rules package).
-from ..summaries import NUMPY_SEEDED_API as _NUMPY_SEEDED_API
-from ..summaries import WALL_CLOCK_CALLS as _WALL_CLOCK_CALLS
-from ..summaries import rng_part as _rng_part
-from .common import attribute_parts, iter_functions
+from .common import iter_functions
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import FileContext
 
 __all__ = [
     "GlobalRNGRule",
-    "ImpureTieBreakKeyRule",
     "UnorderedIterationRule",
     "WallClockRule",
 ]
+
+#: numpy.random attributes that are explicitly-seeded constructors, not
+#: the hidden global-state convenience API.
+_NUMPY_SEEDED_API = frozenset(
+    {
+        "default_rng",
+        "Generator",
+        "SeedSequence",
+        "BitGenerator",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
+        "MT19937",
+        "RandomState",
+    }
+)
+
+#: dotted call -> what it reads. The harness timer ``time.perf_counter``
+#: is deliberately absent: it measures, and never feeds results.
+_WALL_CLOCK_CALLS = {
+    "time.time": "the wall clock",
+    "time.time_ns": "the wall clock",
+    "datetime.datetime.now": "the wall clock",
+    "os.urandom": "the OS entropy pool",
+    "uuid.uuid1": "the host clock/MAC",
+    "uuid.uuid4": "the OS entropy pool",
+}
 
 
 @register_rule
@@ -317,132 +335,3 @@ def elapsed(start):
                 f"`{dotted}` reads {source}, which is nondeterministic; "
                 "use an explicit seed (or time.perf_counter for timing)",
             )
-
-
-@register_rule
-class ImpureTieBreakKeyRule(Rule):
-    rule_id = "RPR004"
-    title = "TieBreak.key() must be pure"
-    rationale = (
-        "the kernel fast path materializes a tie-break's priorities ONCE "
-        "per job (`priority_kernel`, precomputed at arrival); a `key()` "
-        "that reads RNG streams, the clock, or mutable globals returns "
-        "different values on later calls, so the heap path and the kernel "
-        "path silently diverge. Keep `key()` a function of `(job, node)` "
-        "only — or declare the class `pure = False`, which disables the "
-        "kernel path and keeps the per-call heap semantics."
-    )
-    bad_example = """\
-class JitterTieBreak(TieBreak):
-    def key(self, job, node):
-        return self._rng.random()
-"""
-    good_example = """\
-class JitterTieBreak(TieBreak):
-    pure = False  # per-call RNG is the point; kernel path disabled
-
-    def key(self, job, node):
-        return self._rng.random()
-"""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._is_tie_break_subclass(node):
-                continue
-            if self._declares_impure(node):
-                continue
-            for func in iter_functions(node):
-                if func.name == "key":
-                    yield from self._check_key(ctx, node.name, func)
-
-    @staticmethod
-    def _is_tie_break_subclass(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            name = base.id if isinstance(base, ast.Name) else (
-                base.attr if isinstance(base, ast.Attribute) else ""
-            )
-            if name.endswith("TieBreak"):
-                return True
-        return False
-
-    @staticmethod
-    def _declares_impure(node: ast.ClassDef) -> bool:
-        """``pure = False`` in the class body opts out of the kernel path
-        (and of this rule: the fallback heap re-evaluates ``key()`` per
-        push, so impurity is then well-defined behaviour)."""
-        for stmt in node.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "pure"
-                    and isinstance(value, ast.Constant)
-                    and value.value is False
-                ):
-                    return True
-        return False
-
-    def _check_key(
-        self,
-        ctx: "FileContext",
-        class_name: str,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Violation]:
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                kind = "global" if isinstance(node, ast.Global) else "nonlocal"
-                yield self.violation(
-                    ctx,
-                    node.lineno,
-                    node.col_offset,
-                    f"`{class_name}.key()` declares `{kind} "
-                    f"{', '.join(node.names)}`; mutable shared state makes "
-                    "the key impure — priorities are precomputed once at "
-                    "arrival, so later calls would diverge from the kernel "
-                    "path (declare `pure = False` if this is intended)",
-                )
-            elif isinstance(node, ast.Call):
-                why = self._impure_call(ctx, node)
-                if why is not None:
-                    yield self.violation(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"`{class_name}.key()` {why}; the kernel fast path "
-                        "precomputes priorities once per job, so an impure "
-                        "key silently diverges from it (make the key a "
-                        "function of (job, node) only, or declare "
-                        "`pure = False` to keep the heap path)",
-                    )
-
-    @staticmethod
-    def _impure_call(ctx: "FileContext", node: ast.Call) -> str | None:
-        """Why this call makes ``key()`` impure, or ``None``."""
-        dotted = ctx.dotted_name(node.func)
-        if dotted is not None:
-            if dotted == "random" or dotted.startswith("random."):
-                return f"draws from stdlib `{dotted}`"
-            if dotted.startswith("numpy.random."):
-                return f"draws from `{dotted}`"
-            if dotted in _WALL_CLOCK_CALLS:
-                return f"reads {_WALL_CLOCK_CALLS[dotted]} via `{dotted}`"
-            if dotted == "time.perf_counter" or dotted == "time.monotonic":
-                return f"reads the clock via `{dotted}`"
-            if dotted.startswith("secrets."):
-                return f"reads the OS entropy pool via `{dotted}`"
-        if isinstance(node.func, ast.Attribute):
-            parts = attribute_parts(node.func)
-            # The terminal part is the method name; an RNG-ish part anywhere
-            # in the chain (``self._rng.random()``, ``rng.integers(...)``)
-            # marks the call as a stream draw.
-            if parts is not None and any(_rng_part(p) for p in parts):
-                chain = ".".join(parts)
-                return f"draws from the RNG stream `{chain}`"
-        return None

@@ -3,16 +3,20 @@ RPR202 (no bare except), RPR203 (no mutable default arguments).
 
 ``build_csr`` and ``Instance.flat_graph`` return arrays with
 ``writeable=False`` because the engine shares them across schedulers and
-experiment sweeps. Writing through them raises at runtime *if* numpy
-catches it — but views and ufunc ``out=`` targets can slip past the flag,
-so RPR201 catches the write statically with a per-scope taint analysis:
-names bound from ``build_csr(...)`` / ``*.flat_graph`` (and attributes,
-slices, or unpacked elements of those names) are tainted; ``.copy()`` or
-any other call result clears the taint.
+experiment sweeps. Most writes through them raise at runtime — stores,
+views of them, ufunc ``out=`` targets — but ``np.subtract.at(frozen, idx,
+1)`` and the other ufunc ``.at`` methods write into a read-only array
+without raising and without flipping the flag, so the corruption goes
+unseen by the flag and by the engine's ``writable_arrays()`` backstop.
+RPR201 catches such writes statically with a per-scope taint analysis:
+names bound from ``build_csr(...)`` or from an attribute chain through
+``.flat_graph`` (and attributes, slices, or unpacked elements of those
+names) are tainted, and so is any such chain written in place;
+``.copy()`` or any other call result clears the taint.
 
-RPR201 is additionally *interprocedural*: when a tainted name is passed
-as an argument to a project-local function, the whole-program effect
-summaries (:mod:`repro.lint.summaries`) are consulted through
+RPR201 is additionally *interprocedural*: when a tainted expression is
+passed as an argument to a project-local function, the whole-program
+mutation summaries (:mod:`repro.lint.summaries`) are consulted through
 :meth:`FileContext.lookup_call` — if the callee (or anything it calls,
 transitively) writes through that parameter, the violation is reported at
 the offending call site with the full helper chain in the message.
@@ -26,7 +30,6 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 from ..callgraph import describe_call
 from ..model import Violation
 from ..registry import Rule, register_rule
-from .common import expression_root
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine import FileContext
@@ -70,19 +73,7 @@ class _ScopeScanner:
     # -- taint bookkeeping ------------------------------------------------
 
     def _value_is_tainted(self, expr: ast.expr) -> bool:
-        if _is_build_csr_call(self.ctx, expr):
-            return True
-        if isinstance(expr, ast.Attribute):
-            if expr.attr == "flat_graph":
-                return True
-            root = expression_root(expr)
-            return root is not None and root in self.tainted
-        if isinstance(expr, ast.Subscript):
-            root = expression_root(expr)
-            return root is not None and root in self.tainted
-        if isinstance(expr, ast.Name):
-            return expr.id in self.tainted
-        return False
+        return _is_build_csr_call(self.ctx, expr) or self._frozen(expr) is not None
 
     def _set_taint(self, name: str, tainted: bool) -> None:
         if tainted:
@@ -111,10 +102,21 @@ class _ScopeScanner:
 
     # -- violation checks -------------------------------------------------
 
-    def _rooted_tainted(self, expr: ast.expr) -> str | None:
-        root = expression_root(expr)
-        if root is not None and root in self.tainted:
-            return root
+    def _frozen(self, expr: ast.expr) -> str | None:
+        """``expr`` as written if it reaches a frozen array, else ``None``.
+
+        It does when its attribute/subscript chain passes through
+        ``.flat_graph`` or hangs off a tainted name. A call anywhere in the
+        chain ends it: ``.copy()`` and every other call result are fresh
+        values.
+        """
+        cur = expr
+        while isinstance(cur, (ast.Attribute, ast.Subscript)):
+            if isinstance(cur, ast.Attribute) and cur.attr == "flat_graph":
+                return ast.unparse(expr)
+            cur = cur.value
+        if isinstance(cur, ast.Name) and cur.id in self.tainted:
+            return ast.unparse(expr)
         return None
 
     def _flag(self, node: ast.AST, root: str, what: str) -> None:
@@ -123,15 +125,15 @@ class _ScopeScanner:
                 self.ctx,
                 getattr(node, "lineno", 1),
                 getattr(node, "col_offset", 0),
-                f"{what} `{root}`, which is bound from build_csr/flat_graph "
-                "and frozen (writeable=False); operate on a `.copy()`",
+                f"{what} `{root}`, which comes from build_csr/flat_graph "
+                "and is frozen (writeable=False); operate on a `.copy()`",
             )
         )
 
     def _check_call(self, call: ast.Call) -> None:
         func = call.func
         if isinstance(func, ast.Attribute):
-            root = self._rooted_tainted(func.value)
+            root = self._frozen(func.value)
             if root is not None:
                 if func.attr in _MUTATING_METHODS:
                     self._flag(call, root, f"in-place `.{func.attr}()` on")
@@ -139,23 +141,23 @@ class _ScopeScanner:
                     self._flag(call, root, "re-enabling writes via "
                                            "`.setflags(write=True)` on")
             if func.attr == "at" and call.args:
-                target_root = self._rooted_tainted(call.args[0])
+                target_root = self._frozen(call.args[0])
                 if target_root is not None:
                     self._flag(call, target_root, "in-place ufunc `.at()` on")
         for kw in call.keywords:
             if kw.arg == "out":
-                root = self._rooted_tainted(kw.value)
+                root = self._frozen(kw.value)
                 if root is not None:
                     self._flag(call, root, "ufunc `out=` writes into")
         self._check_helper_mutation(call)
 
     def _check_helper_mutation(self, call: ast.Call) -> None:
-        """Interprocedural leg: a tainted name passed to a project helper
+        """Interprocedural leg: a frozen array passed to a project helper
         that (transitively) writes through the matching parameter."""
         tainted_args = [
-            (pos, arg.id)
+            (pos, root)
             for pos, arg in enumerate(call.args)
-            if isinstance(arg, ast.Name) and arg.id in self.tainted
+            if (root := self._frozen(arg)) is not None
         ]
         if not tainted_args:
             return
@@ -181,8 +183,8 @@ class _ScopeScanner:
                     self.ctx,
                     call.lineno,
                     call.col_offset,
-                    f"passing `{root}`, which is bound from "
-                    "build_csr/flat_graph and frozen (writeable=False), to "
+                    f"passing `{root}`, which comes from build_csr/flat_graph "
+                    "and is frozen (writeable=False), to "
                     f"`{summary.qualname}`, which performs {hit.detail} "
                     f"`{hit.param_name}` "
                     f"(via {hit.route(summary.qualname)}, line {hit.line}); "
@@ -234,8 +236,8 @@ class _ScopeScanner:
             if isinstance(target, ast.Name):
                 if target.id in self.tainted:
                     self._flag(stmt, target.id, "augmented assignment to")
-            else:
-                root = self._rooted_tainted(target)
+            elif isinstance(target, (ast.Subscript, ast.Attribute)):
+                root = self._frozen(target.value)
                 if root is not None:
                     self._flag(stmt, root, "augmented assignment into")
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -278,8 +280,10 @@ class _ScopeScanner:
             self._check_expr(stmt)
 
     def _check_write_target(self, target: ast.expr) -> None:
+        # `x.flat_graph = g` rebinds an attribute; `x.flat_graph.a[0] = 1`
+        # and `frozen[0] = 1` write into the array the target hangs off.
         if isinstance(target, (ast.Subscript, ast.Attribute)):
-            root = self._rooted_tainted(target)
+            root = self._frozen(target.value)
             if root is not None:
                 self._flag(target, root, "assignment into")
 
@@ -292,7 +296,7 @@ class FrozenArrayWriteRule(Rule):
         "the CSR arrays from `build_csr` and `Instance.flat_graph` are "
         "shared across schedulers and frozen with writeable=False; writing "
         "through them (or views of them) either raises mid-run or, via "
-        "ufunc `out=` targets, silently corrupts every later run."
+        "ufunc `.at()` methods, silently corrupts every later run."
     )
     bad_example = """\
 def consume(instance):

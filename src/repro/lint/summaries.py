@@ -1,34 +1,26 @@
-"""Per-function effect summaries and their interprocedural propagation.
+"""Per-function mutation summaries and their interprocedural propagation.
 
-This is the analysis core behind the whole-program lint rules: for every
+This is the analysis core behind RPR201's interprocedural leg: for every
 function in the analyzed file set we compute a :class:`FunctionSummary`
-describing the *effects* the function performs — directly or through any
-chain of project-local calls:
+recording which positional parameters the function writes through in
+place (subscript/attribute stores, mutating method calls, ufunc
+``out=``/``.at()`` targets, ``setflags(write=True)``), directly or through
+any chain of project-local calls, by mapping arguments to parameters at
+each call site.
 
-* ``rng`` — draws randomness (stdlib ``random``, unseeded ``numpy.random``
-  module functions, or any RNG *stream* draw like ``self._rng.random()``);
-* ``clock`` — reads the wall clock or a monotonic timer;
-* ``env`` — reads OS entropy (``os.urandom``, ``secrets.*``, ``uuid``) or
-  environment variables;
-* ``global-state`` — rebinds module/global state (``global``/``nonlocal``);
-* ``unordered-iter`` — iterates a set or dict view (hash-order dependent);
-
-plus *parameter mutations*: which positional parameters the function
-writes through in place (subscript/attribute stores, mutating method
-calls, ufunc ``out=``/``.at()`` targets), again closed over helper calls
-by mapping arguments to parameters.
+The leg exists because ``writeable=False`` does not stop every write:
+``np.subtract.at(frozen, idx, 1)`` writes into a read-only array without
+raising and without flipping the flag, so neither the flag nor the
+engine's ``writable_arrays()`` backstop sees it. Static analysis is the
+only guard against such a write made two helpers away from the frozen
+array it receives.
 
 Every transitive record carries a witness ``path`` — the chain of
 fully-qualified callees from the summarized function down to the origin —
-so rule messages can name the route (``select -> pkg.helpers._jitter ->
-pkg.helpers._draw``). Summaries serialize to plain JSON for the
-incremental cache and hash to a stable :func:`summary_fingerprint`, which
-is what the engine uses to decide whether a dependent file must be
-re-analyzed.
-
-The shared "what is nondeterministic" tables live here (not in the rule
-modules) so both the per-file determinism rules and this interprocedural
-layer agree on them without import cycles.
+so rule messages can name the route (``release -> pkg.low.bump``).
+Summaries serialize to plain JSON for the incremental cache and hash to a
+stable :func:`summary_fingerprint`, which is what the engine uses to
+decide whether a dependent file must be re-analyzed.
 """
 
 from __future__ import annotations
@@ -36,8 +28,8 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .callgraph import (
     CallDesc,
@@ -49,58 +41,15 @@ from .callgraph import (
 )
 
 __all__ = [
-    "EffectRecord",
     "FunctionSummary",
     "MutationRecord",
-    "NUMPY_SEEDED_API",
-    "RNG_PART_NAMES",
     "SummaryTable",
-    "WALL_CLOCK_CALLS",
     "build_summaries",
     "extract_local",
     "extract_module",
     "project_from_sources",
-    "rng_part",
     "summary_fingerprint",
 ]
-
-#: numpy.random attributes that are explicitly-seeded constructors, not
-#: the hidden global-state convenience API.
-NUMPY_SEEDED_API = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-        "RandomState",
-    }
-)
-
-#: dotted call -> what it reads. ``time.perf_counter`` is the harness
-#: timer: allowed by RPR003, but still a ``clock`` effect here because the
-#: contract verifiers must know a priority path consults a timer.
-WALL_CLOCK_CALLS = {
-    "time.time": "the wall clock",
-    "time.time_ns": "the wall clock",
-    "datetime.datetime.now": "the wall clock",
-    "os.urandom": "the OS entropy pool",
-    "uuid.uuid1": "the host clock/MAC",
-    "uuid.uuid4": "the OS entropy pool",
-}
-
-#: Attribute-chain parts that mark an expression as an RNG stream
-#: (``self._rng.random()``, ``rng.integers(...)``).
-RNG_PART_NAMES = frozenset({"rng", "random"})
-
-
-def rng_part(name: str) -> bool:
-    return name in RNG_PART_NAMES or name.endswith("_rng") or name.startswith("rng_")
-
 
 #: Container methods that mutate their receiver in place. Includes both
 #: ndarray in-place methods and the list/dict/set mutators.
@@ -112,45 +61,6 @@ MUTATING_METHODS = frozenset(
         "add", "discard", "popitem", "setdefault", "reverse",  # containers
     }
 )
-
-
-@dataclass(frozen=True, order=True)
-class EffectRecord:
-    """One (possibly transitive) effect of a function.
-
-    ``path`` is the call chain from the summary's owner (exclusive) to the
-    function containing the origin (inclusive); empty for direct effects.
-    ``line`` is the origin's line *within its own file*.
-    """
-
-    kind: str  #: "rng" | "clock" | "env" | "global-state" | "unordered-iter"
-    detail: str  #: human description of the origin, e.g. "`numpy.random.rand`"
-    origin: str  #: qualname of the function containing the origin
-    line: int
-    path: tuple[str, ...] = ()
-
-    def route(self, start: str) -> str:
-        """``start -> a -> b`` display form of the witness chain."""
-        return " -> ".join((start, *self.path))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "origin": self.origin,
-            "line": self.line,
-            "path": list(self.path),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EffectRecord":
-        return cls(
-            kind=data["kind"],
-            detail=data["detail"],
-            origin=data["origin"],
-            line=data["line"],
-            path=tuple(data["path"]),
-        )
 
 
 @dataclass(frozen=True, order=True)
@@ -196,7 +106,8 @@ class CallSite:
     desc: CallDesc
     line: int
     #: caller-parameter-index -> callee-positional-index, for arguments
-    #: that are bare names of the caller's own parameters.
+    #: that are the caller's own parameters or attribute/subscript chains
+    #: off one.
     arg_params: tuple[tuple[int, int], ...] = ()
 
     def to_json(self) -> dict:
@@ -217,15 +128,11 @@ class CallSite:
 
 @dataclass
 class FunctionSummary:
-    """Effects and mutations of one function, local or transitively closed."""
+    """Parameter mutations of one function, local or transitively closed."""
 
     qualname: str
-    effects: tuple[EffectRecord, ...] = ()
     mutations: tuple[MutationRecord, ...] = ()
     calls: tuple[CallSite, ...] = ()
-
-    def effects_of_kind(self, *kinds: str) -> list[EffectRecord]:
-        return [e for e in self.effects if e.kind in kinds]
 
     def mutates_param(self, index: int) -> Optional[MutationRecord]:
         for record in self.mutations:
@@ -236,7 +143,6 @@ class FunctionSummary:
     def to_json(self) -> dict:
         return {
             "qualname": self.qualname,
-            "effects": [e.to_json() for e in self.effects],
             "mutations": [m.to_json() for m in self.mutations],
             "calls": [c.to_json() for c in self.calls],
         }
@@ -245,7 +151,6 @@ class FunctionSummary:
     def from_json(cls, data: dict) -> "FunctionSummary":
         return cls(
             qualname=data["qualname"],
-            effects=tuple(EffectRecord.from_json(e) for e in data["effects"]),
             mutations=tuple(MutationRecord.from_json(m) for m in data["mutations"]),
             calls=tuple(CallSite.from_json(c) for c in data["calls"]),
         )
@@ -254,15 +159,12 @@ class FunctionSummary:
 def summary_fingerprint(summary: FunctionSummary) -> str:
     """Stable content hash of a summary's *observable* part.
 
-    Call sites are excluded: two revisions whose transitive effects and
-    mutations agree are interchangeable for every consumer, even if the
-    internal call routing changed — that is what makes the findings cache
-    survive refactors that do not change behaviour summaries.
+    Call sites are excluded: two revisions whose transitive mutations
+    agree are interchangeable for every consumer, even if the internal
+    call routing changed — that is what makes the findings cache survive
+    refactors that do not change behaviour summaries.
     """
-    payload = {
-        "effects": [e.to_json() for e in sorted(summary.effects)],
-        "mutations": [m.to_json() for m in sorted(summary.mutations)],
-    }
+    payload = {"mutations": [m.to_json() for m in sorted(summary.mutations)]}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -272,88 +174,11 @@ def summary_fingerprint(summary: FunctionSummary) -> str:
 # ----------------------------------------------------------------------
 
 
-def _dotted_name(aliases: dict[str, str], node: ast.expr) -> Optional[str]:
-    parts: list[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(aliases.get(cur.id, cur.id))
-    return ".".join(reversed(parts))
-
-
-def _attribute_parts(node: ast.expr) -> Optional[list[str]]:
-    parts: list[str] = []
-    cur: ast.expr = node
-    while True:
-        if isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        elif isinstance(cur, ast.Subscript):
-            cur = cur.value
-        elif isinstance(cur, ast.Name):
-            parts.append(cur.id)
-            return list(reversed(parts))
-        else:
-            return None
-
-
 def _expression_root(node: ast.expr) -> Optional[str]:
     cur: ast.expr = node
     while isinstance(cur, (ast.Attribute, ast.Subscript)):
         cur = cur.value
     return cur.id if isinstance(cur, ast.Name) else None
-
-
-def _rng_effect(aliases: dict[str, str], call: ast.Call) -> Optional[str]:
-    """Why this call draws randomness, or ``None``."""
-    dotted = _dotted_name(aliases, call.func)
-    if dotted is not None:
-        if dotted == "random" or dotted.startswith("random."):
-            return f"`{dotted}` draws from stdlib global RNG state"
-        if dotted.startswith("numpy.random."):
-            attr = dotted.split(".")[2]
-            if attr not in NUMPY_SEEDED_API:
-                return f"`{dotted}` draws from numpy's global RNG"
-            return None
-    if isinstance(call.func, ast.Attribute):
-        parts = _attribute_parts(call.func)
-        if parts is not None and any(rng_part(p) for p in parts[:-1]):
-            return f"`{'.'.join(parts)}` draws from an RNG stream"
-    return None
-
-
-def _clock_env_effect(aliases: dict[str, str], call: ast.Call) -> Optional[tuple[str, str]]:
-    dotted = _dotted_name(aliases, call.func)
-    if dotted is None:
-        return None
-    if dotted in WALL_CLOCK_CALLS:
-        kind = "env" if "entropy" in WALL_CLOCK_CALLS[dotted] else "clock"
-        return kind, f"`{dotted}` reads {WALL_CLOCK_CALLS[dotted]}"
-    if dotted in ("time.perf_counter", "time.monotonic", "time.process_time"):
-        return "clock", f"`{dotted}` reads a process timer"
-    if dotted.startswith("secrets."):
-        return "env", f"`{dotted}` reads the OS entropy pool"
-    if dotted in ("os.getenv", "os.environ.get"):
-        return "env", f"`{dotted}` reads the process environment"
-    return None
-
-
-def _unordered_iter(node: ast.expr) -> Optional[str]:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set literal/comprehension"
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-            return f"a `{node.func.id}(...)` result"
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "values",
-            "keys",
-            "items",
-        ):
-            return f"a dict `.{node.func.attr}()` view"
-    return None
 
 
 def _requests_writeable(call: ast.Call) -> bool:
@@ -366,25 +191,17 @@ def _requests_writeable(call: ast.Call) -> bool:
 
 
 def extract_local(
-    info: FunctionInfo,
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    aliases: dict[str, str],
+    info: FunctionInfo, node: ast.FunctionDef | ast.AsyncFunctionDef
 ) -> FunctionSummary:
     """Intraprocedural summary of one function body.
 
     Nested function/class bodies are *included* (a closure defined and
-    called inside counts toward the enclosing function's effects — the
+    called inside counts toward the enclosing function's mutations — the
     over-approximation errs on the reporting side, which suits lint).
     """
-    effects: list[EffectRecord] = []
     mutations: dict[int, MutationRecord] = {}
     calls: list[CallSite] = []
     param_set = set(info.params)
-
-    def effect(kind: str, detail: str, line: int) -> None:
-        effects.append(
-            EffectRecord(kind=kind, detail=detail, origin=info.qualname, line=line)
-        )
 
     def mutate(name: str, detail: str, line: int) -> None:
         index = info.param_index(name)
@@ -399,27 +216,7 @@ def extract_local(
         )
 
     for sub in ast.walk(node):
-        if isinstance(sub, (ast.Global, ast.Nonlocal)):
-            kind = "global" if isinstance(sub, ast.Global) else "nonlocal"
-            effect(
-                "global-state",
-                f"`{kind} {', '.join(sub.names)}` rebinds shared state",
-                sub.lineno,
-            )
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            why = _unordered_iter(sub.iter)
-            if why is not None:
-                effect("unordered-iter", f"iterates {why}", sub.iter.lineno)
-        elif isinstance(sub, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
-            for comp in sub.generators:
-                why = _unordered_iter(comp.iter)
-                if why is not None:
-                    effect(
-                        "unordered-iter",
-                        f"iterates {why} in a comprehension",
-                        comp.iter.lineno,
-                    )
-        elif isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = (
                 sub.targets
                 if isinstance(sub, ast.Assign)
@@ -436,12 +233,6 @@ def extract_local(
                         )
                         mutate(root, what, target.lineno)
         elif isinstance(sub, ast.Call):
-            why_rng = _rng_effect(aliases, sub)
-            if why_rng is not None:
-                effect("rng", why_rng, sub.lineno)
-            clock_env = _clock_env_effect(aliases, sub)
-            if clock_env is not None:
-                effect(clock_env[0], clock_env[1], sub.lineno)
             # Receiver mutation: `p.sort()`, `p.setflags(write=True)`.
             func = sub.func
             if isinstance(func, ast.Attribute):
@@ -470,8 +261,11 @@ def extract_local(
             if desc is not None:
                 arg_params = []
                 for pos, arg in enumerate(sub.args):
-                    if isinstance(arg, ast.Name) and arg.id in param_set:
-                        caller_index = info.param_index(arg.id)
+                    # `helper(p)` and `helper(p.attr[i])` both hand the
+                    # callee something that writes reach `p` through.
+                    root = _expression_root(arg)
+                    if root is not None and root in param_set:
+                        caller_index = info.param_index(root)
                         if caller_index is not None:
                             arg_params.append((caller_index, pos))
                 calls.append(
@@ -484,7 +278,6 @@ def extract_local(
 
     return FunctionSummary(
         qualname=info.qualname,
-        effects=tuple(sorted(set(effects))),
         mutations=tuple(sorted(mutations.values())),
         calls=tuple(calls),
     )
@@ -501,7 +294,7 @@ def extract_module(
             local = f"{class_name}.{node.name}" if class_name else node.name
             fn = info.functions.get(local)
             if fn is not None:
-                out[fn.qualname] = extract_local(fn, node, info.aliases)
+                out[fn.qualname] = extract_local(fn, node)
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 visit(sub, node.name)
@@ -534,42 +327,6 @@ class SummaryTable:
     def get(self, qualname: str) -> Optional[FunctionSummary]:
         return self.summaries.get(qualname)
 
-    def resolve_call(
-        self, module: str, desc: CallDesc, class_name: Optional[str] = None
-    ) -> Optional[FunctionSummary]:
-        info = self.index.resolve_call(module, desc, class_name)
-        if info is None:
-            return None
-        return self.summaries.get(info.qualname)
-
-    def fingerprints(self, qualnames: Iterable[str]) -> dict[str, str]:
-        out = {}
-        for qualname in qualnames:
-            summary = self.summaries.get(qualname)
-            if summary is not None:
-                out[qualname] = summary_fingerprint(summary)
-        return out
-
-    def reachable_from(self, roots: Sequence[str]) -> set[str]:
-        """Every project function reachable from ``roots`` via call edges
-        (roots included)."""
-        seen: set[str] = set()
-        stack = [q for q in roots if q in self.summaries]
-        while stack:
-            qualname = stack.pop()
-            if qualname in seen:
-                continue
-            seen.add(qualname)
-            summary = self.summaries[qualname]
-            info = self.index.function(qualname)
-            class_name = info.class_name if info is not None else None
-            module = info.module if info is not None else ""
-            for call in summary.calls:
-                callee = self.index.resolve_call(module, call.desc, class_name)
-                if callee is not None and callee.qualname not in seen:
-                    stack.append(callee.qualname)
-        return seen
-
 
 def build_summaries(
     index: ProjectIndex,
@@ -577,10 +334,10 @@ def build_summaries(
 ) -> SummaryTable:
     """Close local summaries over the call graph (fixpoint iteration).
 
-    Effects propagate unconditionally caller <- callee; parameter
-    mutations propagate through the argument→parameter map recorded at
-    each call site. Cycles converge because the effect/mutation sets only
-    grow and witness paths are keyed by origin (first witness wins).
+    Parameter mutations propagate caller <- callee through the
+    argument→parameter map recorded at each call site. Cycles converge
+    because the mutation sets only grow and each parameter keeps its first
+    witness.
     """
     # Pre-resolve call edges once; resolution is pure table lookup.
     edges: dict[str, list[tuple[CallSite, str]]] = {}
@@ -603,28 +360,10 @@ def build_summaries(
         changed = False
         for qualname in sorted(closed):
             summary = closed[qualname]
-            # Keyed views for O(1) duplicate checks.
-            effect_keys = {(e.kind, e.origin, e.line) for e in summary.effects}
             mutated = {m.param for m in summary.mutations}
-            new_effects = list(summary.effects)
             new_mutations = list(summary.mutations)
             for call, callee_qualname in edges[qualname]:
                 callee = closed[callee_qualname]
-                for e in callee.effects:
-                    key = (e.kind, e.origin, e.line)
-                    if key in effect_keys:
-                        continue
-                    path = (callee_qualname, *e.path)[:_MAX_PATH]
-                    new_effects.append(
-                        EffectRecord(
-                            kind=e.kind,
-                            detail=e.detail,
-                            origin=e.origin,
-                            line=e.line,
-                            path=path,
-                        )
-                    )
-                    effect_keys.add(key)
                 for caller_param, callee_param in call.arg_params:
                     if caller_param in mutated:
                         continue
@@ -649,12 +388,9 @@ def build_summaries(
                         )
                     )
                     mutated.add(caller_param)
-            if len(new_effects) != len(summary.effects) or len(new_mutations) != len(
-                summary.mutations
-            ):
+            if len(new_mutations) != len(summary.mutations):
                 closed[qualname] = FunctionSummary(
                     qualname=qualname,
-                    effects=tuple(sorted(new_effects)),
                     mutations=tuple(sorted(new_mutations)),
                     calls=summary.calls,
                 )

@@ -3,7 +3,6 @@ the offline optimum/lower-bound solvers."""
 
 from .base import (
     ArbitraryTieBreak,
-    BucketReadyQueue,
     DepthTieBreak,
     LongestPathTieBreak,
     MostChildrenTieBreak,
@@ -11,7 +10,6 @@ from .base import (
     ReadyHeap,
     ReverseTieBreak,
     TieBreak,
-    make_ready_queue,
 )
 from .fifo import FIFOScheduler
 from .lpf import LPFScheduler, lpf_flow, lpf_schedule
@@ -46,8 +44,6 @@ __all__ = [
     "LongestPathTieBreak",
     "MostChildrenTieBreak",
     "ReadyHeap",
-    "BucketReadyQueue",
-    "make_ready_queue",
     "FIFOScheduler",
     "LPFScheduler",
     "lpf_schedule",

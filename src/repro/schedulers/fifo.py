@@ -16,18 +16,14 @@ Bookkeeping is O(log n) amortized per event: arrivals append (or
 job completions use lazy deletion with periodic compaction instead of an
 O(n) ``list.remove`` per finished job.
 
-Two vectorized layers sit on top (``docs/engine-internals.md``):
-
-* ready structures come from :func:`~repro.schedulers.base.make_ready_queue`
-  — a :class:`~repro.schedulers.base.BucketReadyQueue` whenever the
-  tie-break has a priority kernel, the pure-Python
-  :class:`~repro.schedulers.base.ReadyHeap` otherwise; and
-* :meth:`FIFOScheduler.frontier_priorities` hands the engine a flat kernel
-  over all jobs whenever the tie-break is pure and has one. That makes
-  FIFO a list rule: with no observer or fault injector attached the engine
-  runs the whole instance itself (forced and truncated steps alike, with
-  chain-run macro-steps on out-forests) and never dispatches the
-  scheduler.
+Each job's ready subjobs wait in a :class:`~repro.schedulers.base.ReadyHeap`
+ordered by the tie-break's ``key()``. When the tie-break has a priority
+kernel, :meth:`FIFOScheduler.frontier_priorities` hands the engine the
+kernels flattened over all jobs. That makes FIFO a list rule: with no
+observer or fault injector attached the engine runs the whole instance
+itself (forced and truncated steps alike, with chain-run macro-steps on
+out-forests) and never dispatches the scheduler
+(``docs/engine-internals.md``).
 """
 
 from __future__ import annotations
@@ -41,13 +37,7 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.simulator import Scheduler, Selection
 from ..core.util import Array
-from .base import (
-    ArbitraryTieBreak,
-    ReadyQueue,
-    TieBreak,
-    flat_priority_kernel,
-    make_ready_queue,
-)
+from .base import ArbitraryTieBreak, ReadyHeap, TieBreak, flat_priority_kernel
 
 __all__ = ["FIFOScheduler"]
 
@@ -73,7 +63,7 @@ class FIFOScheduler(Scheduler):
         self.tie_break = tie_break if tie_break is not None else ArbitraryTieBreak()
         self._seed = seed
         self.clairvoyant = self.tie_break.clairvoyant
-        self._heaps: list[Optional[ReadyQueue]] = []
+        self._heaps: list[Optional[ReadyHeap]] = []
         self._unfinished: list[int] = []
         self._n_finished = 0
         self._remaining: Array = np.empty(0, dtype=np.int64)
@@ -84,8 +74,8 @@ class FIFOScheduler(Scheduler):
 
     def frontier_priorities(self, instance: Instance) -> Optional[Array]:
         """Concatenated per-job priority kernels: FIFO's walk with this
-        tie-break as a list rule. ``None`` (dispatch every step) for an
-        impure tie-break or a custom ``key()``-only one."""
+        tie-break as a list rule. ``None`` (dispatch every step) for a
+        tie-break without a kernel."""
         return flat_priority_kernel(self.tie_break, instance)
 
     def reset(self, instance: Instance, m: int) -> None:
@@ -98,7 +88,7 @@ class FIFOScheduler(Scheduler):
         self._remaining = np.array([j.work for j in instance], dtype=np.int64)
 
     def on_job_arrival(self, t: int, job_id: int, job: Job) -> None:
-        self._heaps[job_id] = make_ready_queue(job, self.tie_break)
+        self._heaps[job_id] = ReadyHeap(job, self.tie_break)
         # Arrivals come in release order, which is id order except for
         # same-time ties — append when possible, insort otherwise.
         if not self._unfinished or job_id > self._unfinished[-1]:

@@ -20,8 +20,8 @@ state: remaining work is exactly the engine's authoritative per-job
 unfinished count. The scheduler therefore declares
 :attr:`~repro.core.Scheduler.dynamic_job_order` and hands the engine its
 walk (:meth:`~repro.core.Scheduler.fast_path_job_order`). With a
-:attr:`~repro.schedulers.base.TieBreak.pure` tie-break that has a priority
-kernel, :meth:`SRPTScheduler.frontier_priorities` returns the concatenated
+tie-break that has a priority kernel,
+:meth:`SRPTScheduler.frontier_priorities` returns the concatenated
 kernels and SRPT is a list rule: the engine recomputes the (remaining
 work, job id) walk each step from its own counts, commits whole frontiers
 along it, resolves mid-job truncations with the kernel, and macro-steps
@@ -30,11 +30,14 @@ because the walk key is monotone: committed jobs' remaining work only
 decreases while excluded jobs' stays constant, so the committed prefix
 cannot be overtaken inside a window.
 
-When the engine *does* dispatch (an impure or kernel-less tie-break, an
-observer, or a fault injector), :meth:`SRPTScheduler.select` walks jobs by
+When the engine *does* dispatch (a kernel-less tie-break, an observer,
+or a fault injector), :meth:`SRPTScheduler.select` walks jobs by
 (remaining work, id) over per-job
-:func:`~repro.schedulers.base.make_ready_queue` structures — FIFO's ready
-structure, which pops in exactly the kernel order when one exists.
+:class:`~repro.schedulers.base.ReadyHeap` structures ordered by the
+tie-break's ``key()``, FIFO's ready structure. A crash rebuild recounts
+each job's remaining work from the ready frontier the engine re-delivers
+(:meth:`SRPTScheduler.on_nodes_ready`), so the walk resumes where the
+crashed scheduler left it.
 """
 
 from __future__ import annotations
@@ -43,21 +46,35 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.dag import DAG
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.simulator import Scheduler, Selection
-from ..core.util import Array
-from .base import (
-    ArbitraryTieBreak,
-    ReadyQueue,
-    TieBreak,
-    flat_priority_kernel,
-    make_ready_queue,
-)
+from ..core.util import Array, csr_gather
+from .base import ArbitraryTieBreak, ReadyHeap, TieBreak, flat_priority_kernel
 
 __all__ = ["SRPTScheduler"]
 
 _INT = np.int64
+
+
+def _unfinished_work(dag: DAG, frontier: Array) -> int:
+    """Subjobs left in a job whose whole ready frontier is ``frontier``.
+
+    Every unfinished subjob descends from a ready one, and no descendant
+    of a ready subjob has run, so the count is the size of the frontier's
+    descendant closure. A fresh arrival's frontier is its roots, whose
+    closure is the whole DAG.
+    """
+    if np.array_equal(frontier, dag.roots):
+        return dag.work
+    seen = np.zeros(dag.n, dtype=bool)
+    fresh = frontier
+    while fresh.size:
+        seen[fresh] = True
+        children, _ = csr_gather(dag.child_indptr, dag.child_indices, fresh)
+        fresh = np.unique(children[~seen[children]])
+    return int(np.count_nonzero(seen))
 
 
 class SRPTScheduler(Scheduler):
@@ -82,7 +99,7 @@ class SRPTScheduler(Scheduler):
     ) -> None:
         self.tie_break = tie_break if tie_break is not None else ArbitraryTieBreak()
         self._seed = seed
-        self._heaps: list[Optional[ReadyQueue]] = []
+        self._heaps: list[Optional[ReadyHeap]] = []
         self._remaining: Array = np.empty(0, dtype=_INT)
         self._alive: list[int] = []
 
@@ -92,8 +109,8 @@ class SRPTScheduler(Scheduler):
 
     def frontier_priorities(self, instance: Instance) -> Optional[Array]:
         """Concatenated per-job priority kernels: SRPT's walk with this
-        tie-break as a list rule. ``None`` (dispatch every step) for an
-        impure tie-break or a custom ``key()``-only one."""
+        tie-break as a list rule. ``None`` (dispatch every step) for a
+        tie-break without a kernel."""
         return flat_priority_kernel(self.tie_break, instance)
 
     def fast_path_job_order(
@@ -108,16 +125,22 @@ class SRPTScheduler(Scheduler):
     def reset(self, instance: Instance, m: int) -> None:
         self.tie_break.reset(self._seed)
         self._heaps = [None] * len(instance)
-        self._remaining = np.array([j.work for j in instance], dtype=_INT)
+        self._remaining = np.zeros(len(instance), dtype=_INT)
         self._alive = []
 
     def on_job_arrival(self, t: int, job_id: int, job: Job) -> None:
-        self._heaps[job_id] = make_ready_queue(job, self.tie_break)
-        self._alive.append(job_id)
+        self._heaps[job_id] = ReadyHeap(job, self.tie_break)
 
     def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
         heap = self._heaps[job_id]
         assert heap is not None, "ready nodes for a job that never arrived"
+        if self._remaining[job_id] == 0:
+            # The job's first frontier since its arrival or a crash
+            # rebuild, which replays every released job and re-delivers
+            # each unfinished one's frontier: count its work from there.
+            # A replayed job that gets no frontier has finished.
+            self._remaining[job_id] = _unfinished_work(heap.job.dag, nodes)
+            self._alive.append(job_id)
         heap.push_all(nodes)
 
     def select(self, t: int, capacity: int) -> Selection:

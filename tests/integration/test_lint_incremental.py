@@ -13,22 +13,21 @@ from repro.lint.registry import RULES
 #: violating files; index-addressable so hypothesis can pick edit subsets.
 _FILES = {
     "pkg/__init__.py": "",
-    "pkg/rand_util.py": (
+    "pkg/low.py": (
         "import numpy as np\n"
-        "def draw():\n"
-        "    return np.random.rand()\n"
+        "def bump(counts, idx):\n"
+        "    np.subtract.at(counts, idx, 1)\n"
     ),
-    "pkg/helpers.py": (
-        "from .rand_util import draw\n"
-        "def jitter():\n"
-        "    return draw()\n"
+    "pkg/mid.py": (
+        "from .low import bump\n"
+        "def release(counts, kids):\n"
+        "    bump(counts, kids)\n"
     ),
-    "pkg/sched.py": (
-        "from repro.schedulers import TieBreak\n"
-        "from .helpers import jitter\n"
-        "class JitterTieBreak(TieBreak):\n"
-        "    def key(self, job, node):\n"
-        "        return (jitter(), node)\n"
+    "pkg/engine.py": (
+        "from . import mid\n"
+        "def step(instance, kids):\n"
+        "    flat = instance.flat_graph\n"
+        "    mid.release(flat.indegree, kids)\n"
     ),
     "pkg/clean.py": "def add(a, b):\n    return a + b\n",
     "pkg/sloppy.py": (
@@ -39,6 +38,9 @@ _FILES = {
         "        return None\n"
     ),
 }
+
+#: ``pkg/low.py`` with its write turned into a read.
+_READ_ONLY_LOW = "def bump(counts, idx):\n    return counts[idx] - 1\n"
 
 #: Replacement bodies an edit can swap in (index-addressable).
 _EDITS = [
@@ -75,16 +77,17 @@ def test_warm_run_is_byte_identical_and_reuses_cache(tmp_path):
 
 
 def test_editing_distant_helper_invalidates_dependents(tmp_path):
-    """sched.py never changes, but fixing the RNG read two modules away
-    must clear sched.py's cached RPR312 finding on the next warm run."""
+    """engine.py never changes, but making the write two modules away a
+    read must clear engine.py's cached RPR201 finding on the next warm
+    run."""
     pkg = _write_tree(tmp_path, _FILES)
     cache = tmp_path / "cache"
     cold = lint_paths([pkg], cache_dir=cache)
-    assert any(v.rule_id == "RPR312" for v in cold.violations)
+    assert any(v.rule_id == "RPR201" for v in cold.violations)
 
-    (pkg / "rand_util.py").write_text("def draw():\n    return 0.5\n")
+    (pkg / "low.py").write_text(_READ_ONLY_LOW)
     warm = lint_paths([pkg], cache_dir=cache)
-    assert not any(v.rule_id == "RPR312" for v in warm.violations)
+    assert not any(v.rule_id == "RPR201" for v in warm.violations)
     # And the invalidation is precise: the unrelated sloppy.py finding
     # came straight from cache and is still present.
     assert any(v.rule_id == "RPR202" for v in warm.violations)
@@ -92,17 +95,17 @@ def test_editing_distant_helper_invalidates_dependents(tmp_path):
 
 def test_breaking_a_helper_creates_findings_in_unchanged_files(tmp_path):
     files = dict(_FILES)
-    files["pkg/rand_util.py"] = "def draw():\n    return 0.5\n"
+    files["pkg/low.py"] = _READ_ONLY_LOW
     pkg = _write_tree(tmp_path, files)
     cache = tmp_path / "cache"
     cold = lint_paths([pkg], cache_dir=cache)
-    assert not any(v.rule_id == "RPR312" for v in cold.violations)
+    assert not any(v.rule_id == "RPR201" for v in cold.violations)
 
-    # Re-introduce the RNG read: the cached (clean) sched.py entry must
-    # be re-linted because its recorded summary dependency changed.
-    (pkg / "rand_util.py").write_text(_FILES["pkg/rand_util.py"])
+    # Re-introduce the write: the cached (clean) engine.py entry must be
+    # re-linted because its recorded summary dependency changed.
+    (pkg / "low.py").write_text(_FILES["pkg/low.py"])
     warm = lint_paths([pkg], cache_dir=cache)
-    assert any(v.rule_id == "RPR312" for v in warm.violations)
+    assert any(v.rule_id == "RPR201" for v in warm.violations)
 
 
 def test_cache_survives_syntax_errors(tmp_path):

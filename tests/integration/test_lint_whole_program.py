@@ -1,10 +1,12 @@
 """Whole-program lint: interprocedural findings across a fixture package.
 
-The acceptance fixture for the RPR31x family: a tie-break that stays
-``pure`` while its ``key()`` reaches an unseeded RNG read two helper calls
-deep, in *other modules*. No per-file rule can see the contradiction; the
-whole-program analyzer must flag it at the ``key()`` definition and name
-the full call chain in the message.
+The acceptance fixture for RPR201's interprocedural leg: ``engine.py``
+passes a frozen ``flat_graph`` array to ``mid.release``, which hands it to
+``low.bump``, which writes into it with ``np.subtract.at``. That write
+neither raises nor flips ``writeable=False``, so nothing at run time sees
+it. No single file shows the bug — each helper only writes its own
+parameter — so the whole-program analyzer must flag the call site in
+``engine.py`` and name the full helper chain in the message.
 """
 
 import json
@@ -19,32 +21,30 @@ def _write_fixture(root):
     pkg = root / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
-    # Hop 2: the actual unseeded RNG read.
-    (pkg / "rand_util.py").write_text(
+    # Hop 2: the actual in-place write.
+    (pkg / "low.py").write_text(
         "import numpy as np\n"
         "\n"
         "\n"
-        "def draw():\n"
-        "    return np.random.rand()\n"
+        "def bump(counts, idx):\n"
+        "    np.subtract.at(counts, idx, 1)\n"
     )
     # Hop 1: an innocent-looking forwarder in a second module.
-    (pkg / "helpers.py").write_text(
-        "from .rand_util import draw\n"
+    (pkg / "mid.py").write_text(
+        "from .low import bump\n"
         "\n"
         "\n"
-        "def jitter():\n"
-        "    return draw()\n"
+        "def release(counts, kids):\n"
+        "    bump(counts, kids)\n"
     )
-    # The implied purity contract, two modules away from the RNG read.
-    (pkg / "sched.py").write_text(
-        "from repro.schedulers import TieBreak\n"
-        "\n"
-        "from .helpers import jitter\n"
+    # The frozen array, two modules away from the write.
+    (pkg / "engine.py").write_text(
+        "from . import mid\n"
         "\n"
         "\n"
-        "class JitterTieBreak(TieBreak):\n"
-        "    def key(self, job, node):\n"
-        "        return (jitter(), node)\n"
+        "def step(instance, kids):\n"
+        "    flat = instance.flat_graph\n"
+        "    mid.release(flat.indegree, kids)\n"
     )
     return pkg
 
@@ -54,37 +54,41 @@ def fixture_pkg(tmp_path):
     return _write_fixture(tmp_path)
 
 
-def test_hidden_rng_two_calls_deep_fires_rpr312(fixture_pkg):
-    report = lint_paths([fixture_pkg], rules=[RULES["RPR312"]])
-    hits = [v for v in report.violations if v.rule_id == "RPR312"]
-    assert len(hits) == 1, [v.format() for v in report.violations]
-    (violation,) = hits
-    # Flagged at the tie-break's `key`, not at the distant RNG read.
-    assert violation.path.endswith("sched.py")
+def test_frozen_array_two_helpers_deep_fires_rpr201(fixture_pkg):
+    report = lint_paths([fixture_pkg], rules=[RULES["RPR201"]])
+    assert len(report.violations) == 1, [v.format() for v in report.violations]
+    (violation,) = report.violations
+    # Flagged at the call site, not at the distant write.
+    assert violation.path.endswith("engine.py")
+    assert violation.line == 6
+    assert "`flat.indegree`" in violation.message
     # The message names the complete helper chain.
-    assert (
-        "JitterTieBreak.key -> pkg.helpers.jitter -> pkg.rand_util.draw"
-        in violation.message
-    )
-    assert "pure = False" in violation.message
+    assert "via pkg.mid.release -> pkg.low.bump" in violation.message
+    assert "ufunc `.at()`" in violation.message
 
 
 def test_full_ruleset_flags_both_layers(fixture_pkg):
+    (fixture_pkg / "direct.py").write_text(
+        "import numpy as np\n"
+        "\n"
+        "\n"
+        "def settle(instance, kids):\n"
+        "    np.subtract.at(instance.flat_graph.indegree, kids, 1)\n"
+    )
     report = lint_paths([fixture_pkg])
-    by_rule = {}
-    for violation in report.violations:
-        by_rule.setdefault(violation.rule_id, []).append(violation)
-    # The distant read itself trips the per-file rule in rand_util.py ...
-    assert any(v.path.endswith("rand_util.py") for v in by_rule["RPR001"])
-    # ... and the contract contradiction is pinned to the scheduler.
-    assert any(v.path.endswith("sched.py") for v in by_rule["RPR312"])
+    flagged = {v.path.rsplit("/", 1)[-1] for v in report.violations}
+    # The per-scope taint sees the direct write in direct.py, the
+    # interprocedural leg the helper chain from engine.py; the helpers
+    # themselves only write their own parameters.
+    assert flagged == {"direct.py", "engine.py"}
+    assert {v.rule_id for v in report.violations} == {"RPR201"}
 
 
 def test_fixing_the_distant_helper_clears_the_finding(fixture_pkg):
-    (fixture_pkg / "rand_util.py").write_text(
-        "def draw():\n    return 0.5\n"
+    (fixture_pkg / "low.py").write_text(
+        "def bump(counts, idx):\n    return counts[idx] - 1\n"
     )
-    report = lint_paths([fixture_pkg], rules=[RULES["RPR312"]])
+    report = lint_paths([fixture_pkg], rules=[RULES["RPR201"]])
     assert report.violations == []
 
 
@@ -103,11 +107,11 @@ def test_serial_parallel_cached_reports_are_bit_identical(fixture_pkg, tmp_path)
 
 
 def test_restrict_reports_only_named_files(fixture_pkg):
-    sched = str(fixture_pkg / "sched.py")
-    report = lint_paths([fixture_pkg], restrict={sched})
+    engine = str(fixture_pkg / "engine.py")
+    report = lint_paths([fixture_pkg], restrict={engine})
     assert report.files_checked == 1
     assert report.violations, "whole-program finding lost under restrict"
-    assert all(v.path == sched for v in report.violations)
+    assert all(v.path == engine for v in report.violations)
     # The interprocedural finding survives scoping: the unchanged helper
     # modules still feed the call graph.
-    assert any(v.rule_id == "RPR312" for v in report.violations)
+    assert any(v.rule_id == "RPR201" for v in report.violations)

@@ -19,7 +19,13 @@ from repro.analysis.invariants import check_mc_busy, head_tail_shape
 from repro.core import Instance, Job, simulate
 from repro.core.simulator import _simulate_reference
 from repro.faults import FaultInjector, availability_suite
-from repro.schedulers import FIFOScheduler, LPFScheduler, lpf_schedule
+from repro.schedulers import (
+    FIFOScheduler,
+    LongestPathTieBreak,
+    LPFScheduler,
+    SRPTScheduler,
+    lpf_schedule,
+)
 from repro.workloads.random_trees import random_attachment_tree
 
 #: Machine sizes × random traces per size; together with the 7 adversarial
@@ -83,9 +89,17 @@ def test_engine_matches_reference_and_validates_under_every_trace(m):
         ), f"engine/reference divergence under trace {name!r} (m={m})"
 
 
+def _srpt():
+    return SRPTScheduler(LongestPathTieBreak())
+
+
 @pytest.mark.parametrize("m", (2, 5))
-@pytest.mark.parametrize("scheduler_cls", (FIFOScheduler, LPFScheduler))
-def test_injected_faults_keep_engines_bit_identical(m, scheduler_cls):
+@pytest.mark.parametrize(
+    "make_scheduler",
+    (FIFOScheduler, LPFScheduler, _srpt),
+    ids=("FIFOScheduler", "LPFScheduler", "SRPTScheduler"),
+)
+def test_injected_faults_keep_engines_bit_identical(m, make_scheduler):
     """Crash/restart plus perturbed delivery under adversarial traces: the
     run must still validate and the engines must still agree bit-for-bit
     (a subset of sizes keeps the quadratic-cost reference loop affordable;
@@ -100,13 +114,13 @@ def test_injected_faults_keep_engines_bit_identical(m, scheduler_cls):
             seed=1000 * m + i,
         )
         fast = simulate(
-            instance, m, scheduler_cls(),
+            instance, m, make_scheduler(),
             availability=trace, fault_injector=injector,
         )
         fast.validate()
         assert injector.crashes, f"no crash fired under {name!r}"
         ref = _simulate_reference(
-            instance, m, scheduler_cls(),
+            instance, m, make_scheduler(),
             availability=trace, fault_injector=injector,
         )
         assert all(

@@ -1,10 +1,14 @@
 """Runtime backstop for lint rule RPR201.
 
 The engine freezes the instance-level CSR (``Instance.flat_graph``) with
-``writeable=False``. Static analysis catches direct writes in this repo's
-own source; the backstop below catches writes smuggled in from anywhere
-else (user code, notebooks) at the next engine checkpoint. It is a plain
-``assert`` — active in development and CI, compiled out under ``python -O``.
+``writeable=False``. Static analysis catches writes in this repo's own
+source; the backstop below checks the flags at the next engine
+checkpoint, so it catches code anywhere else (user code, notebooks) that
+turns writes back on. It cannot see a ufunc ``.at`` write
+(``np.subtract.at(flat.indegree, idx, 1)``): NumPy 2.4 performs that on a
+read-only array without raising and leaves the flag False, so only RPR201
+guards against it. It is a plain ``assert`` — active in development and
+CI, compiled out under ``python -O``.
 """
 
 import numpy as np

@@ -1,5 +1,5 @@
-"""Unit tests for per-function effect summaries and their interprocedural
-closure (:mod:`repro.lint.summaries`)."""
+"""Unit tests for per-function mutation summaries and their
+interprocedural closure (:mod:`repro.lint.summaries`)."""
 
 import ast
 import textwrap
@@ -28,53 +28,6 @@ def _summary(table, qualname: str) -> FunctionSummary:
 # ----------------------------------------------------------------------
 # Local extraction
 # ----------------------------------------------------------------------
-
-
-class TestLocalEffects:
-    def test_rng_stream_draw(self):
-        table = _table(m="def f(rng):\n    return rng.random()\n")
-        (effect,) = _summary(table, "m.f").effects
-        assert effect.kind == "rng"
-        assert effect.path == ()
-
-    def test_numpy_global_rng_vs_seeded_api(self):
-        table = _table(
-            m=(
-                "import numpy as np\n"
-                "def bad():\n    return np.random.rand()\n"
-                "def good(seed):\n    return np.random.default_rng(seed)\n"
-            )
-        )
-        assert _summary(table, "m.bad").effects_of_kind("rng")
-        assert not _summary(table, "m.good").effects
-
-    def test_clock_and_env_reads(self):
-        table = _table(
-            m=(
-                "import time, os\n"
-                "def t():\n    return time.time()\n"
-                "def p():\n    return time.perf_counter()\n"
-                "def e():\n    return os.getenv('HOME')\n"
-            )
-        )
-        assert _summary(table, "m.t").effects_of_kind("clock")
-        assert _summary(table, "m.p").effects_of_kind("clock")
-        assert _summary(table, "m.e").effects_of_kind("env")
-
-    def test_global_statement_and_unordered_iter(self):
-        table = _table(
-            m=(
-                "def g():\n    global _n\n    _n += 1\n"
-                "def u(d):\n    return [k for k in d.keys()]\n"
-            )
-        )
-        assert _summary(table, "m.g").effects_of_kind("global-state")
-        assert _summary(table, "m.u").effects_of_kind("unordered-iter")
-
-    def test_pure_function_is_empty(self):
-        table = _table(m="def f(xs):\n    return sorted(xs)[0]\n")
-        summary = _summary(table, "m.f")
-        assert summary.effects == () and summary.mutations == ()
 
 
 class TestLocalMutations:
@@ -118,25 +71,29 @@ class TestLocalMutations:
 
 
 class TestPropagation:
-    def test_effect_crosses_modules_with_witness_path(self):
+    def test_mutation_crosses_modules_with_witness_path(self):
         table = _table(
-            helpers=(
-                "def _draw(rng):\n    return rng.random()\n"
-                "def _jitter(rng):\n    return _draw(rng)\n"
+            low=(
+                "import numpy as np\n"
+                "def bump(counts, idx):\n    np.subtract.at(counts, idx, 1)\n"
             ),
-            sched=(
-                "from helpers import _jitter\n"
-                "class S:\n"
-                "    def select(self, m):\n"
-                "        return _jitter(self._rng)\n"
+            mid=(
+                "from low import bump\n"
+                "def release(counts, kids):\n    bump(counts, kids)\n"
+            ),
+            engine=(
+                "import mid\n"
+                "class Engine:\n"
+                "    def step(self, flat, kids):\n"
+                "        mid.release(flat, kids)\n"
             ),
         )
-        summary = _summary(table, "sched.S.select")
-        (effect,) = summary.effects_of_kind("rng")
-        assert effect.origin == "helpers._draw"
-        assert effect.path == ("helpers._jitter", "helpers._draw")
-        assert effect.route("S.select") == (
-            "S.select -> helpers._jitter -> helpers._draw"
+        hit = _summary(table, "engine.Engine.step").mutates_param(1)
+        assert hit is not None
+        assert hit.origin == "low.bump"
+        assert hit.path == ("mid.release", "low.bump")
+        assert hit.route("Engine.step") == (
+            "Engine.step -> mid.release -> low.bump"
         )
 
     def test_mutation_propagates_through_argument_map(self):
@@ -154,31 +111,34 @@ class TestPropagation:
         assert hit.path == ("m.mid", "m.deep")
         assert outer.mutates_param(0) is None
 
+    def test_mutation_propagates_through_attribute_argument(self):
+        """``helper(p.attr)`` hands the callee an array owned by ``p``, so a
+        write in the callee is a write through ``p``."""
+        table = _table(
+            m=(
+                "def bump(counts):\n    counts.fill(0)\n"
+                "def release(flat):\n    bump(flat.indegree)\n"
+                "def peek(flat):\n    bump(flat.indegree.copy())\n"
+            )
+        )
+        hit = _summary(table, "m.release").mutates_param(0)
+        assert hit is not None and hit.path == ("m.bump",)
+        assert _summary(table, "m.peek").mutations == ()
+
     def test_recursive_cycle_converges(self):
         table = _table(
             m=(
-                "def a(rng):\n    return b(rng)\n"
-                "def b(rng):\n    return a(rng) + rng.random()\n"
+                "def a(x, n):\n    return b(x, n - 1)\n"
+                "def b(x, n):\n    x[n] = 0\n    return a(x, n) if n else None\n"
             )
         )
-        assert _summary(table, "m.a").effects_of_kind("rng")
-        assert _summary(table, "m.b").effects_of_kind("rng")
+        assert _summary(table, "m.a").mutates_param(0)
+        assert _summary(table, "m.b").mutates_param(0)
+        assert _summary(table, "m.a").mutates_param(1) is None
 
     def test_unresolved_external_calls_add_nothing(self):
         table = _table(m="import numpy as np\ndef f(x):\n    return np.sort(x)\n")
-        assert _summary(table, "m.f").effects == ()
-
-    def test_reachable_from(self):
-        table = _table(
-            m=(
-                "def leaf():\n    pass\n"
-                "def mid():\n    leaf()\n"
-                "def top():\n    mid()\n"
-                "def island():\n    pass\n"
-            )
-        )
-        reached = table.reachable_from(["m.top"])
-        assert reached == {"m.top", "m.mid", "m.leaf"}
+        assert _summary(table, "m.f").mutations == ()
 
 
 # ----------------------------------------------------------------------
@@ -188,31 +148,36 @@ class TestPropagation:
 
 class TestFingerprint:
     def test_stable_for_identical_summaries(self):
-        t1 = _table(m="def f(rng):\n    return rng.random()\n")
-        t2 = _table(m="def f(rng):\n    return rng.random()\n")
+        t1 = _table(m="def f(a):\n    a[0] = 1\n")
+        t2 = _table(m="def f(a):\n    a[0] = 1\n")
         assert summary_fingerprint(_summary(t1, "m.f")) == summary_fingerprint(
             _summary(t2, "m.f")
         )
 
-    def test_ignores_call_routing_but_not_effects(self):
-        # Same observable effects through different internal routing: the
+    def test_ignores_call_routing_but_not_mutations(self):
+        # Same observable mutations through different internal routing: the
         # fingerprint must agree (cache survives pure refactors) ...
-        direct = _table(h="def f(rng):\n    return rng.random()\n")
-        pure = _table(h="def f(xs):\n    return sorted(xs)\n")
-        changed = _table(h="import time\ndef f(rng):\n    return time.time()\n")
-        fp_direct = summary_fingerprint(_summary(direct, "h.f"))
-        fp_pure = summary_fingerprint(_summary(pure, "h.f"))
-        fp_changed = summary_fingerprint(_summary(changed, "h.f"))
-        # ... while different effects must disagree.
-        assert len({fp_direct, fp_pure, fp_changed}) == 3
+        direct = _table(h="def f(a):\n    a.fill(0)\n    g(a)\ndef g(b):\n    pass\n")
+        routed = _table(h="def f(a):\n    a.fill(0)\n    g()\ndef g():\n    pass\n")
+        assert summary_fingerprint(_summary(direct, "h.f")) == summary_fingerprint(
+            _summary(routed, "h.f")
+        )
+        # ... while different mutations must disagree.
+        read_only = _table(h="def f(a):\n    return sorted(a)\n")
+        other_param = _table(h="def f(b, a):\n    a.fill(0)\n")
+        fingerprints = {
+            summary_fingerprint(_summary(table, "h.f"))
+            for table in (direct, read_only, other_param)
+        }
+        assert len(fingerprints) == 3
 
     def test_round_trip_preserves_fingerprint(self):
         table = _table(
-            m="def f(rng, out):\n    out[0] = rng.random()\n"
+            m="def g(z):\n    z[0] = 1\ndef f(a, out):\n    g(out)\n"
         )
         summary = _summary(table, "m.f")
+        assert summary.mutates_param(1)
         clone = FunctionSummary.from_json(summary.to_json())
         assert summary_fingerprint(clone) == summary_fingerprint(summary)
-        assert clone.effects == summary.effects
         assert clone.mutations == summary.mutations
         assert clone.calls == summary.calls

@@ -3,15 +3,17 @@
 SRPT's (remaining work, job id) walk is a pure function of the engine's
 own unfinished counts (``dynamic_job_order``), so with a kernel tie-break
 the engine recomputes it per step and never dispatches ``select``. With an
-observer attached the engine dispatches SRPT's one ``select`` path instead.
-Everything here is checked bit-identical against ``_simulate_reference``.
+observer attached the engine dispatches SRPT's one ``select`` path instead,
+and a fault injector's crash rebuilds the scheduler mid-run. Everything
+here is checked bit-identical against ``_simulate_reference``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DAG, Instance, Job, SimulationObserver, simulate
+from repro.core import DAG, Instance, Job, SimulationObserver, chain, simulate
 from repro.core.simulator import _simulate_reference
+from repro.faults import FaultInjector
 from repro.schedulers.base import (
     ArbitraryTieBreak,
     DepthTieBreak,
@@ -72,7 +74,7 @@ def test_contract_declared_only_on_kernel_path():
 
     random_tb = SRPTScheduler(RandomTieBreak(7), seed=7)
     random_tb.reset(inst, 4)
-    assert random_tb.frontier_priorities(inst) is None  # impure tie-break
+    assert random_tb.frontier_priorities(inst) is None  # no kernel
 
 
 @pytest.mark.parametrize(
@@ -138,3 +140,40 @@ def test_fast_path_job_order_is_srpt_order():
     s = SRPTScheduler()
     unfinished = np.array([5, 3, 3, 9], dtype=np.int64)
     assert s.fast_path_job_order([0, 1, 2, 3], unfinished) == [1, 2, 0, 3]
+
+
+ENGINES = pytest.mark.parametrize(
+    "engine", [simulate, _simulate_reference], ids=["simulate", "reference"]
+)
+
+
+@ENGINES
+def test_crash_rebuild_keeps_remaining_work(engine):
+    """A rebuild recounts each job's remaining work from its re-delivered
+    frontier. Restarting from full work would rank the 10-chain (4 left at
+    t=5) behind the fresh 6-chain and stretch its flow from 11 to 16."""
+    inst = Instance([Job(chain(10), 0), Job(chain(6), 5)])
+    plain = engine(inst, 1, SRPTScheduler())
+    crashes = FaultInjector(crash_times=(5,))
+    crashed = engine(inst, 1, SRPTScheduler(), fault_injector=crashes)
+    assert crashes.crashes == [5]
+    _assert_identical(crashed, plain)
+    assert crashed.max_flow == 11
+
+
+@ENGINES
+@pytest.mark.parametrize(
+    "tie_break", [ArbitraryTieBreak, DepthTieBreak, LongestPathTieBreak]
+)
+def test_crash_only_runs_equal_the_uncrashed_schedule(engine, tie_break):
+    """Crashes without delivery perturbation change nothing SRPT decides:
+    finished jobs stay finished and unfinished ones keep their rank."""
+    for seed in range(4):
+        inst = _stream(seed, n_jobs=6, n=60)
+        plain = simulate(inst, 3, SRPTScheduler(tie_break()))
+        crashes = FaultInjector(crash_times=(4, 9, 17, 30))
+        crashed = engine(
+            inst, 3, SRPTScheduler(tie_break()), fault_injector=crashes
+        )
+        assert crashes.crashes, f"no crash fired (seed {seed})"
+        _assert_identical(crashed, plain)

@@ -78,6 +78,12 @@ def _bench_srpt_irregular():
     return _irregular_stream(), (lambda: SRPTScheduler()), 16
 
 
+def _bench_fifo_random_irregular():
+    from repro.schedulers import FIFOScheduler, RandomTieBreak
+
+    return _irregular_stream(), (lambda: FIFOScheduler(RandomTieBreak(seed=0))), 16
+
+
 def _bench_worksteal_irregular():
     from repro.schedulers import WorkStealingScheduler
 
@@ -135,6 +141,7 @@ MICROBENCHES = {
     "lpf_on_irregular_trees": _bench_lpf_irregular,
     "mc_on_irregular_trees": _bench_mc_irregular,
     "srpt_on_irregular_trees": _bench_srpt_irregular,
+    "fifo_random_on_irregular_trees": _bench_fifo_random_irregular,
     "worksteal_on_irregular_trees": _bench_worksteal_irregular,
     "fifo_on_parallel_chains": _bench_fifo_parallel_chains,
     "lpf_on_spider_legs": _bench_lpf_spider_legs,

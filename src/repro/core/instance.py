@@ -131,8 +131,9 @@ class FlatInstanceGraph:
         """Names of CSR arrays that have (wrongly) become writeable.
 
         The engine freezes all four arrays with ``writeable=False``; the
-        debug-mode checkpoints in ``Schedule``/``EngineState`` assert this
-        list is empty (the runtime backstop for lint rule RPR201).
+        debug-mode checkpoints in ``Schedule`` and the engine's list-rule
+        entry assert this list is empty (the runtime backstop for lint
+        rule RPR201).
         """
         fields = ("offsets", "child_indptr", "child_indices", "indegree")
         return [

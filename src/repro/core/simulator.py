@@ -16,36 +16,33 @@ against its own ready state, so a buggy scheduler raises
 schedule. (Resulting :class:`~repro.core.schedule.Schedule` objects can be
 re-validated independently via ``Schedule.validate``.)
 
-Vectorized frontier engine
---------------------------
+Two ways to run a step
+----------------------
 
-Internally the engine works on the *flattened* instance graph
-(:attr:`~repro.core.instance.Instance.flat_graph`): all jobs share one
-global node-id space, readiness is a boolean frontier mask, and applying a
-selection is a handful of batched NumPy kernels (bulk completion-time
-writes, a CSR child gather, ``np.subtract.at`` indegree decrements) instead
-of one Python iteration per subjob. Selections below
-:data:`_SCALAR_THRESHOLD` nodes take a scalar path — for tiny steps the
-fixed cost of array dispatch exceeds the loop it replaces.
+The *dispatch loop* (:func:`_dispatch_loop`) is that model written out one
+node at a time: per-job ready sets and remaining indegrees, a ``select``
+call per step, and each selected subjob applied and its children walked
+in Python. It serves every scheduler that is not a list rule (Algorithm 𝒜,
+work stealing, round robin, random tie-breaks) and every run with an
+observer or a fault injector attached. :func:`_simulate_reference`, the
+oracle the equivalence suites compare against, runs the same loop for
+every scheduler.
 
-On top of that sits the *list-rule path*. FIFO, LPF and SRPT are list
-rules: they walk released jobs by a job key and take each job's ready
-subjobs by a per-node priority. A scheduler says so with one method,
-:meth:`Scheduler.frontier_priorities`; when it returns an array and no
-observer or fault injector is attached, the engine runs the whole instance
-itself on per-job frontier arrays and never dispatches the scheduler.
-Each step commits whole frontiers along the job walk and resolves a
-mid-job truncation as a prefix of the truncated job's priority-sorted
-frontier. Schedules are bit-identical to the reference per-node loop (kept
-as :func:`_simulate_reference` and enforced by the differential-equivalence
-tests).
-
-On chain-heavy out-forest instances the list-rule path additionally
-*macro-steps*: using the precomputed chain-run decomposition
-(:attr:`~repro.core.instance.Instance.chain_layout`) it detects that a
-forced selection will repeat verbatim for the next Δt steps and commits
-all Δt schedule columns in one vectorized write (see
-``docs/engine-internals.md``).
+FIFO, LPF and SRPT are *list rules*: they walk released jobs by a job key
+and take each job's ready subjobs by a per-node priority. A scheduler says
+so with one method, :meth:`Scheduler.frontier_priorities`; when it returns
+an array and no observer or fault injector is attached, the engine runs the
+whole instance itself on the flattened instance graph
+(:attr:`~repro.core.instance.Instance.flat_graph`) with per-job frontier
+arrays and never dispatches the scheduler. Each step commits whole
+frontiers along the job walk and resolves a mid-job truncation as a prefix
+of the truncated job's priority-sorted frontier. On chain-heavy out-forest
+instances it additionally *macro-steps*: using the precomputed chain-run
+decomposition (:attr:`~repro.core.instance.Instance.chain_layout`) it
+detects that a forced selection will repeat verbatim for the next Δt steps
+and commits all Δt schedule columns in one vectorized write (see
+``docs/engine-internals.md``). Its schedules are held bit-identical to the
+dispatch loop by the differential-equivalence tests.
 
 Per-run counters are collected in :class:`EngineStats` (attached to the
 returned schedule as ``schedule.engine_stats``) and accumulated process-wide
@@ -55,9 +52,9 @@ returned schedule as ``schedule.engine_stats``) and accumulated process-wide
 from __future__ import annotations
 
 import abc
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
@@ -85,16 +82,8 @@ __all__ = [
 
 _INT = np.int64
 
-#: Selections smaller than this are applied by a scalar loop; the NumPy
-#: batch path's fixed dispatch cost only pays off for wider steps.
-_SCALAR_THRESHOLD = 8
-
-#: A scheduler selection: ``(job_id, node)`` pairs, either as a Python
-#: sequence of tuples or as a ``(k, 2)`` integer array (which the batched
-#: apply path consumes without a per-pair conversion round-trip). A 1-D
-#: integer array is also accepted and read as *flat gids* over the
-#: instance CSR (``offsets[job] + node``) — the cheapest form for
-#: schedulers that already work in gid space (e.g. work stealing).
+#: A scheduler selection: a sequence of ``(job_id, node)`` integer pairs.
+#: A ``(k, 2)`` integer array iterates as one.
 Selection = Sequence[tuple[int, int]] | Array
 
 
@@ -106,8 +95,8 @@ class Scheduler(abc.ABC):
     array the scheduler is a *list rule*: the engine runs the whole
     instance itself and calls nothing else on it. Otherwise, at each time
     step the engine calls ``on_job_arrival`` for jobs with ``r_i == t``,
-    ``on_nodes_ready`` (or ``on_ready_gids``) for subjobs that became
-    ready at ``t``, and finally ``select``.
+    ``on_nodes_ready`` for subjobs that became ready at ``t``, and finally
+    ``select``.
     """
 
     #: Whether the policy inspects job DAGs beyond what a non-clairvoyant
@@ -126,20 +115,6 @@ class Scheduler(abc.ABC):
     #: committed prefix then cannot be overtaken mid-window.
     #: :func:`simulate_batch` runs only FIFO walks in lockstep.
     dynamic_job_order: bool = False
-
-    #: Opt-in to flat ready delivery: when True (and no observer is
-    #: attached) the engine calls :meth:`on_ready_gids` with ascending
-    #: *global* node ids instead of grouping newly-ready nodes per job for
-    #: :meth:`on_nodes_ready` — skipping a searchsorted/unique pass per
-    #: step for schedulers (e.g. work stealing) that do not care about job
-    #: identity. Opting in requires implementing BOTH callbacks: observer
-    #: runs still use the per-job form.
-    wants_ready_gids: bool = False
-
-    def on_ready_gids(self, t: int, gids: Array) -> None:
-        """``gids`` (ascending global node ids spanning any number of jobs)
-        became ready at time ``t``. Only called when
-        :attr:`wants_ready_gids` is True."""
 
     def fast_path_job_order(
         self, jobs: list[int], unfinished: Array
@@ -183,21 +158,22 @@ class Scheduler(abc.ABC):
         """Job ``job_id`` was released at time ``t``."""
 
     def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
-        """``nodes`` of job ``job_id`` became ready at time ``t``.
+        """``nodes`` (ascending local ids) of job ``job_id`` became ready
+        at time ``t``.
 
         For a job arriving at ``t`` this is called (after
         :meth:`on_job_arrival`) with the DAG's roots; afterwards it is called
-        with subjobs whose last predecessor completed at ``t``. A crash
-        rebuild (:meth:`FaultHooks.should_crash`) calls :meth:`reset`,
-        replays :meth:`on_job_arrival` for every released job, and then
-        calls this once per unfinished job with its whole ready frontier.
+        with subjobs whose last predecessor completed at ``t``, one call per
+        job. A crash rebuild (:meth:`FaultHooks.should_crash`) calls
+        :meth:`reset`, replays :meth:`on_job_arrival` for every released
+        job, and then calls this once per unfinished job with its whole
+        ready frontier.
         """
 
     @abc.abstractmethod
     def select(self, t: int, capacity: int) -> Selection:
         """Return up to ``capacity`` ready subjobs to run during
-        ``(t, t+1]`` — ``(job_id, node_id)`` pairs (sequence of tuples or a
-        ``(k, 2)`` integer array), or a 1-D integer array of flat gids."""
+        ``(t, t+1]`` as ``(job_id, node_id)`` integer pairs."""
 
     @property
     def name(self) -> str:
@@ -207,13 +183,15 @@ class Scheduler(abc.ABC):
 class SimulationObserver:
     """Optional per-step callback hook (used by analyses that need online
     state, e.g. measuring ready-set sizes over time). Passing an observer
-    disables the list-rule path so every step is observed with its
-    selection."""
+    sends every step through the dispatch loop, so each is observed with
+    its selection."""
 
     def on_step(
         self, t: int, selection: Selection, state: "EngineState"
     ) -> None:  # pragma: no cover - default no-op
-        pass
+        """Step ``t`` applied ``selection``. ``state`` is already past the
+        step: the selected subjobs are done and the subjobs they enabled
+        are ready."""
 
 
 class FaultHooks(Protocol):
@@ -221,16 +199,14 @@ class FaultHooks(Protocol):
 
     The concrete implementation (:class:`repro.faults.FaultInjector`) lives
     outside the engine so the core never depends on workload/randomness
-    plumbing; any object with this shape works. Attaching one disables the
-    list-rule path (every step must be observable for the hooks to
-    fire deterministically) and flat-gid ready delivery (perturbation is
-    defined on per-job delivery groups).
+    plumbing; any object with this shape works. Attaching one sends the
+    run through the dispatch loop (every step must be dispatched for the
+    hooks to fire deterministically).
 
-    Determinism contract: :func:`simulate` and the reference loop call the
-    hooks in exactly the same sequence — ``begin_run`` once, then per
-    dispatch step ``should_crash(t)`` and (when the step enabled at least
-    one delivery group) ``delivery_order(t, n_groups)`` — so one seeded
-    injector drives bit-identical runs on both engines.
+    Call order: ``begin_run`` once, then per dispatch step
+    ``should_crash(t)`` and (when the step enabled at least one delivery
+    group) ``delivery_order(t, n_groups)``, so one seeded injector drives
+    the same faults on every run it is attached to.
     """
 
     def begin_run(self) -> None:
@@ -252,8 +228,8 @@ class EngineStats:
     Attributes
     ----------
     steps:
-        Time steps on which work was committed (list-rule or dispatch
-        path).
+        Time steps on which work was committed (list-rule path or
+        dispatch loop).
     fast_forwarded_steps:
         Steps committed by the engine itself on the list-rule path (see
         :meth:`Scheduler.frontier_priorities`), without a ``select``
@@ -273,7 +249,7 @@ class EngineStats:
     selections:
         Subjobs scheduled in total.
     select_calls:
-        Scheduler ``select`` dispatches (dispatch-path steps).
+        Scheduler ``select`` dispatches (dispatch-loop steps).
     resyncs:
         Always 0. The engine picks its path once per run and never
         hands a run back to the scheduler mid-way; the field stays only
@@ -521,146 +497,60 @@ def accumulate_engine_stats(stats: EngineStats) -> None:
 
 
 class EngineState:
-    """Mutable execution state, exposed read-only to observers.
+    """The dispatch loop's execution state, exposed read-only to observers.
 
-    Backed by flat instance-level arrays (see
-    :attr:`~repro.core.instance.Instance.flat_graph`); the per-job accessors
-    below are views into (or materializations of) the same memory.
+    Per job: the set of ready subjobs (local node ids), the remaining
+    indegree of every subjob, the count of unfinished subjobs, and whether
+    the job has been released.
     """
 
     def __init__(self, instance: Instance, m: int) -> None:
         self.instance = instance
         self.m = m
-        flat = instance.flat_graph
-        # Debug backstop for lint rule RPR201 (compiled out under -O): the
-        # shared CSR must still be frozen when a run starts.
-        assert not flat.writable_arrays(), (
-            "Instance.flat_graph arrays have lost writeable=False; "
-            "something wrote through the shared CSR (see lint rule RPR201)"
-        )
-        n = flat.n_nodes
-        self.offsets = flat.offsets
-        self.indegree_flat = flat.indegree.copy()
-        self.done_flat = np.zeros(n, dtype=bool)
-        self.ready_mask = np.zeros(n, dtype=bool)
-        self.completion_flat = np.zeros(n, dtype=_INT)
-        self.unfinished_counts = np.diff(flat.offsets)
-        self.ready_per_job = np.zeros(len(instance), dtype=_INT)
-        self.released = np.zeros(len(instance), dtype=bool)
-
-    # -- per-job accessors (compatibility with the per-job layout) --------
-
-    @cached_property
-    def remaining_indegree(self) -> list[Array]:
-        """Per-job views of the live indegree array (shared memory)."""
-        o = self.offsets
-        return [self.indegree_flat[o[i] : o[i + 1]] for i in range(len(o) - 1)]
-
-    @cached_property
-    def done(self) -> list[Array]:
-        """Per-job views of the live completion mask (shared memory)."""
-        o = self.offsets
-        return [self.done_flat[o[i] : o[i + 1]] for i in range(len(o) - 1)]
-
-    @property
-    def ready(self) -> list[set[int]]:
-        """Per-job ready sets, materialized from the frontier mask."""
-        o = self.offsets
-        return [
-            set(np.nonzero(self.ready_mask[o[i] : o[i + 1]])[0].tolist())
-            for i in range(len(o) - 1)
+        self.ready_sets: list[set[int]] = [set() for _ in instance]
+        self.remaining_indegree: list[list[int]] = [
+            job.dag.indegree.tolist() for job in instance
         ]
+        self.unfinished_counts: list[int] = [job.dag.n for job in instance]
+        self.released: list[bool] = [False] * len(instance)
 
     def ready_nodes(self, job_id: int) -> Array:
         """Ready subjobs of ``job_id`` as ascending local node ids."""
-        lo, hi = self.offsets[job_id], self.offsets[job_id + 1]
-        return np.nonzero(self.ready_mask[lo:hi])[0]
-
-    # -- aggregates -------------------------------------------------------
+        return np.array(sorted(self.ready_sets[job_id]), dtype=_INT)
 
     @property
     def total_unfinished(self) -> int:
-        return int(self.unfinished_counts.sum())
+        return sum(self.unfinished_counts)
 
     def ready_count(self) -> int:
-        return int(np.count_nonzero(self.ready_mask))
+        return sum(len(ready) for ready in self.ready_sets)
 
     def unfinished_job_ids(self) -> list[int]:
-        return [i for i in range(len(self.instance)) if self.unfinished_counts[i] > 0]
+        return [i for i, left in enumerate(self.unfinished_counts) if left > 0]
 
 
-def _pairs_from_gids(offsets: Array, gids: Array) -> list[tuple[int, int]]:
-    """Decode a flat-gid selection into (job, local node) pairs.
-
-    Cold paths only (scalar steps, error diagnosis, observer delivery).
-    Out-of-range gids decode to out-of-range pairs, which the pairwise
-    validation then rejects with its usual diagnosis.
-    """
-    js = np.searchsorted(offsets, gids, side="right") - 1
-    nodes = gids - offsets[js]
-    return [(int(a), int(b)) for a, b in zip(js.tolist(), nodes.tolist())]
-
-
-def _selection_error(
-    selection: list[tuple[int, int]],
-    index: int,
-    state: EngineState,
-    t: int,
-    scheduler: "Scheduler",
-) -> SchedulerProtocolError:
-    """Diagnose why ``selection[index]`` was illegal (cold path)."""
-    job_id, node = selection[index]
-    if not (0 <= job_id < len(state.instance)):
-        return SchedulerProtocolError(
-            f"{scheduler.name} selected unknown job {job_id} at t={t}"
-        )
-    if (job_id, node) in selection[:index]:
-        return SchedulerProtocolError(
-            f"{scheduler.name} selected ({job_id},{node}) twice at t={t}"
-        )
-    return SchedulerProtocolError(
-        f"{scheduler.name} selected non-ready subjob ({job_id},{node}) at t={t}"
+def _check_run(
+    instance: Instance,
+    m: int,
+    availability: Optional[AvailabilityLike],
+    max_steps: Optional[int],
+) -> tuple[Optional[AvailabilityTrace], int]:
+    """Validate a run's arguments: its availability trace (``None`` for a
+    constant ``m``) and its livelock bound."""
+    if m <= 0:
+        raise ConfigurationError("m must be positive")
+    trace: Optional[AvailabilityTrace] = (
+        None if availability is None else as_trace(availability, m)
     )
-
-
-def _diagnose_selection(
-    selection: list[tuple[int, int]],
-    state: EngineState,
-    t: int,
-    scheduler: "Scheduler",
-) -> SchedulerProtocolError:
-    """Find the first illegal entry of a rejected batch (cold path).
-
-    Mirrors the reference engine's scan order so error messages are
-    identical: entries are checked in order against the authoritative
-    ready state, with earlier entries already applied conceptually.
-    """
-    offsets = state.offsets
-    n_jobs = len(state.instance)
-    accepted: set[tuple[int, int]] = set()
-    for index, pair in enumerate(selection):
-        job_id, node = pair
-        try:
-            in_range = 0 <= job_id < n_jobs
-        except TypeError:
-            return _selection_error(selection, index, state, t, scheduler)
-        legal = False
-        if in_range:
-            try:
-                gid = offsets[job_id] + node
-                legal = (
-                    0 <= node < offsets[job_id + 1] - offsets[job_id]
-                    and bool(state.ready_mask[gid])
-                    and (job_id, node) not in accepted
-                )
-            except (TypeError, IndexError):
-                legal = False
-        if not legal:
-            return _selection_error(selection, index, state, t, scheduler)
-        accepted.add((job_id, node))
-    return SchedulerProtocolError(
-        f"{scheduler.name} produced an unappliable selection at t={t}"
-    )
+    if max_steps is None:
+        total_span = sum(j.span for j in instance)
+        max_steps = instance.horizon_hint + total_span + 16
+        if trace is not None:
+            # Zero-capacity steps stall progress; past the explicit prefix
+            # the tail (>= 1) guarantees motion, so pad the livelock bound
+            # by the prefix plus a serial drain of all work on the tail.
+            max_steps += trace.horizon + instance.total_work
+    return trace, max_steps
 
 
 def simulate(
@@ -675,6 +565,11 @@ def simulate(
 ) -> Schedule:
     """Run ``scheduler`` on ``instance`` with ``m`` processors to completion.
 
+    A list rule (:meth:`Scheduler.frontier_priorities` returns an array)
+    with no observer or fault injector is run by the engine alone; every
+    other run goes through the dispatch loop, one ``select`` per step (see
+    the module docstring). The two give bit-identical schedules.
+
     Parameters
     ----------
     max_steps:
@@ -686,7 +581,7 @@ def simulate(
         scheduler).
     observer:
         Optional hook receiving ``(t, selection, state)`` after each step.
-        Supplying one disables the list-rule path (every step is observed).
+        Supplying one sends the run through the dispatch loop.
     availability:
         Optional fluctuating allocation: an
         :class:`~repro.core.availability.AvailabilityTrace` (or plain
@@ -698,8 +593,8 @@ def simulate(
         Optional :class:`FaultHooks` (see :class:`repro.faults.
         FaultInjector`): may kill/restart the scheduler mid-run (the engine
         rebuilds its state from the committed prefix) and perturb ready
-        delivery group order. Attaching one disables the list-rule path
-        and flat-gid delivery so both engines drive the hooks identically.
+        delivery group order. Supplying one sends the run through the
+        dispatch loop.
 
     Returns
     -------
@@ -708,27 +603,56 @@ def simulate(
         returned object additionally passes ``Schedule.validate()``. The
         run's :class:`EngineStats` is attached as ``schedule.engine_stats``.
     """
-    if m <= 0:
-        raise ConfigurationError("m must be positive")
-    trace: Optional[AvailabilityTrace] = (
-        None if availability is None else as_trace(availability, m)
-    )
-    if max_steps is None:
-        total_span = sum(j.span for j in instance)
-        max_steps = instance.horizon_hint + total_span + 16
-        if trace is not None:
-            # Zero-capacity steps stall progress; past the explicit prefix
-            # the tail (>= 1) guarantees motion, so pad the livelock bound
-            # by the prefix plus a serial drain of all work on the tail.
-            max_steps += trace.horizon + instance.total_work
-
+    trace, max_steps = _check_run(instance, m, availability, max_steps)
     t_wall = time.perf_counter()
     stats = EngineStats()
-    state = EngineState(instance, m)
     scheduler.reset(instance, m)
-    if fault_injector is not None:
-        fault_injector.begin_run()
+    # Observers and fault hooks need every step dispatched, so only an
+    # unobserved, unfaulted run asks whether the scheduler is a list rule.
+    prio_flat: Optional[Array] = (
+        scheduler.frontier_priorities(instance)
+        if observer is None and fault_injector is None
+        else None
+    )
+    if prio_flat is not None:
+        schedule = _simulate_list_rule(
+            instance, m, scheduler, prio_flat, trace, max_steps, stats
+        )
+    else:
+        schedule = _dispatch_loop(
+            instance, m, scheduler, trace, max_steps, stats,
+            observer, fault_injector,
+        )
+    stats.sim_seconds = time.perf_counter() - t_wall
+    _GLOBAL_STATS.add(stats)
+    object.__setattr__(schedule, "engine_stats", stats)
+    return schedule
 
+
+def _simulate_list_rule(
+    instance: Instance,
+    m: int,
+    scheduler: Scheduler,
+    prio_flat: Array,
+    trace: Optional[AvailabilityTrace],
+    max_steps: int,
+    stats: EngineStats,
+) -> Schedule:
+    """Run a list rule (see :meth:`Scheduler.frontier_priorities`) without
+    dispatching it; ``prio_flat`` is its flat priority kernel.
+
+    Works on the flat instance CSR with one ready frontier array per live
+    job. Each step commits whole ready frontiers along the job walk and
+    lets the kernel pick the truncated job's share; on out-forests it
+    macro-steps chain runs.
+    """
+    flat = instance.flat_graph
+    # Debug backstop for lint rule RPR201 (compiled out under -O): the
+    # shared CSR must still be frozen when a run starts.
+    assert not flat.writable_arrays(), (
+        "Instance.flat_graph arrays have lost writeable=False; "
+        "something wrote through the shared CSR (see lint rule RPR201)"
+    )
     releases = instance.releases
     arrival_order = np.argsort(releases, kind="stable")
     next_arrival_idx = 0
@@ -744,24 +668,17 @@ def simulate(
     n_commit = n_children = n_min_dt = n_macro = 0
 
     # Hot-loop locals (profiled: attribute chasing dominated the per-step
-    # cost — see the HPC guides' "measure, then optimize").
-    flat = instance.flat_graph
-    offsets = state.offsets
-    offsets_list = offsets.tolist()
+    # cost).
+    offsets = flat.offsets
     child_indptr = flat.child_indptr
     child_indices = flat.child_indices
-    indeg = state.indegree_flat
-    indeg_list: Optional[list[int]] = None  # lazily synced copy (scalar path)
-    done_flat = state.done_flat
-    ready_mask = state.ready_mask
-    completion_flat = state.completion_flat
-    unfinished = state.unfinished_counts
-    ready_per_job = state.ready_per_job
-    is_forest = flat.all_out_forests
+    indeg = flat.indegree.copy()
+    completion_flat = np.zeros(flat.n_nodes, dtype=_INT)
+    unfinished = np.diff(offsets)
+    ready_per_job = np.zeros(n_jobs, dtype=_INT)
     # For pure out-forests every enabled child has exactly one parent, so
-    # readiness never consults indegrees — skip their upkeep entirely unless
-    # an observer may inspect ``state.remaining_indegree``.
-    track_indeg = (not is_forest) or (observer is not None)
+    # readiness never consults indegrees and their upkeep is skipped.
+    is_forest = flat.all_out_forests
 
     ready_total = 0
     total_left = int(unfinished.sum())
@@ -773,28 +690,15 @@ def simulate(
         avail_vals = list(trace.values)
         avail_len = len(avail_vals)
         avail_tail = trace.tail
-    # List-rule path (see Scheduler.frontier_priorities): a scheduler that
-    # returns a flat priority kernel is run by the engine alone for the
-    # whole run. Each step commits whole ready frontiers along the job walk
-    # and resolves a mid-job truncation by the kernel; select() is never
-    # dispatched. Observers and fault hooks need every step dispatched.
-    prio_flat: Optional[Array] = (
-        scheduler.frontier_priorities(instance)
-        if observer is None and fault_injector is None
-        else None
-    )
-    list_rule = prio_flat is not None
     # Dynamic job walk order (see Scheduler.dynamic_job_order): schedulers
     # whose job order is a pure function of the engine's own unfinished
-    # counts (e.g. SRPT) hand the list-rule path their walk order each
-    # step — the FIFO ascending-id walk otherwise.
+    # counts (e.g. SRPT) hand over their walk order each step — the FIFO
+    # ascending-id walk otherwise.
     dyn_order = (
-        scheduler.fast_path_job_order
-        if list_rule and scheduler.dynamic_job_order
-        else None
+        scheduler.fast_path_job_order if scheduler.dynamic_job_order else None
     )
-    # Encoded priority frontiers: with a non-constant kernel the list-rule
-    # path stores each frontier pre-sorted by the composite key
+    # Encoded priority frontiers: with a non-constant kernel each frontier
+    # is stored pre-sorted by the composite key
     # ``rank(priority) * n_total + gid`` — unique per node and lexicographic
     # in (priority, id) — so a mid-job truncation is a plain prefix slice
     # instead of a per-step argsort. Priorities are dense-ranked first so the
@@ -803,14 +707,14 @@ def simulate(
     # ``prio_enc`` stays None and frontiers remain plain gid-sorted arrays
     # (preserving the contiguous-slice child gather).
     n_total = flat.n_nodes
-    prio_enc = None if prio_flat is None else encode_priorities(prio_flat)
+    prio_enc = encode_priorities(prio_flat)
     # Chain-run macro-stepping (see docs/engine-internals.md): when the
     # forced whole-frontier selection would repeat verbatim for the next Δt
     # steps — every committed gid on a chain run, no arrival, no capacity
     # change — commit all Δt schedule columns in one vectorized write
     # instead of Δt loop iterations. Restricted to out-forest instances,
-    # where the list-rule path keeps no indegrees at all.
-    macro_ok = list_rule and is_forest
+    # where no indegrees are kept at all.
+    macro_ok = is_forest
     run_nodes: Optional[Array] = None
     node_index: Optional[Array] = None
     steps_to_end: Optional[Array] = None
@@ -819,19 +723,7 @@ def simulate(
         run_nodes = chains.run_nodes
         node_index = chains.node_index
         steps_to_end = chains.steps_to_end
-    # Flat ready delivery (see Scheduler.wants_ready_gids): hand newly-ready
-    # nodes over as one ascending gid array instead of grouping per job.
-    # Fault injection perturbs per-job delivery groups, so it forces the
-    # grouped form (keeping hook sequences identical to the reference loop).
-    use_flat_ready = (
-        scheduler.wants_ready_gids and observer is None and fault_injector is None
-    )
-    # ready_per_job feeds the list-rule walk and observers; the dispatch
-    # path skips its batched upkeep under flat delivery (never observed).
-    track_per_job = not use_flat_ready
-    # The list-rule path keeps each live job's ready frontier as an array
-    # and leaves ready_mask/done_flat (and, for forests, indegrees) alone:
-    # without an observer nothing reads them.
+    # Each live job's ready frontier is one array.
     frontiers: list[Optional[Array]] = [None] * n_jobs
     # Invariant: stored frontiers are ascending — in gids when ``prio_enc``
     # is None, else in encoded (priority, id) keys. fr_contig[j] marks
@@ -847,34 +739,22 @@ def simulate(
             raise SimulationError(
                 f"simulation exceeded max_steps={max_steps}; scheduler "
                 f"{scheduler.name} appears to be livelocked "
-                f"({state.total_unfinished} subjobs left)"
+                f"({total_left} subjobs left)"
             )
-        # Deliver arrivals with r_i == t.
+        # Arrivals with r_i == t go straight into their frontiers; the
+        # scheduler is never told (it is never dispatched either).
         while (
             next_arrival_idx < n_jobs
             and releases[arrival_order[next_arrival_idx]] == t
         ):
             job_id = int(arrival_order[next_arrival_idx])
-            job = instance[job_id]
-            state.released[job_id] = True
-            roots = job.dag.roots
-            if list_rule:
-                # Straight into the job's frontier; the scheduler is never
-                # told (it is never dispatched either).
-                fr = offsets[job_id] + roots  # roots are ascending
-                if prio_enc is not None:
-                    frontiers[job_id] = np.sort(prio_enc[fr])
-                else:
-                    frontiers[job_id] = fr
-                    fr_contig[job_id] = bool(fr[-1] - fr[0] == fr.size - 1)
+            roots = instance[job_id].dag.roots
+            fr = offsets[job_id] + roots  # roots are ascending
+            if prio_enc is not None:
+                frontiers[job_id] = np.sort(prio_enc[fr])
             else:
-                scheduler.on_job_arrival(t, job_id, job)
-                root_gids = offsets[job_id] + roots
-                ready_mask[root_gids] = True
-                if use_flat_ready:
-                    scheduler.on_ready_gids(t, root_gids)
-                else:
-                    scheduler.on_nodes_ready(t, job_id, roots)
+                frontiers[job_id] = fr
+                fr_contig[job_id] = bool(fr[-1] - fr[0] == fr.size - 1)
             ready_per_job[job_id] += roots.size
             ready_total += roots.size
             next_arrival_idx += 1
@@ -884,7 +764,7 @@ def simulate(
             if next_arrival_idx >= n_jobs:
                 raise SimulationError(
                     "no ready work and no future arrivals but "
-                    f"{state.total_unfinished} subjobs unfinished"
+                    f"{total_left} subjobs unfinished"
                 )
             t = int(releases[arrival_order[next_arrival_idx]])
             continue
@@ -896,476 +776,196 @@ def simulate(
             else (avail_vals[t] if t < avail_len else avail_tail)
         )
 
-        # ------------------------------------------------------------------
-        # List-rule path: walk the jobs, commit whole ready frontiers while
-        # they fit, and let the kernel pick the truncated job's share.
-        # ------------------------------------------------------------------
-        if list_rule:
-            while head < n_jobs and unfinished[head] == 0:
-                head += 1
-            cap = cap_t
-            commit_jobs: list[int] = []
-            trunc_job = -1
-            walk: Iterable[int]
-            if dyn_order is None:
-                walk = range(head, next_arrival_idx)
+        # Walk the jobs, commit whole ready frontiers while they fit, and
+        # let the kernel pick the truncated job's share.
+        while head < n_jobs and unfinished[head] == 0:
+            head += 1
+        cap = cap_t
+        commit_jobs: list[int] = []
+        trunc_job = -1
+        walk: Iterable[int]
+        if dyn_order is None:
+            walk = range(head, next_arrival_idx)
+        else:
+            live = np.nonzero(ready_per_job[head:next_arrival_idx])[0]
+            live += head
+            walk = dyn_order(live.tolist(), unfinished)
+        for j in walk:
+            if cap == 0:
+                break
+            c = int(ready_per_job[j])
+            if c == 0:
+                continue
+            if c <= cap:
+                commit_jobs.append(j)
+                cap -= c
             else:
-                live = np.nonzero(ready_per_job[head:next_arrival_idx])[0]
-                live += head
-                walk = dyn_order(live.tolist(), unfinished)
-            for j in walk:
-                if cap == 0:
-                    break
-                c = int(ready_per_job[j])
-                if c == 0:
-                    continue
-                if c <= cap:
-                    commit_jobs.append(j)
-                    cap -= c
-                else:
-                    trunc_job = j  # truncation mid-job: the kernel decides
-                    break
-            if macro_ok and trunc_job < 0 and commit_jobs:
-                # Macro-step commit: find Δt, the number of steps this
-                # exact forced selection pattern repeats. Three bounds:
-                # the gap to the next arrival (a new job changes the
-                # packing), the shortest chain-run remainder among the
-                # committed frontiers (a slot stays forced only while
-                # its node has a sole in-chain successor), and the
-                # window over which the availability trace stays cap_t.
-                if next_arrival_idx < n_jobs:
-                    dt = int(releases[arrival_order[next_arrival_idx]]) - t
-                else:
-                    dt = total_left  # chain remainders tighten below
-                macro_gids: list[Array] = []
-                if dt > 1:
-                    assert steps_to_end is not None  # set when macro_ok
-                    for j in commit_jobs:
-                        fr = frontiers[j]
-                        assert fr is not None
-                        g = fr if prio_enc is None else fr % n_total
-                        macro_gids.append(g)
-                        dt = int(k_min_dt(steps_to_end, g, dt))
-                        n_min_dt += 1
-                        if dt == 1:
-                            break
-                if dt > 1 and avail_vals is not None and t < avail_len:
-                    # Inside the explicit trace prefix m_t may vary;
-                    # past it the tail is constant and equals cap_t
-                    # (this step already drew it), so no bound applies.
-                    span = 1
-                    while span < dt:
-                        tk = t + span
-                        if (
-                            avail_vals[tk] if tk < avail_len else avail_tail
-                        ) != cap_t:
-                            break
-                        span += 1
-                    dt = span
-                if dt > 1:
-                    assert run_nodes is not None and node_index is not None
-                    assert steps_to_end is not None
-                    k = 0
-                    for j, gids in zip(commit_jobs, macro_gids):
-                        nxt, term = k_macro(
-                            run_nodes,
-                            node_index,
-                            steps_to_end,
-                            completion_flat,
-                            gids,
-                            t,
-                            dt,
-                        )
-                        kids = k_children(
-                            child_indptr, child_indices, term
-                        )
-                        n_macro += 1
-                        n_children += 1
-                        # (Forest: every child's sole parent — a run
-                        # terminal committed in the last column — is
-                        # done, so all gathered children are ready.)
-                        new = np.concatenate((nxt, kids))
-                        if prio_enc is None:
-                            nfr = np.sort(new)
-                            nsz = nfr.size
-                            fr_contig[j] = bool(
-                                nsz == 0 or nfr[-1] - nfr[0] == nsz - 1
-                            )
-                        else:
-                            nfr = np.sort(prio_enc[new])
-                            nsz = nfr.size
-                        frontiers[j] = nfr
-                        c = gids.size
-                        ready_per_job[j] = nsz
-                        unfinished[j] -= c * dt
-                        ready_total += nsz - c
-                        k += c * dt
-                    total_left -= k
-                    stats.steps += dt
-                    stats.fast_forwarded_steps += dt
-                    stats.macro_steps += 1
-                    stats.compressed_steps += dt
-                    stats.selections += k
-                    t += dt
-                    continue
-            finish = t + 1
-            k = 0
-            for j in commit_jobs:
-                fr = frontiers[j]
-                assert fr is not None  # commit_jobs have live frontiers
-                gids = fr if prio_enc is None else fr % n_total
-                if fr_contig[j]:
-                    # Contiguous CSR rows: concatenated children are one
-                    # slice (the common layered shape).
-                    completion_flat[gids] = finish
-                    kids = child_indices[
-                        child_indptr[gids[0]] : child_indptr[gids[-1] + 1]
-                    ]
-                else:
-                    kids = k_commit(
-                        child_indptr,
-                        child_indices,
+                trunc_job = j  # truncation mid-job: the kernel decides
+                break
+        if macro_ok and trunc_job < 0 and commit_jobs:
+            # Macro-step commit: find Δt, the number of steps this
+            # exact forced selection pattern repeats. Three bounds:
+            # the gap to the next arrival (a new job changes the
+            # packing), the shortest chain-run remainder among the
+            # committed frontiers (a slot stays forced only while
+            # its node has a sole in-chain successor), and the
+            # window over which the availability trace stays cap_t.
+            if next_arrival_idx < n_jobs:
+                dt = int(releases[arrival_order[next_arrival_idx]]) - t
+            else:
+                dt = total_left  # chain remainders tighten below
+            macro_gids: list[Array] = []
+            if dt > 1:
+                assert steps_to_end is not None  # set when macro_ok
+                for j in commit_jobs:
+                    fr = frontiers[j]
+                    assert fr is not None
+                    g = fr if prio_enc is None else fr % n_total
+                    macro_gids.append(g)
+                    dt = int(k_min_dt(steps_to_end, g, dt))
+                    n_min_dt += 1
+                    if dt == 1:
+                        break
+            if dt > 1 and avail_vals is not None and t < avail_len:
+                # Inside the explicit trace prefix m_t may vary;
+                # past it the tail is constant and equals cap_t
+                # (this step already drew it), so no bound applies.
+                span = 1
+                while span < dt:
+                    tk = t + span
+                    if (
+                        avail_vals[tk] if tk < avail_len else avail_tail
+                    ) != cap_t:
+                        break
+                    span += 1
+                dt = span
+            if dt > 1:
+                assert run_nodes is not None and node_index is not None
+                assert steps_to_end is not None
+                k = 0
+                for j, gids in zip(commit_jobs, macro_gids):
+                    nxt, term = k_macro(
+                        run_nodes,
+                        node_index,
+                        steps_to_end,
                         completion_flat,
                         gids,
-                        finish,
+                        t,
+                        dt,
                     )
-                    n_commit += 1
-                if not is_forest:
-                    np.subtract.at(indeg, kids, 1)
-                    kids = np.unique(kids[indeg[kids] == 0])
-                # (For forests every child's sole parent just completed.)
-                if prio_enc is None:
-                    # Sort to keep the frontier-ascending invariant
-                    # (np.unique output above is already sorted).
-                    nfr = np.sort(kids) if is_forest else kids
-                    ksz = nfr.size
-                    fr_contig[j] = bool(
-                        ksz == 0 or nfr[-1] - nfr[0] == ksz - 1
-                    )
-                else:
-                    nfr = np.sort(prio_enc[kids])
-                    ksz = nfr.size
-                frontiers[j] = nfr
-                taken = gids.size
-                ready_per_job[j] = ksz
-                unfinished[j] -= taken
-                ready_total += ksz - taken
-                k += taken
-            if trunc_job >= 0:
-                # Priority commit: resolve the mid-job truncation with
-                # the flat kernel. Frontiers are pre-sorted in tie-break
-                # order — by encoded (priority, id) keys, or by gid when
-                # the kernel is constant — so the cap-best nodes are a
-                # plain prefix slice; the engine never consults the
-                # scheduler and no per-step sort of the whole frontier
-                # by priority is needed.
-                j = trunc_job
-                fr = frontiers[j]
-                assert fr is not None  # trunc_job has ready work
-                taken_enc = fr[:cap]
-                rest = fr[cap:]
-                gids = (
-                    taken_enc if prio_enc is None else taken_enc % n_total
-                )
+                    kids = k_children(child_indptr, child_indices, term)
+                    n_macro += 1
+                    n_children += 1
+                    # (Forest: every child's sole parent — a run
+                    # terminal committed in the last column — is
+                    # done, so all gathered children are ready.)
+                    new = np.concatenate((nxt, kids))
+                    if prio_enc is None:
+                        nfr = np.sort(new)
+                        nsz = nfr.size
+                        fr_contig[j] = bool(
+                            nsz == 0 or nfr[-1] - nfr[0] == nsz - 1
+                        )
+                    else:
+                        nfr = np.sort(prio_enc[new])
+                        nsz = nfr.size
+                    frontiers[j] = nfr
+                    c = gids.size
+                    ready_per_job[j] = nsz
+                    unfinished[j] -= c * dt
+                    ready_total += nsz - c
+                    k += c * dt
+                total_left -= k
+                stats.steps += dt
+                stats.fast_forwarded_steps += dt
+                stats.macro_steps += 1
+                stats.compressed_steps += dt
+                stats.selections += k
+                t += dt
+                continue
+        finish = t + 1
+        k = 0
+        for j in commit_jobs:
+            fr = frontiers[j]
+            assert fr is not None  # commit_jobs have live frontiers
+            gids = fr if prio_enc is None else fr % n_total
+            if fr_contig[j]:
+                # Contiguous CSR rows: concatenated children are one
+                # slice (the common layered shape).
+                completion_flat[gids] = finish
+                kids = child_indices[
+                    child_indptr[gids[0]] : child_indptr[gids[-1] + 1]
+                ]
+            else:
                 kids = k_commit(
-                    child_indptr, child_indices, completion_flat, gids, finish
+                    child_indptr,
+                    child_indices,
+                    completion_flat,
+                    gids,
+                    finish,
                 )
                 n_commit += 1
-                if not is_forest:
-                    np.subtract.at(indeg, kids, 1)
-                    kids = np.unique(kids[indeg[kids] == 0])
-                if prio_enc is not None:
-                    kids = prio_enc[kids]
-                new_fr = np.concatenate((rest, kids))
-                new_fr.sort()
-                frontiers[j] = new_fr
-                nsz = new_fr.size
-                if prio_enc is None:
-                    fr_contig[j] = bool(
-                        nsz == 0 or new_fr[-1] - new_fr[0] == nsz - 1
-                    )
-                ready_per_job[j] = nsz
-                unfinished[j] -= cap
-                ready_total += nsz - fr.size
-                k += cap
-                stats.kernel_steps += 1
-            total_left -= k
-            stats.steps += 1
-            stats.fast_forwarded_steps += 1
-            stats.selections += k
-            t = finish
-            continue
-
-        # ------------------------------------------------------------------
-        # Dispatch path: consult the scheduler.
-        # ------------------------------------------------------------------
-        if fault_injector is not None and fault_injector.should_crash(t):
-            # Crash/restart: throw the scheduler's private state away and
-            # rebuild it from the committed schedule prefix — the engine
-            # state is authoritative. Arrivals replay in release order
-            # (matching the original delivery order), then each job's live
-            # ready frontier is delivered wholesale.
-            scheduler.reset(instance, m)
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
-                scheduler.on_job_arrival(t, job_id, instance[job_id])
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
-                if unfinished[job_id] > 0:
-                    nodes = state.ready_nodes(job_id)
-                    if nodes.size:
-                        scheduler.on_nodes_ready(t, job_id, nodes)
-
-        raw = scheduler.select(t, cap_t)
-        stats.select_calls += 1
-        sel_arr: Optional[Array] = None
-        gid_sel: Optional[Array] = None
-        selection: Optional[list[tuple[int, int]]] = None
-        if isinstance(raw, np.ndarray):
-            # Array selections skip the per-pair list round-trip entirely:
-            # (k, 2) rows of (job, local node), or — cheapest — a 1-D array
-            # of flat gids over the instance CSR (no id split round-trip).
-            if raw.ndim == 1 and raw.dtype.kind in "iu":
-                gid_sel = raw
-                k = int(raw.shape[0])
-            elif raw.ndim == 2 and raw.shape[1] == 2 and raw.dtype.kind in "iu":
-                sel_arr = raw
-                k = int(raw.shape[0])
+            if not is_forest:
+                np.subtract.at(indeg, kids, 1)
+                kids = np.unique(kids[indeg[kids] == 0])
+            # (For forests every child's sole parent just completed.)
+            if prio_enc is None:
+                # Sort to keep the frontier-ascending invariant
+                # (np.unique output above is already sorted).
+                nfr = np.sort(kids) if is_forest else kids
+                ksz = nfr.size
+                fr_contig[j] = bool(ksz == 0 or nfr[-1] - nfr[0] == ksz - 1)
             else:
-                raise SchedulerProtocolError(
-                    f"{scheduler.name} returned a malformed selection array "
-                    f"(shape {raw.shape}, dtype {raw.dtype}) at t={t}"
-                )
-        else:
-            selection = list(raw)
-            k = len(selection)
-        if k > cap_t:
-            raise SchedulerProtocolError(
-                f"{scheduler.name} selected {k} > m={cap_t} nodes at t={t}"
+                nfr = np.sort(prio_enc[kids])
+                ksz = nfr.size
+            frontiers[j] = nfr
+            taken = gids.size
+            ready_per_job[j] = ksz
+            unfinished[j] -= taken
+            ready_total += ksz - taken
+            k += taken
+        if trunc_job >= 0:
+            # Priority commit: resolve the mid-job truncation with
+            # the flat kernel. Frontiers are pre-sorted in tie-break
+            # order — by encoded (priority, id) keys, or by gid when
+            # the kernel is constant — so the cap-best nodes are a
+            # plain prefix slice; the engine never consults the
+            # scheduler and no per-step sort of the whole frontier
+            # by priority is needed.
+            j = trunc_job
+            fr = frontiers[j]
+            assert fr is not None  # trunc_job has ready work
+            taken_enc = fr[:cap]
+            rest = fr[cap:]
+            gids = taken_enc if prio_enc is None else taken_enc % n_total
+            kids = k_commit(
+                child_indptr, child_indices, completion_flat, gids, finish
             )
-        finish = t + 1
-        ready_jobs_in_order: list[int] = []
-        ready_locals: list[Array] = []
-        flat_ready_gids: Optional[Array] = None
-
-        if 0 < k < _SCALAR_THRESHOLD:
-            # Scalar path: tiny steps are cheaper without array dispatch.
-            if selection is None:
-                if sel_arr is not None:
-                    selection = [(int(a), int(b)) for a, b in sel_arr.tolist()]
-                else:
-                    assert gid_sel is not None
-                    selection = _pairs_from_gids(offsets, gid_sel)
-            if track_indeg and indeg_list is None:
-                indeg_list = indeg.tolist()
-            newly_by_job: dict[int, list[int]] = {}
-            for i, (job_id, node) in enumerate(selection):
-                # Entries are applied in order, so on failure the reference
-                # engine's failing index is exactly this one.
-                try:
-                    lo = offsets_list[job_id]
-                    legal = (
-                        job_id >= 0
-                        and 0 <= node < offsets_list[job_id + 1] - lo
-                        and ready_mask[lo + node]
-                    )
-                except (IndexError, TypeError):
-                    raise _selection_error(
-                        selection, i, state, t, scheduler
-                    ) from None
-                if not legal:
-                    raise _selection_error(selection, i, state, t, scheduler)
-                gid = lo + node
-                ready_mask[gid] = False
-                completion_flat[gid] = finish
-                done_flat[gid] = True
-                unfinished[job_id] -= 1
-                ready_per_job[job_id] -= 1
-                total_left -= 1
-                ready_total -= 1
-                # Children always live in the selecting job's id range (the
-                # flat CSR concatenates per-job DAGs).
-                if track_indeg:
-                    assert indeg_list is not None
-                    for child in child_indices[
-                        child_indptr[gid] : child_indptr[gid + 1]
-                    ].tolist():
-                        left = indeg_list[child] - 1
-                        indeg_list[child] = left
-                        indeg[child] = left
-                        if left == 0:
-                            newly_by_job.setdefault(job_id, []).append(child - lo)
-                else:
-                    # Out-forest: the sole parent just completed, so every
-                    # child is ready now.
-                    for child in child_indices[
-                        child_indptr[gid] : child_indptr[gid + 1]
-                    ].tolist():
-                        newly_by_job.setdefault(job_id, []).append(child - lo)
-            flat_parts: list[Array] = []
-            for job_id, locals_ in newly_by_job.items():
-                locals_.sort()
-                arr = np.array(locals_, dtype=_INT)
-                garr = offsets[job_id] + arr
-                ready_mask[garr] = True
-                ready_per_job[job_id] += arr.size
-                ready_total += arr.size
-                if use_flat_ready:
-                    flat_parts.append(garr)
-                else:
-                    ready_jobs_in_order.append(job_id)
-                    ready_locals.append(arr)
-            if flat_parts:
-                if len(flat_parts) == 1:
-                    flat_ready_gids = flat_parts[0]
-                else:
-                    flat_ready_gids = np.concatenate(flat_parts)
-                    flat_ready_gids.sort()
-        elif k:
-            # Batched path: apply + validate the whole selection at once.
-            if gid_sel is not None:
-                # Flat-gid form: bounds come from the sorted copy, then one
-                # readiness reduction and a sort-diff distinctness check.
-                gids = gid_sel.astype(_INT, copy=False)
-                sg = np.sort(gids)
-                ok = bool(int(sg[0]) >= 0 and int(sg[-1]) < n_total) and bool(
-                    ready_mask[gids].all() and (sg[1:] != sg[:-1]).all()
+            n_commit += 1
+            if not is_forest:
+                np.subtract.at(indeg, kids, 1)
+                kids = np.unique(kids[indeg[kids] == 0])
+            if prio_enc is not None:
+                kids = prio_enc[kids]
+            new_fr = np.concatenate((rest, kids))
+            new_fr.sort()
+            frontiers[j] = new_fr
+            nsz = new_fr.size
+            if prio_enc is None:
+                fr_contig[j] = bool(
+                    nsz == 0 or new_fr[-1] - new_fr[0] == nsz - 1
                 )
-                if ok:
-                    jobs_sel = np.searchsorted(offsets, gids, side="right") - 1
-            else:
-                if sel_arr is not None:
-                    ok = True
-                    jobs_sel = sel_arr[:, 0].astype(_INT, copy=False)
-                    nodes_sel = sel_arr[:, 1].astype(_INT, copy=False)
-                else:
-                    try:
-                        sel = np.asarray(selection)
-                        ok = (
-                            sel.ndim == 2
-                            and sel.shape[1] == 2
-                            and sel.dtype.kind in "iu"
-                        )
-                    except (TypeError, ValueError):
-                        ok = False
-                    if ok:
-                        jobs_sel = sel[:, 0].astype(_INT, copy=False)
-                        nodes_sel = sel[:, 1].astype(_INT, copy=False)
-                if ok:
-                    if (jobs_sel < 0).any() or (jobs_sel >= n_jobs).any():
-                        ok = False
-                    else:
-                        gids = offsets[jobs_sel] + nodes_sel
-                        ok = bool(
-                            (
-                                (nodes_sel >= 0)
-                                & (gids < offsets[jobs_sel + 1])
-                            ).all()
-                        )
-                        if ok:
-                            sg = np.sort(gids)
-                            ok = bool(
-                                ready_mask[gids].all()
-                                # Distinctness via sort-diff (cheaper than
-                                # np.unique, which also extracts values).
-                                and (k < 2 or (sg[1:] != sg[:-1]).all())
-                            )
-            if not ok:
-                if selection is None:
-                    if sel_arr is not None:
-                        selection = [
-                            (int(a), int(b)) for a, b in sel_arr.tolist()
-                        ]
-                    else:
-                        assert gid_sel is not None
-                        selection = _pairs_from_gids(offsets, gid_sel)
-                raise _diagnose_selection(selection, state, t, scheduler)
-            completion_flat[gids] = finish
-            done_flat[gids] = True
-            ready_mask[gids] = False
-            cnt = np.bincount(jobs_sel, minlength=n_jobs)
-            unfinished -= cnt
-            if track_per_job:
-                ready_per_job -= cnt
-            total_left -= k
-            ready_total -= k
-            if indeg_list is not None:
-                indeg_list = None
-            kids = k_children(child_indptr, child_indices, gids)
-            n_children += 1
-            if kids.size:
-                if track_indeg:
-                    np.subtract.at(indeg, kids, 1)
-                if is_forest:
-                    # Every child's sole parent just completed: all ready.
-                    stream = kids
-                    childs = np.sort(kids)
-                else:
-                    zero_mask = indeg[kids] == 0
-                    zc = kids[zero_mask]
-                    if zc.size:
-                        # A multi-parent child hits zero on its *last*
-                        # decrement; keep that occurrence only so callback
-                        # order matches the reference loop exactly.
-                        zpos = np.nonzero(zero_mask)[0]
-                        order = np.lexsort((zpos, zc))
-                        zc, zpos = zc[order], zpos[order]
-                        last = np.ones(zc.size, dtype=bool)
-                        last[:-1] = zc[1:] != zc[:-1]
-                        zc, zpos = zc[last], zpos[last]
-                        stream = zc[np.argsort(zpos, kind="stable")]
-                        childs = zc  # ascending unique
-                    else:
-                        stream = childs = zc  # nothing enabled
-                if childs.size:
-                    ready_mask[childs] = True
-                    ready_total += childs.size
-                    if track_per_job:
-                        sjobs = (
-                            np.searchsorted(offsets, stream, side="right") - 1
-                        )
-                        ready_per_job += np.bincount(sjobs, minlength=n_jobs)
-                    if use_flat_ready:
-                        flat_ready_gids = childs
-                    else:
-                        # Group per job in first-enabled order, ascending.
-                        ujobs, first = np.unique(sjobs, return_index=True)
-                        for j in ujobs[np.argsort(first, kind="stable")].tolist():
-                            lo, hi = offsets_list[j], offsets_list[j + 1]
-                            a = np.searchsorted(childs, lo)
-                            b = np.searchsorted(childs, hi)
-                            ready_jobs_in_order.append(j)
-                            ready_locals.append(childs[a:b] - lo)
-
-        if observer is not None:
-            if selection is None:
-                if sel_arr is not None:
-                    selection = [(int(a), int(b)) for a, b in sel_arr.tolist()]
-                else:
-                    assert gid_sel is not None
-                    selection = _pairs_from_gids(offsets, gid_sel)
-            observer.on_step(t, selection, state)
+            ready_per_job[j] = nsz
+            unfinished[j] -= cap
+            ready_total += nsz - fr.size
+            k += cap
+            stats.kernel_steps += 1
+        total_left -= k
         stats.steps += 1
+        stats.fast_forwarded_steps += 1
         stats.selections += k
         t = finish
-        if flat_ready_gids is not None:
-            scheduler.on_ready_gids(t, flat_ready_gids)
-        else:
-            if fault_injector is not None and ready_jobs_in_order:
-                # Perturb the order delivery groups arrive in (the per-job
-                # node arrays stay ascending — that part is contractual).
-                order = fault_injector.delivery_order(
-                    t, len(ready_jobs_in_order)
-                )
-                if order is not None:
-                    ready_jobs_in_order = [
-                        ready_jobs_in_order[int(i)] for i in order
-                    ]
-                    ready_locals = [ready_locals[int(i)] for i in order]
-            for job_id, arr in zip(ready_jobs_in_order, ready_locals):
-                scheduler.on_nodes_ready(t, job_id, arr)
 
-    schedule = Schedule.from_flat(instance, m, completion_flat)
     for kname, count in (
         ("commit_frontier", n_commit),
         ("csr_children", n_children),
@@ -1374,10 +974,186 @@ def simulate(
     ):
         if count:
             stats.kernel_dispatches[kname] = count
-    stats.sim_seconds = time.perf_counter() - t_wall
-    _GLOBAL_STATS.add(stats)
-    object.__setattr__(schedule, "engine_stats", stats)
-    return schedule
+    return Schedule.from_flat(instance, m, completion_flat)
+
+
+def _dispatch_loop(
+    instance: Instance,
+    m: int,
+    scheduler: Scheduler,
+    trace: Optional[AvailabilityTrace],
+    max_steps: int,
+    stats: EngineStats,
+    observer: Optional[SimulationObserver],
+    fault_injector: Optional[FaultHooks],
+) -> Schedule:
+    """Run an already ``reset`` scheduler one dispatched step at a time.
+
+    Each step: deliver arrivals with ``r_i == t`` (``on_job_arrival``,
+    then ``on_nodes_ready`` with the roots); let the fault injector crash
+    and rebuild the scheduler; ask ``select(t, m_t)``; apply the selection
+    one node at a time against the engine's own ready sets, walking each
+    selected node's CSR row to find the children whose last predecessor
+    just completed; mark those ready; show the step to the observer; and
+    deliver them at ``t + 1`` as one ascending group per job, jobs in
+    first-enabled order (the order the fault injector may perturb).
+    """
+    if fault_injector is not None:
+        fault_injector.begin_run()
+    state = EngineState(instance, m)
+    ready_sets = state.ready_sets
+    indegrees = state.remaining_indegree
+    unfinished = state.unfinished_counts
+    dags = [job.dag for job in instance]
+    child_indptrs = [dag.child_indptr for dag in dags]
+    child_indices = [dag.child_indices for dag in dags]
+    completion = [[0] * dag.n for dag in dags]
+    n_jobs = len(dags)
+    releases = instance.releases.tolist()
+    arrival_order = np.argsort(releases, kind="stable").tolist()
+    next_arrival_idx = 0
+    ready_total = 0
+    total_left = sum(unfinished)
+    index = operator.index
+
+    t = 0
+    while total_left:
+        if t > max_steps:
+            raise SimulationError(
+                f"simulation exceeded max_steps={max_steps}; scheduler "
+                f"{scheduler.name} appears to be livelocked "
+                f"({total_left} subjobs left)"
+            )
+        while (
+            next_arrival_idx < n_jobs
+            and releases[arrival_order[next_arrival_idx]] == t
+        ):
+            job_id = arrival_order[next_arrival_idx]
+            job = instance[job_id]
+            state.released[job_id] = True
+            scheduler.on_job_arrival(t, job_id, job)
+            roots = job.dag.roots
+            ready_sets[job_id].update(roots.tolist())
+            ready_total += roots.size
+            scheduler.on_nodes_ready(t, job_id, roots)
+            next_arrival_idx += 1
+
+        # Fast-forward through genuinely empty time (no ready work at all).
+        if ready_total == 0:
+            if next_arrival_idx >= n_jobs:
+                raise SimulationError(
+                    "no ready work and no future arrivals but "
+                    f"{total_left} subjobs unfinished"
+                )
+            t = releases[arrival_order[next_arrival_idx]]
+            continue
+
+        cap_t = m if trace is None else trace.capacity_at(t)
+
+        if fault_injector is not None and fault_injector.should_crash(t):
+            # Crash/restart: throw the scheduler's private state away and
+            # rebuild it from the committed schedule prefix — the engine
+            # state is authoritative. Arrivals replay in release order
+            # (matching the original delivery order), then each job's live
+            # ready frontier is delivered wholesale.
+            scheduler.reset(instance, m)
+            arrived = arrival_order[:next_arrival_idx]
+            for job_id in arrived:
+                scheduler.on_job_arrival(t, job_id, instance[job_id])
+            for job_id in arrived:
+                if ready_sets[job_id]:
+                    scheduler.on_nodes_ready(
+                        t, job_id, state.ready_nodes(job_id)
+                    )
+
+        raw = scheduler.select(t, cap_t)
+        stats.select_calls += 1
+        try:
+            selection = list(raw)
+        except TypeError:
+            raise SchedulerProtocolError(
+                f"{scheduler.name} returned a non-iterable selection "
+                f"{raw!r} at t={t}"
+            ) from None
+        k = len(selection)
+        if k > cap_t:
+            raise SchedulerProtocolError(
+                f"{scheduler.name} selected {k} > m={cap_t} nodes at t={t}"
+            )
+        finish = t + 1
+        newly: dict[int, list[int]] = {}
+        for pair in selection:
+            try:
+                job_id, node = pair
+                job_id = index(job_id)
+                node = index(node)
+            except (TypeError, ValueError):
+                raise SchedulerProtocolError(
+                    f"{scheduler.name} selected {pair!r} at t={t}, not a "
+                    "(job, node) integer pair"
+                ) from None
+            if not 0 <= job_id < n_jobs:
+                raise SchedulerProtocolError(
+                    f"{scheduler.name} selected unknown job {job_id} at t={t}"
+                )
+            ready = ready_sets[job_id]
+            if node not in ready:
+                done = completion[job_id]
+                if 0 <= node < len(done) and done[node] == finish:
+                    raise SchedulerProtocolError(
+                        f"{scheduler.name} selected ({job_id},{node}) twice "
+                        f"at t={t}"
+                    )
+                raise SchedulerProtocolError(
+                    f"{scheduler.name} selected non-ready subjob "
+                    f"({job_id},{node}) at t={t}"
+                )
+            ready.remove(node)
+            completion[job_id][node] = finish
+            unfinished[job_id] -= 1
+            indptr = child_indptrs[job_id]
+            lo = indptr[node]
+            hi = indptr[node + 1]
+            if lo == hi:
+                continue
+            indeg = indegrees[job_id]
+            enabled: list[int] = []
+            for child in child_indices[job_id][lo:hi].tolist():
+                left = indeg[child] - 1
+                indeg[child] = left
+                if left == 0:
+                    enabled.append(child)
+            if enabled:
+                group = newly.get(job_id)
+                if group is None:
+                    newly[job_id] = enabled
+                else:
+                    group += enabled
+        total_left -= k
+        ready_total -= k
+        for job_id, nodes in newly.items():
+            nodes.sort()
+            ready_sets[job_id].update(nodes)
+            ready_total += len(nodes)
+        if observer is not None:
+            observer.on_step(t, selection, state)
+        stats.steps += 1
+        stats.selections += k
+        t = finish
+        if newly:
+            groups = list(newly.items())
+            if fault_injector is not None:
+                # Perturb the order delivery groups arrive in (the per-job
+                # node arrays stay ascending — that part is contractual).
+                order = fault_injector.delivery_order(t, len(groups))
+                if order is not None:
+                    groups = [groups[int(i)] for i in order]
+            for job_id, nodes in groups:
+                scheduler.on_nodes_ready(t, job_id, np.array(nodes, dtype=_INT))
+
+    return Schedule(
+        instance, m, [np.array(done, dtype=_INT) for done in completion]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1803,7 +1579,6 @@ def simulate_batch(
     assert all(s is not None for s in results)
     return results  # type: ignore[return-value]
 
-
 def _simulate_reference(
     instance: Instance,
     m: int,
@@ -1813,153 +1588,19 @@ def _simulate_reference(
     availability: Optional[AvailabilityLike] = None,
     fault_injector: Optional[FaultHooks] = None,
 ) -> Schedule:
-    """The original per-node simulation loop, kept verbatim as ground truth.
+    """The oracle: the dispatch loop for every scheduler, list rules
+    included.
 
-    The differential-equivalence tests assert that :func:`simulate`
-    produces bit-identical completion arrays to this loop for every
-    scheduler on a spread of seeded workloads — including runs under an
-    availability trace and/or a fault injector, whose hooks fire in the
-    exact same sequence here as in the vectorized engine. Not a hot path —
-    it exists to pin semantics, not to be fast.
+    :func:`simulate` runs this same loop for every scheduler that is not a
+    list rule and for every observed or faulted run; the
+    differential-equivalence tests hold its list-rule engine and
+    :func:`simulate_batch` bit-identical to it on a spread of seeded
+    workloads, availability traces included. The run is not counted in the
+    process-wide :class:`EngineStats`.
     """
-    if m <= 0:
-        raise ConfigurationError("m must be positive")
-    trace: Optional[AvailabilityTrace] = (
-        None if availability is None else as_trace(availability, m)
-    )
-    if max_steps is None:
-        total_span = sum(j.span for j in instance)
-        max_steps = instance.horizon_hint + total_span + 16
-        if trace is not None:
-            max_steps += trace.horizon + instance.total_work
-
-    completion = [np.zeros(job.dag.n, dtype=_INT) for job in instance]
+    trace, max_steps = _check_run(instance, m, availability, max_steps)
     scheduler.reset(instance, m)
-    if fault_injector is not None:
-        fault_injector.begin_run()
-
-    releases = instance.releases
-    arrival_order = np.argsort(releases, kind="stable")
-    next_arrival_idx = 0
-    n_jobs = len(instance)
-
-    ready_sets: list[set[int]] = [set() for _ in instance]
-    indegrees = [job.dag.indegree.copy() for job in instance]
-    done_arrays = [np.zeros(job.dag.n, dtype=bool) for job in instance]
-    unfinished = np.array([job.dag.n for job in instance], dtype=_INT)
-    child_indptrs = [job.dag.child_indptr for job in instance]
-    child_indices = [job.dag.child_indices for job in instance]
-    ready_total = 0
-    total_left = int(unfinished.sum())
-
-    def reference_error(
-        selection: list[tuple[int, int]], index: int
-    ) -> SchedulerProtocolError:
-        job_id, node = selection[index]
-        if not (0 <= job_id < n_jobs):
-            return SchedulerProtocolError(
-                f"{scheduler.name} selected unknown job {job_id} at t={t}"
-            )
-        if (job_id, node) in selection[:index]:
-            return SchedulerProtocolError(
-                f"{scheduler.name} selected ({job_id},{node}) twice at t={t}"
-            )
-        return SchedulerProtocolError(
-            f"{scheduler.name} selected non-ready subjob ({job_id},{node}) at t={t}"
-        )
-
-    t = 0
-    while total_left:
-        if t > max_steps:
-            raise SimulationError(
-                f"simulation exceeded max_steps={max_steps}; scheduler "
-                f"{scheduler.name} appears to be livelocked "
-                f"({int(unfinished.sum())} subjobs left)"
-            )
-        while (
-            next_arrival_idx < n_jobs
-            and releases[arrival_order[next_arrival_idx]] == t
-        ):
-            job_id = int(arrival_order[next_arrival_idx])
-            job = instance[job_id]
-            scheduler.on_job_arrival(t, job_id, job)
-            roots = job.dag.roots
-            ready_sets[job_id].update(roots.tolist())
-            ready_total += roots.size
-            scheduler.on_nodes_ready(t, job_id, roots)
-            next_arrival_idx += 1
-
-        if ready_total == 0:
-            if next_arrival_idx >= n_jobs:
-                raise SimulationError(
-                    "no ready work and no future arrivals but "
-                    f"{int(unfinished.sum())} subjobs unfinished"
-                )
-            t = int(releases[arrival_order[next_arrival_idx]])
-            continue
-
-        cap_t = m if trace is None else trace.capacity_at(t)
-
-        if fault_injector is not None and fault_injector.should_crash(t):
-            # Crash/restart, mirroring the vectorized engine exactly:
-            # reset, replay arrivals in release order, re-deliver each
-            # unfinished job's live ready frontier.
-            scheduler.reset(instance, m)
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
-                scheduler.on_job_arrival(t, job_id, instance[job_id])
-            for idx in range(next_arrival_idx):
-                job_id = int(arrival_order[idx])
-                if unfinished[job_id] > 0 and ready_sets[job_id]:
-                    scheduler.on_nodes_ready(
-                        t,
-                        job_id,
-                        np.array(sorted(ready_sets[job_id]), dtype=_INT),
-                    )
-
-        raw = scheduler.select(t, cap_t)
-        if isinstance(raw, np.ndarray) and raw.ndim == 1:
-            # Flat-gid selections (see ``Selection``): decode to pairs —
-            # the reference engine always works pairwise.
-            selection = _pairs_from_gids(instance.flat_graph.offsets, raw)
-        else:
-            selection = list(raw)
-        if len(selection) > cap_t:
-            raise SchedulerProtocolError(
-                f"{scheduler.name} selected {len(selection)} > m={cap_t} nodes at t={t}"
-            )
-
-        finish = t + 1
-        newly_ready: dict[int, list[int]] = {}
-        for i, (job_id, node) in enumerate(selection):
-            try:
-                ready_set = ready_sets[job_id]
-            except (IndexError, TypeError):
-                raise reference_error(selection, i) from None
-            if job_id < 0 or node not in ready_set:
-                raise reference_error(selection, i)
-            ready_set.discard(node)
-            ready_total -= 1
-            completion[job_id][node] = finish
-            done_arrays[job_id][node] = True
-            unfinished[job_id] -= 1
-            total_left -= 1
-            indptr = child_indptrs[job_id]
-            indeg = indegrees[job_id]
-            for child in child_indices[job_id][indptr[node] : indptr[node + 1]]:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    newly_ready.setdefault(job_id, []).append(int(child))
-        t = finish
-        groups = list(newly_ready.items())
-        if fault_injector is not None and groups:
-            order = fault_injector.delivery_order(t, len(groups))
-            if order is not None:
-                groups = [groups[int(i)] for i in order]
-        for job_id, nodes in groups:
-            arr = np.array(sorted(nodes), dtype=_INT)
-            ready_sets[job_id].update(nodes)
-            ready_total += len(nodes)
-            scheduler.on_nodes_ready(t, job_id, arr)
-
-    return Schedule(instance, m, completion)
+    return _dispatch_loop(
+        instance, m, scheduler, trace, max_steps, EngineStats(),
+        None, fault_injector,
+    )

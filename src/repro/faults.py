@@ -16,9 +16,10 @@ the engine's own fault tolerance — systematically:
   the determinism contract permits;
 * :func:`run_chaos_trials` — the randomized chaos suite behind
   ``python -m repro chaos`` and the CI chaos job: for a seeded batch of
-  instances/traces/fault plans it asserts schedule validity, vectorized ↔
-  reference bit-identity, and the Lemma 5.5 busy property, reporting the
-  seed of any violation for reproduction.
+  instances/traces/fault plans it asserts schedule validity, list-rule ↔
+  reference bit-identity, faulted ↔ unfaulted bit-identity, and the
+  Lemma 5.5 busy property, reporting the seed of any violation for
+  reproduction.
 
 Everything here is deterministic given its seed (lint rule RPR003 applies:
 no wall-clock or entropy reads).
@@ -126,9 +127,8 @@ class FaultInjector:
         RNG seed for ``crash_rate`` draws and delivery shuffles.
 
     One injector instance drives one run at a time; ``begin_run`` (called
-    by the engine) resets the RNG stream and the fired-fault log, so
-    passing the same instance to :func:`~repro.core.simulate` and then to
-    the reference loop yields bit-identical fault sequences.
+    by the engine) resets the RNG stream and the fired-fault log, so every
+    run the same instance is passed to draws the same fault sequence.
     """
 
     def __init__(
@@ -162,7 +162,7 @@ class FaultInjector:
         fire = t in self._crash_times
         if self._crash_rate > 0.0:
             # Always consume the draw so the decision stream is identical
-            # across engines regardless of the crash_times hit pattern.
+            # across runs regardless of the crash_times hit pattern.
             fire = bool(self._rng.random() < self._crash_rate) or fire
         if fire:
             self.crashes.append(t)
@@ -216,13 +216,15 @@ def run_chaos_trials(
     """Run the randomized fault-injection validation suite.
 
     Each trial draws a random out-tree workload, then checks, under every
-    selected availability pattern plus fresh random traces:
+    selected availability pattern plus fresh random traces, for FIFO, LPF
+    and SRPT (with the LPF tie-break):
 
-    * the vectorized engine and the reference loop produce **bit-identical
-      valid schedules** for FIFO, LPF and SRPT (with the LPF tie-break)
-      under the trace, with and without an attached
-      :class:`FaultInjector` (scheduler crash/restart + perturbed ready
-      delivery);
+    * the list-rule engine and the reference loop produce
+      **bit-identical valid schedules** under the trace;
+    * with an attached :class:`FaultInjector` (scheduler crash/restart +
+      perturbed ready delivery) the run, which goes through the dispatch
+      loop, is valid and **bit-identical to the unfaulted run**: neither
+      crashes nor delivery order change what these list rules decide;
     * **Lemma 5.5**: MC replay of a packed LPF tail is work-conserving
       (never idles a granted processor) under the trace.
 
@@ -275,47 +277,41 @@ def run_chaos_trials(
             crash_times = sorted(
                 int(v) for v in rng.integers(0, horizon // 2, size=2)
             )
-            for label, injector in (
-                ("plain", None),
-                (
-                    "faulted",
-                    FaultInjector(
-                        crash_times=crash_times,
-                        perturb_delivery=True,
-                        seed=int(rng.integers(0, 2**31)),
-                    ),
-                ),
-            ):
-                for make_scheduler in (FIFOScheduler, LPFScheduler, srpt):
-                    report.traces_checked += 1
-                    scheduler = make_scheduler()
-                    fast = simulate(
-                        instance,
-                        m,
-                        scheduler,
-                        availability=trace,
-                        fault_injector=injector,
-                    )
-                    ref = _simulate_reference(
-                        instance,
-                        m,
-                        make_scheduler(),
-                        availability=trace,
-                        fault_injector=injector,
-                    )
-                    if injector is not None:
-                        report.injected_crashes += len(injector.crashes)
-                        report.perturbed_steps += injector.perturbed_steps
-                    if not fast.is_feasible():
+            injector = FaultInjector(
+                crash_times=crash_times,
+                perturb_delivery=True,
+                seed=int(rng.integers(0, 2**31)),
+            )
+            for make_scheduler in (FIFOScheduler, LPFScheduler, srpt):
+                scheduler = make_scheduler()
+                plain = simulate(instance, m, scheduler, availability=trace)
+                ref = _simulate_reference(
+                    instance, m, make_scheduler(), availability=trace
+                )
+                faulted = simulate(
+                    instance,
+                    m,
+                    make_scheduler(),
+                    availability=trace,
+                    fault_injector=injector,
+                )
+                report.traces_checked += 2
+                report.injected_crashes += len(injector.crashes)
+                report.perturbed_steps += injector.perturbed_steps
+                for label, run, expected, pair in (
+                    ("plain", plain, ref, "engine/reference"),
+                    ("faulted", faulted, plain, "faulted/unfaulted"),
+                ):
+                    if not run.is_feasible():
                         report.failures.append(
                             f"invalid schedule [{label}] {scheduler.name}: {tag}"
                         )
                     if not all(
                         np.array_equal(a, b)
-                        for a, b in zip(fast.completion, ref.completion)
+                        for a, b in zip(run.completion, expected.completion)
                     ):
                         report.failures.append(
-                            f"engine/reference divergence [{label}] "
+                            f"{pair} divergence [{label}] "
                             f"{scheduler.name}: {tag}"
                         )
 

@@ -9,7 +9,6 @@ __all__ = [
     "FunctionNode",
     "attribute_parts",
     "iter_functions",
-    "walk_in_order",
 ]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -41,10 +40,3 @@ def attribute_parts(node: ast.expr) -> list[str] | None:
             return list(reversed(parts))
         else:
             return None
-
-
-def walk_in_order(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` variant that yields nodes in source order (DFS)."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        yield from walk_in_order(child)

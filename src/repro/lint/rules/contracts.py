@@ -1,5 +1,4 @@
-"""C1 scheduler-contract rules: RPR102 (select must not mutate the model)
-and RPR103 (engine-reserved names).
+"""C1 scheduler-contract rule: RPR102 (select must not mutate the model).
 
 ``select`` observes the instance through read-only state — mutating
 ``Instance`` / ``DAG`` / ``Job`` objects there corrupts every other
@@ -19,25 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..engine import FileContext
 
 __all__ = [
-    "ReservedEngineNameRule",
     "SelectMutatesModelRule",
 ]
-
-
-def _names_defined_in_class_body(node: ast.ClassDef) -> set[str]:
-    defined: set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defined.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    defined.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            defined.add(stmt.target.id)
-    return defined
 
 
 #: Local/attribute names that (by repo convention) refer to shared model
@@ -116,57 +98,3 @@ class GreedyScheduler:
             if part in _MODEL_NAMES:
                 return part
         return None
-
-
-#: Method-name prefixes and exact names the engine reserves for itself on
-#: scheduler instances. ``_engine_*`` is the documented reserved namespace.
-_RESERVED_PREFIX = "_engine_"
-_RESERVED_NAMES = frozenset({"_fast_forward", "_fast_forward_state"})
-
-
-@register_rule
-class ReservedEngineNameRule(Rule):
-    rule_id = "RPR103"
-    title = "scheduler subclasses must not define engine-reserved names"
-    rationale = (
-        "the simulation engine reserves the `_engine_*` namespace (plus "
-        "`_fast_forward*`) on scheduler instances for its own bookkeeping; "
-        "a subclass overriding one shadows engine internals and breaks in "
-        "ways the type checker cannot see."
-    )
-    bad_example = """\
-class MyScheduler(Scheduler):
-    def _engine_checkpoint(self, state):
-        return state
-"""
-    good_example = """\
-class MyScheduler(Scheduler):
-    def _checkpoint(self, state):
-        return state
-"""
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not self._is_scheduler_subclass(node):
-                continue
-            for name in sorted(_names_defined_in_class_body(node)):
-                if name.startswith(_RESERVED_PREFIX) or name in _RESERVED_NAMES:
-                    yield self.violation(
-                        ctx,
-                        node.lineno,
-                        node.col_offset,
-                        f"scheduler subclass `{node.name}` defines "
-                        f"engine-reserved name `{name}`",
-                    )
-
-    @staticmethod
-    def _is_scheduler_subclass(node: ast.ClassDef) -> bool:
-        for base in node.bases:
-            name = base.id if isinstance(base, ast.Name) else (
-                base.attr if isinstance(base, ast.Attribute) else ""
-            )
-            if name.endswith("Scheduler") or name.endswith("SchedulerBase"):
-                return True
-        return False

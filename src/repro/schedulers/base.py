@@ -46,9 +46,10 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
+from ..core.dag import DAG
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.util import Array
+from ..core.util import Array, csr_gather
 
 __all__ = [
     "TieBreak",
@@ -223,6 +224,27 @@ class ReadyHeap:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+
+def _unfinished_work(dag: DAG, frontier: Array) -> int:
+    """Subjobs left in a job whose whole ready frontier is ``frontier``.
+
+    Every unfinished subjob descends from a ready one, and no descendant
+    of a ready subjob has run, so the count is the size of the frontier's
+    descendant closure. A fresh arrival's frontier is its roots, whose
+    closure is the whole DAG. FIFO and SRPT count a job's remaining work
+    this way from the first frontier they receive after its arrival or a
+    crash rebuild.
+    """
+    if np.array_equal(frontier, dag.roots):
+        return dag.work
+    seen = np.zeros(dag.n, dtype=bool)
+    fresh = frontier
+    while fresh.size:
+        seen[fresh] = True
+        children, _ = csr_gather(dag.child_indptr, dag.child_indices, fresh)
+        fresh = np.unique(children[~seen[children]])
+    return int(np.count_nonzero(seen))
 
 
 def flat_priority_kernel(policy: TieBreak, instance: Instance) -> Optional[Array]:

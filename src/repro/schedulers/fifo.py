@@ -11,10 +11,13 @@ capacity allows; *which* subjobs are taken when a job is truncated is decided
 by the :class:`~repro.schedulers.base.TieBreak` policy — exactly the
 "intra-job scheduling" knob the paper shows is decisive (Sections 1 and 4).
 
-Bookkeeping is O(log n) amortized per event: arrivals append (or
-``bisect.insort`` on out-of-order ids) into the sorted unfinished list, and
-job completions use lazy deletion with periodic compaction instead of an
-O(n) ``list.remove`` per finished job.
+Bookkeeping is O(log n) amortized per event: a job enters the sorted
+unfinished list (an append, or ``bisect.insort`` on out-of-order ids) with
+the first ready frontier it receives, and job completions use lazy
+deletion with periodic compaction instead of an O(n) ``list.remove`` per
+finished job. A crash rebuild replays every released job and re-delivers
+each unfinished one's frontier; FIFO recounts a job's remaining work from
+that frontier, so a finished job never re-enters the walk.
 
 Each job's ready subjobs wait in a :class:`~repro.schedulers.base.ReadyHeap`
 ordered by the tie-break's ``key()``. When the tie-break has a priority
@@ -37,7 +40,13 @@ from ..core.instance import Instance
 from ..core.job import Job
 from ..core.simulator import Scheduler, Selection
 from ..core.util import Array
-from .base import ArbitraryTieBreak, ReadyHeap, TieBreak, flat_priority_kernel
+from .base import (
+    ArbitraryTieBreak,
+    ReadyHeap,
+    TieBreak,
+    _unfinished_work,
+    flat_priority_kernel,
+)
 
 __all__ = ["FIFOScheduler"]
 
@@ -85,20 +94,25 @@ class FIFOScheduler(Scheduler):
         # ascending id *is* FIFO arrival order.
         self._unfinished = []
         self._n_finished = 0
-        self._remaining = np.array([j.work for j in instance], dtype=np.int64)
+        self._remaining = np.zeros(len(instance), dtype=np.int64)
 
     def on_job_arrival(self, t: int, job_id: int, job: Job) -> None:
         self._heaps[job_id] = ReadyHeap(job, self.tie_break)
-        # Arrivals come in release order, which is id order except for
-        # same-time ties — append when possible, insort otherwise.
-        if not self._unfinished or job_id > self._unfinished[-1]:
-            self._unfinished.append(job_id)
-        else:
-            insort(self._unfinished, job_id)
 
     def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
         heap = self._heaps[job_id]
         assert heap is not None, "ready nodes for a job that never arrived"
+        if self._remaining[job_id] == 0:
+            # The job's first frontier since its arrival or a crash
+            # rebuild: count its work from there and enter it in the walk.
+            # A replayed job that gets no frontier has finished.
+            self._remaining[job_id] = _unfinished_work(heap.job.dag, nodes)
+            # Frontiers come in release order, which is id order except
+            # for same-time ties — append when possible, insort otherwise.
+            if not self._unfinished or job_id > self._unfinished[-1]:
+                self._unfinished.append(job_id)
+            else:
+                insort(self._unfinished, job_id)
         heap.push_all(nodes)
 
     def select(self, t: int, capacity: int) -> Selection:

@@ -46,35 +46,21 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.dag import DAG
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.simulator import Scheduler, Selection
-from ..core.util import Array, csr_gather
-from .base import ArbitraryTieBreak, ReadyHeap, TieBreak, flat_priority_kernel
+from ..core.util import Array
+from .base import (
+    ArbitraryTieBreak,
+    ReadyHeap,
+    TieBreak,
+    _unfinished_work,
+    flat_priority_kernel,
+)
 
 __all__ = ["SRPTScheduler"]
 
 _INT = np.int64
-
-
-def _unfinished_work(dag: DAG, frontier: Array) -> int:
-    """Subjobs left in a job whose whole ready frontier is ``frontier``.
-
-    Every unfinished subjob descends from a ready one, and no descendant
-    of a ready subjob has run, so the count is the size of the frontier's
-    descendant closure. A fresh arrival's frontier is its roots, whose
-    closure is the whole DAG.
-    """
-    if np.array_equal(frontier, dag.roots):
-        return dag.work
-    seen = np.zeros(dag.n, dtype=bool)
-    fresh = frontier
-    while fresh.size:
-        seen[fresh] = True
-        children, _ = csr_gather(dag.child_indptr, dag.child_indices, fresh)
-        fresh = np.unique(children[~seen[children]])
-    return int(np.count_nonzero(seen))
 
 
 class SRPTScheduler(Scheduler):

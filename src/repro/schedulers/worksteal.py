@@ -24,8 +24,8 @@ exists elsewhere — exactly the slack the ABP analysis charges for. Setting
 ``steal_attempts >= m`` with ``deterministic_fallback=True`` recovers a
 fully work-conserving variant.
 
-Implementation notes (vectorized hot path)
-------------------------------------------
+Implementation notes
+--------------------
 
 Deques hold *global* node ids over the instance CSR; ownership of
 newly-enabled children is one flat int64 array indexed by gid (``-1`` =
@@ -34,10 +34,8 @@ ownership resolves lazily: selections record which worker ran each node
 (one scatter), and delivery looks up the executing worker of the sole
 parent — no per-step CSR child gather at all (general DAGs keep the gather
 and register children eagerly). Per step the policy does one batched RNG
-draw for all idle workers' steal probes and returns the selection as a
-flat gid array the engine applies without a job/node split round-trip; it
-also opts in to flat ready delivery (:attr:`~repro.core.Scheduler.
-wants_ready_gids`), skipping the engine's per-job grouping pass.
+draw for all idle workers' steal probes, and decodes its gid picks into
+``(job, node)`` pairs with one ``searchsorted`` over the CSR offsets.
 
 Within a step, every worker first pops its own deque and only then the
 idle ones steal (in worker order, probes drawn from one batch per step).
@@ -78,8 +76,6 @@ class WorkStealingScheduler(Scheduler):
         deques deterministically — making the policy work-conserving (and
         the ``check_work_conserving`` invariant applicable).
     """
-
-    wants_ready_gids = True
 
     def __init__(
         self,
@@ -135,7 +131,8 @@ class WorkStealingScheduler(Scheduler):
         # The whole job enters at one random worker.
         self._entry_worker = int(self._rng.integers(0, self._m))
 
-    def on_ready_gids(self, t: int, gids: Array) -> None:
+    def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
+        gids = self._offsets[job_id] + np.asarray(nodes, dtype=_INT)
         deques = self._deques
         entry = self._entry_worker
         if self._parent_of is not None:
@@ -144,12 +141,6 @@ class WorkStealingScheduler(Scheduler):
             owners = self._owner[gids]
         for gid, worker in zip(gids.tolist(), owners.tolist()):
             deques[worker if worker >= 0 else entry].append(gid)  # bottom
-
-    def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
-        # Per-job fallback (observer runs and the reference engine deliver
-        # readiness this way); same ascending order as the flat form since
-        # one job's gids are contiguous.
-        self.on_ready_gids(t, self._offsets[job_id] + np.asarray(nodes, dtype=_INT))
 
     # -- per-step policy -----------------------------------------------------
 
@@ -190,12 +181,12 @@ class WorkStealingScheduler(Scheduler):
                     add_pick(got)
                     add_worker(worker)
         if not picked:
-            return np.empty(0, dtype=_INT)
+            return []
         gids = np.array(picked, dtype=_INT)
         w = np.array(workers, dtype=_INT)
         # Children enabled by these executions will belong to their worker.
         if self._parent_of is not None:
-            # Forests resolve ownership lazily at delivery (on_ready_gids)
+            # Forests resolve ownership lazily at delivery (on_nodes_ready)
             # from the executing worker recorded here.
             self._ran_by[gids] = w
         else:
@@ -208,9 +199,9 @@ class WorkStealingScheduler(Scheduler):
             )
             if kids.size:
                 self._owner[kids] = np.repeat(w, counts)
-        # Flat-gid selection: the engine consumes gids without a job/node
-        # id split round-trip (see ``repro.core.simulator.Selection``).
-        return gids
+        jobs = np.searchsorted(self._offsets, gids, side="right") - 1
+        nodes = gids - self._offsets[jobs]
+        return list(zip(jobs.tolist(), nodes.tolist()))
 
     # -- introspection -------------------------------------------------------
 

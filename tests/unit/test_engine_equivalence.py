@@ -1,13 +1,16 @@
-"""Differential equivalence: the vectorized frontier engine must produce
+"""Differential equivalence: the list-rule engine must produce
 bit-identical schedules to the reference per-node loop.
 
-``simulate`` (batched kernels + steady-state fast path) and
-``_simulate_reference`` (the original per-node Python loop, kept verbatim)
-are run on the same instance with freshly constructed schedulers, and the
-resulting completion arrays compared exactly — across FIFO (several
-tie-breaks, including the impure random one), LPF, most-children FIFO and
-randomized work stealing, on packed, quicksort, random-forest and
-adversarial workloads.
+``simulate`` and ``_simulate_reference`` (the dispatch loop, for every
+scheduler) are run on the same instance with freshly constructed
+schedulers, and the resulting completion arrays compared exactly — across
+FIFO (several tie-breaks), LPF, most-children FIFO and randomized work
+stealing, on packed, quicksort, random-forest and adversarial workloads.
+
+FIFO with the random tie-break and work stealing are not list rules, so
+``simulate`` runs them through the same dispatch loop as the reference:
+their cases (``fifo-random``, ``worksteal``, ``worksteal-wc``) run one
+loop twice and check that it is deterministic for a fixed seed.
 """
 
 import numpy as np
@@ -33,8 +36,8 @@ from repro.workloads import (
 
 # ---------------------------------------------------------------------------
 # Workload zoo: (name, seed) -> Instance. Small enough to run the reference
-# loop quickly, varied enough to hit every engine path (scalar, batched,
-# fast-forward, idle gaps, same-time arrivals).
+# loop quickly, varied enough to hit every engine path (whole-frontier and
+# truncated commits, macro-steps, idle gaps, same-time arrivals).
 # ---------------------------------------------------------------------------
 
 

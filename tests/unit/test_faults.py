@@ -206,6 +206,9 @@ class TestFaultInjector:
         assert injector.delivery_order(0, 3) is None
 
     def test_crash_recovery_produces_valid_identical_schedules(self):
+        """A faulted run (the dispatch loop) validates and equals the
+        unfaulted list-rule run: crashes and delivery order change nothing
+        FIFO or LPF decide."""
         inst = Instance(
             [Job(complete_kary_tree(2, 4), 0), Job(star(6), 3)]
         )
@@ -214,31 +217,31 @@ class TestFaultInjector:
             injector = FaultInjector(
                 crash_times=(2, 5, 9), perturb_delivery=True, seed=11
             )
-            fast = simulate(
+            faulted = simulate(
                 inst, 3, scheduler_cls(),
                 availability=trace, fault_injector=injector,
             )
-            fast.validate()
+            faulted.validate()
             assert injector.crashes  # faults actually fired
-            ref = _simulate_reference(
-                inst, 3, scheduler_cls(),
-                availability=trace, fault_injector=injector,
-            )
+            plain = simulate(inst, 3, scheduler_cls(), availability=trace)
             assert all(
                 np.array_equal(a, b)
-                for a, b in zip(fast.completion, ref.completion)
+                for a, b in zip(faulted.completion, plain.completion)
             )
 
     def test_crash_rate_draws_align_across_engines(self):
+        """Two runs of one injector draw the same crashes, and both equal
+        the uncrashed schedule."""
         inst = Instance([Job(complete_kary_tree(2, 4), 0)])
         injector = FaultInjector(crash_rate=0.3, seed=7)
-        fast = simulate(inst, 2, FIFOScheduler(), fault_injector=injector)
-        fast_crashes = list(injector.crashes)
-        ref = _simulate_reference(
-            inst, 2, FIFOScheduler(), fault_injector=injector
-        )
-        assert injector.crashes == fast_crashes
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(fast.completion, ref.completion)
-        )
+        first = simulate(inst, 2, FIFOScheduler(), fault_injector=injector)
+        first_crashes = list(injector.crashes)
+        assert first_crashes
+        second = simulate(inst, 2, FIFOScheduler(), fault_injector=injector)
+        assert injector.crashes == first_crashes
+        plain = simulate(inst, 2, FIFOScheduler())
+        for run in (first, second):
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(run.completion, plain.completion)
+            )

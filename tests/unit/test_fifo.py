@@ -112,3 +112,29 @@ class TestFIFOBehaviour:
         assert all(
             np.array_equal(a, b) for a, b in zip(s1.completion, s2.completion)
         )
+
+    def test_crash_rebuild_drops_finished_jobs_from_the_walk(self):
+        """A rebuild recounts each job's remaining work from its re-delivered
+        frontier, so replayed finished jobs never re-enter the FIFO walk and
+        the run ends with nothing left to walk."""
+        from repro.faults import FaultInjector
+
+        inst = Instance(
+            [
+                Job(chain(3), 0),
+                Job(chain(3), 1),
+                Job(chain(4), 2),
+                Job(chain(5), 20),
+            ]
+        )
+        fifo = FIFOScheduler()
+        injector = FaultInjector(crash_times=(4, 7))
+        crashed = simulate(inst, 1, fifo, fault_injector=injector)
+        assert injector.crashes == [4, 7]
+        assert fifo._unfinished == []
+        assert fifo._remaining.tolist() == [0, 0, 0, 0]
+        plain = simulate(inst, 1, FIFOScheduler())
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(crashed.completion, plain.completion)
+        )

@@ -59,7 +59,7 @@ def test_rule_catalog_is_stable():
         "RPR005",  # failure paths
         "RPR008",  # kernel-module style discipline
         "RPR009",  # streaming unbounded-accumulation discipline
-        "RPR102", "RPR103",  # scheduler contracts
+        "RPR102",  # scheduler contracts
         "RPR201", "RPR202", "RPR203",  # engine safety
         "RPR301",  # picklability
     }

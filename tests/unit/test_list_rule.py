@@ -4,7 +4,7 @@ A scheduler whose ``frontier_priorities`` returns an array is run by the
 engine alone (no observer, no fault injector): it sees ``reset`` and
 ``frontier_priorities`` and nothing else. Returning ``None`` — as FIFO and
 SRPT do for a pure tie-break that only defines ``key()`` — keeps every
-step on the dispatch path, with the same schedule as the reference loop.
+step in the dispatch loop, with the same schedule as the reference loop.
 """
 
 import numpy as np

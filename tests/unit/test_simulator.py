@@ -1,5 +1,6 @@
 """Unit tests for the simulation engine: semantics, protocol enforcement."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -14,6 +15,7 @@ from repro.core import (
     simulate,
     star,
 )
+from repro.core.simulator import _simulate_reference
 
 
 class GreedyStub(Scheduler):
@@ -127,6 +129,30 @@ class UnknownJobSelector(GreedyStub):
         return [(42, 0)]
 
 
+class FixedSelector(GreedyStub):
+    """Returns the same (malformed) selection at every step."""
+
+    def __init__(self, selection):
+        self.selection = selection
+
+    def select(self, t, capacity):
+        return self.selection
+
+
+#: Selections that are not a sequence of (job, node) integer pairs.
+MALFORMED = {
+    "triple": [(0, 0, 0)],
+    "string": "ab",
+    "none-entry": [None],
+    "int-row-of-three": np.array([[0, 0, 0]]),
+    "list-node": [[0, [0]]],
+    "float-gids": np.array([0.0]),
+    "float-pair": [(0.0, 0.5)],
+    "float-node": [(0, 0.0)],
+    "not-iterable": 7,
+}
+
+
 class TestProtocolEnforcement:
     @pytest.mark.parametrize(
         "bad,msg",
@@ -141,6 +167,22 @@ class TestProtocolEnforcement:
         inst = Instance([Job(star(5), 0)])
         with pytest.raises(SchedulerProtocolError, match=msg):
             simulate(inst, 3, bad())
+
+    @pytest.mark.parametrize(
+        "engine", [simulate, _simulate_reference], ids=["simulate", "reference"]
+    )
+    @pytest.mark.parametrize(
+        "selection", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_selections_rejected(self, engine, selection):
+        """Every entry must be a 2-item pair of integers; anything else is a
+        protocol error naming the scheduler and the step, never a raw
+        ValueError/TypeError and never a truncated float."""
+        inst = Instance([Job(star(5), 0)])
+        with pytest.raises(
+            SchedulerProtocolError, match=r"^FixedSelector .* at t=0"
+        ):
+            engine(inst, 3, FixedSelector(selection))
 
 
 class CountingObserver(SimulationObserver):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Instance, Job, MetricsCollector, antichain, chain, simulate, star
-from repro.schedulers import FIFOScheduler
+from repro.schedulers import FIFOScheduler, WorkStealingScheduler
 
 
 def _collect(instance, m):
@@ -27,6 +27,19 @@ class TestCollection:
         inst = Instance([Job(chain(3), 0), Job(chain(3), 2)])
         collector, _ = _collect(inst, 1)
         assert max(collector.alive_jobs) == 2
+
+    @pytest.mark.parametrize(
+        "scheduler",
+        [FIFOScheduler, lambda: WorkStealingScheduler(seed=0)],
+        ids=["fifo", "worksteal"],
+    )
+    def test_observer_sees_newly_ready_subjobs(self, scheduler):
+        """The engine marks the subjobs a step enabled as ready before it
+        calls the observer: on a 3-chain each step's successor is already
+        counted."""
+        collector = MetricsCollector()
+        simulate(Instance([Job(chain(3), 0)]), 1, scheduler(), observer=collector)
+        assert collector.ready_after == [1, 1, 0]
 
     def test_utilization_profile_bounded(self):
         collector, _ = _collect(Instance([Job(star(9), 0)]), 4)

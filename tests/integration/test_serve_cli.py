@@ -10,6 +10,7 @@ exit-status contract.
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -195,18 +196,27 @@ def test_sigterm_drains_gracefully(tmp_path):
             "--jobs",
             "4000",
             "--tick-every",
-            "0",
-            "--quiet",
+            "1",
             "--metrics-out",
             str(out),
         ],
         env=_env(),
         cwd=REPO_ROOT,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
-    time.sleep(2.0)  # let it get past startup and admit some jobs
+    # Signal from inside the run, not after a fixed sleep: on a fast
+    # machine the whole stream ends within two seconds. The first tick
+    # shows the handlers are installed and the run has begun; with a tick
+    # every step and nobody reading, the pipe fills and holds the run near
+    # its start until communicate() drains it.
+    ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+    first = proc.stdout.readline() if ready else ""
+    if not first:
+        proc.kill()
+        pytest.fail("no tick line within 60s: " + proc.communicate(timeout=30)[1])
+    assert json.loads(first)["t"] == 1
     proc.send_signal(signal.SIGTERM)
     _, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr

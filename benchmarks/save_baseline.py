@@ -20,9 +20,10 @@ pre-generated trace of 300 layered 1024-node jobs at ~4x overload on
 m=16: a frontier of thousands of ready nodes, 16 committed per step.
 
 The ``adversary_build_m32`` row times the Section 4 adversary's builder
-(``build_fifo_adversary(32, n_jobs=64)``, its private FIFO
-co-simulation included) and checks the built instance still separates
-FIFO from OPT; its "subjobs" are the built instance's total work.
+(``build_fifo_adversary(32, n_jobs=64)``: its layer-granular FIFO
+co-simulation, the freeze into DAGs, and both schedules' validation) and
+checks the built instance still separates FIFO from OPT; its "subjobs" are
+the built instance's total work.
 """
 
 from __future__ import annotations

@@ -6,8 +6,13 @@ sizes, certifies FIFO's competitive ratio against the explicit OPT witness
 (flow ≤ m+1), and shows how the clairvoyant LPF tie-break — which always
 picks the *key* subjob — collapses the same instances.
 
-Run:  python examples/adversarial_fifo.py            (m up to 64, ~30 s)
-      python examples/adversarial_fifo.py --full     (m up to 256, minutes)
+Run:  python examples/adversarial_fifo.py            (m up to 64, ~8 s)
+      python examples/adversarial_fifo.py --full     (m up to 256, many minutes)
+
+Most of the time goes to replaying the instances under the random and LPF
+tie-breaks, not to building them: at m=128 (8.4M subjobs) the build takes
+~3 s and the two replays ~50 s, with ~1.8 GB peak memory (2-vCPU host).
+The m=256 instance has 67M subjobs and needs several times that memory.
 """
 
 import argparse

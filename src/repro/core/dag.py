@@ -17,8 +17,10 @@ algorithms and analyses need:
 
 Nodes are integers ``0..n-1``. The adjacency is stored twice in CSR form
 (children and parents) as ``int64`` numpy arrays; all derived quantities are
-computed once, on first access, by level-synchronous vectorized passes.
-Instances are immutable: every combinator returns a new DAG.
+computed once, on first access, by vectorized passes: ``depth`` by pointer
+doubling on out-forests and by a level-synchronous Kahn pass on other DAGs,
+the rest level by level. Instances are immutable: every combinator returns
+a new DAG.
 """
 
 from __future__ import annotations
@@ -101,8 +103,12 @@ class DAG:
 
     Notes
     -----
-    Construction is O(n + e log e); cycle detection runs eagerly so that a
-    ``DAG`` object is always valid by the time user code holds it.
+    Construction sorts the edges (duplicate check and both CSR arrays) and
+    computes :attr:`depth`, which doubles as the eager cycle check, so a
+    ``DAG`` object is always valid by the time user code holds it. The depth
+    pass is O(n log span) in ``⌈log2 span⌉`` rounds on out-forests (every
+    in-degree <= 1) and O(n + e) in ``span`` rounds of about ten NumPy calls
+    on other DAGs; the whole construction is O(n log n + e log e).
     """
 
     __slots__ = (
@@ -138,12 +144,14 @@ class DAG:
         if src.size:
             if np.any(src == dst):
                 raise CycleError("self-loop edge found")
-            pair_keys = src * np.int64(self.n) + dst
-            if np.unique(pair_keys).size != pair_keys.size:
+            # Sorted pair keys put duplicates side by side (a sort is an
+            # order of magnitude cheaper than NumPy 2's hash-based unique).
+            pair_keys = np.sort(src * np.int64(self.n) + dst)
+            if np.any(pair_keys[1:] == pair_keys[:-1]):
                 raise GraphError("duplicate edge found")
         self.child_indptr, self.child_indices = build_csr(self.n, src, dst)
         self.parent_indptr, self.parent_indices = build_csr(self.n, dst, src)
-        # Eager acyclicity check: computing depth performs a full Kahn pass.
+        # Eager acyclicity check: computing depth visits every node.
         _ = self.depth
 
     # ------------------------------------------------------------------
@@ -248,9 +256,18 @@ class DAG:
     def depth(self) -> Array:
         """``D(j)``: nodes on the root→j path; roots have depth 1.
 
-        Computed by a vectorized Kahn pass; raises :class:`CycleError` if the
-        edge set is cyclic (this runs at construction time).
+        Out-forests (every in-degree <= 1) take a pointer-doubling pass over
+        the parent pointers: ``⌈log2 span⌉`` rounds of a gather and an add.
+        Other DAGs take a vectorized Kahn pass, one round per depth level.
+        Either raises :class:`CycleError` if the edge set is cyclic (this
+        runs at construction time), counting the nodes that no root
+        reaches.
         """
+        # The out-forest test is spelled out rather than read from the cached
+        # ``is_out_forest``: caching it here would add it to the state of
+        # every DAG, and so to every pickle of one.
+        if np.all(self.indegree <= 1):
+            return self._forest_depth()
         n = self.n
         depth = np.zeros(n, dtype=_INT)
         remaining = self.indegree.copy()
@@ -270,6 +287,31 @@ class DAG:
             processed += frontier.size
         if processed != n:
             raise CycleError(f"graph has a cycle ({n - processed} nodes unreachable)")
+        depth.setflags(write=False)
+        return depth
+
+    def _forest_depth(self) -> Array:
+        """:attr:`depth` of an out-forest by pointer doubling.
+
+        ``jump[v]`` is an ancestor of ``v`` (the sentinel ``n`` past a
+        root) and ``hops[v]`` counts the nodes from ``v`` up to it; each
+        round doubles the jump. A node still short of the sentinel after
+        ``n`` hops lies on or below a cycle, which no root reaches.
+        """
+        n = self.n
+        jump = np.full(n + 1, n, dtype=_INT)
+        jump[:n][self.indegree == 1] = self.parent_indices
+        hops = np.ones(n + 1, dtype=_INT)
+        hops[n] = 0
+        for _ in range(n.bit_length()):
+            if jump.min() == n:
+                break
+            hops += hops[jump]
+            jump = jump[jump]
+        unreachable = int(np.count_nonzero(jump != n))
+        if unreachable:
+            raise CycleError(f"graph has a cycle ({unreachable} nodes unreachable)")
+        depth = hops[:n]
         depth.setflags(write=False)
         return depth
 

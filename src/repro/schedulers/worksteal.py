@@ -28,14 +28,16 @@ Implementation notes
 --------------------
 
 Deques hold *global* node ids over the instance CSR; ownership of
-newly-enabled children is one flat int64 array indexed by gid (``-1`` =
-unowned, claimed by the arrival's entry worker). For out-forest instances
-ownership resolves lazily: selections record which worker ran each node
-(one scatter), and delivery looks up the executing worker of the sole
-parent — no per-step CSR child gather at all (general DAGs keep the gather
-and register children eagerly). Per step the policy does one batched RNG
-draw for all idle workers' steal probes, and decodes its gid picks into
-``(job, node)`` pairs with one ``searchsorted`` over the CSR offsets.
+newly-enabled children is one flat Python list indexed by gid (``-1`` =
+unowned, claimed by the arrival's entry worker). Delivery and selection
+touch a handful of nodes per call, so the ownership tables are Python
+lists built once in ``reset``: a list lookup is several times cheaper than
+a NumPy call on one to three elements. For out-forest instances ownership
+resolves lazily: each pick records the worker that ran it, and delivery
+looks up the executing worker of the sole parent (general DAGs walk each
+pick's CSR row and register its children eagerly). Per step the policy
+does one batched RNG draw for all idle workers' steal probes, and decodes
+its gid picks into ``(job, node)`` pairs by bisecting the job offsets.
 
 Within a step, every worker first pops its own deque and only then the
 idle ones steal (in worker order, probes drawn from one batch per step).
@@ -47,6 +49,7 @@ unchanged — runs remain deterministic and reproducible per seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Optional
 
@@ -55,7 +58,7 @@ import numpy as np
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.simulator import Scheduler, Selection
-from ..core.util import Array, csr_gather
+from ..core.util import Array
 
 __all__ = ["WorkStealingScheduler"]
 
@@ -100,27 +103,27 @@ class WorkStealingScheduler(Scheduler):
         self._instance = instance
         self._m = m
         flat = instance.flat_graph
-        self._offsets = flat.offsets
-        self._child_indptr = flat.child_indptr
-        self._child_indices = flat.child_indices
+        self._offsets: list[int] = flat.offsets.tolist()
         self._deques: list[deque[int]] = [deque() for _ in range(m)]
         n = flat.n_nodes
-        #: gid -> worker that executed its most recent completed parent
-        #: (-1: no parent executed yet; such nodes land at the entry worker).
-        self._owner: Array = np.full(n, -1, dtype=_INT)
-        self._parent_of: Optional[Array] = None
+        self._parent_of: Optional[list[int]] = None
         if flat.all_out_forests:
-            # Forest fast path: each node has one parent, so child ownership
-            # is "worker that ran my parent". Record executions in a flat
-            # ``_ran_by`` scatter (k writes per step) instead of gathering
-            # each selection's children through the CSR. Roots point at the
-            # sentinel slot ``n``, which stays -1 (= entry worker) forever.
+            # Forests: each node has one parent, so child ownership is
+            # "worker that ran my parent". Each pick writes ``_ran_by`` (k
+            # writes per step) instead of walking its children. Roots point
+            # at the sentinel slot ``n``, which stays -1 (= entry worker).
             parent_of = np.full(n + 1, n, dtype=_INT)
             parent_of[flat.child_indices] = np.repeat(
                 np.arange(n, dtype=_INT), np.diff(flat.child_indptr)
             )
-            self._parent_of = parent_of
-            self._ran_by: Array = np.full(n + 1, -1, dtype=_INT)
+            self._parent_of = parent_of.tolist()
+            self._ran_by = [-1] * (n + 1)
+        else:
+            self._child_indptr: list[int] = flat.child_indptr.tolist()
+            self._child_indices: list[int] = flat.child_indices.tolist()
+            #: gid -> worker that executed its most recent completed parent
+            #: (-1: no parent executed yet; lands at the entry worker).
+            self._owner = [-1] * n
         self._entry_worker = 0
         self._steals = 0
         self._steal_misses = 0
@@ -132,14 +135,18 @@ class WorkStealingScheduler(Scheduler):
         self._entry_worker = int(self._rng.integers(0, self._m))
 
     def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
-        gids = self._offsets[job_id] + np.asarray(nodes, dtype=_INT)
+        base = self._offsets[job_id]
+        gids = [base + v for v in nodes.tolist()]
+        parent_of = self._parent_of
+        if parent_of is not None:
+            ran_by = self._ran_by
+            owners = [ran_by[parent_of[gid]] for gid in gids]
+        else:
+            owner = self._owner
+            owners = [owner[gid] for gid in gids]
         deques = self._deques
         entry = self._entry_worker
-        if self._parent_of is not None:
-            owners = self._ran_by[self._parent_of[gids]]
-        else:
-            owners = self._owner[gids]
-        for gid, worker in zip(gids.tolist(), owners.tolist()):
+        for gid, worker in zip(gids, owners):
             deques[worker if worker >= 0 else entry].append(gid)  # bottom
 
     # -- per-step policy -----------------------------------------------------
@@ -180,28 +187,30 @@ class WorkStealingScheduler(Scheduler):
                 if got >= 0:
                     add_pick(got)
                     add_worker(worker)
-        if not picked:
-            return []
-        gids = np.array(picked, dtype=_INT)
-        w = np.array(workers, dtype=_INT)
         # Children enabled by these executions will belong to their worker.
         if self._parent_of is not None:
             # Forests resolve ownership lazily at delivery (on_nodes_ready)
             # from the executing worker recorded here.
-            self._ran_by[gids] = w
+            ran_by = self._ran_by
+            for gid, worker in zip(picked, workers):
+                ran_by[gid] = worker
         else:
             # General DAGs pre-register through the CSR; the engine only
             # delivers the children that actually become ready. A child with
             # several parents ends up owned by the last parent to register —
             # fine for a baseline policy.
-            kids, counts = csr_gather(
-                self._child_indptr, self._child_indices, gids
-            )
-            if kids.size:
-                self._owner[kids] = np.repeat(w, counts)
-        jobs = np.searchsorted(self._offsets, gids, side="right") - 1
-        nodes = gids - self._offsets[jobs]
-        return list(zip(jobs.tolist(), nodes.tolist()))
+            indptr = self._child_indptr
+            indices = self._child_indices
+            owner = self._owner
+            for gid, worker in zip(picked, workers):
+                for kid in indices[indptr[gid] : indptr[gid + 1]]:
+                    owner[kid] = worker
+        offsets = self._offsets
+        selection: list[tuple[int, int]] = []
+        for gid in picked:
+            job = bisect_right(offsets, gid) - 1
+            selection.append((job, gid - offsets[job]))
+        return selection
 
     # -- introspection -------------------------------------------------------
 

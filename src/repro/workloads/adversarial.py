@@ -20,16 +20,21 @@ that merge in the other direction).
 
 This module co-simulates deterministic arbitrary FIFO (ascending node id;
 keys receive the largest id of their layer) against the lazy adversary,
-then *freezes* the instance. The frozen instance replays bit-identically
-through the general engine with
-:class:`~repro.schedulers.base.ArbitraryTieBreak` (an integration test
+then *freezes* the instance. Since a layer's size is fixed when FIFO first
+touches it, the co-simulation works one layer at a time: at each step a
+job either waits for its next layer or has its key as its only ready
+subjob, so a step is one walk over the live jobs, not over their subjobs.
+The frozen instance replays bit-identically through the general engine
+with :class:`~repro.schedulers.base.ArbitraryTieBreak` (an integration test
 asserts this), and ships with an explicit OPT witness schedule achieving
 maximum flow at most ``m + 1``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -58,8 +63,9 @@ class AdversarialResult:
     opt_witness:
         A feasible schedule with maximum flow at most ``period`` (the
         paper's witness: key of layer ℓ at time ``r_i + ℓ``, leaves greedily
-        around it). Only constructible when release windows are disjoint
-        (``period >= m + 1``, the paper's setting); ``None`` otherwise.
+        around it). Built only in the paper's setting: release windows
+        are disjoint (``period >= m + 1``) and jobs have at most ``m``
+        layers; ``None`` otherwise.
     m:
         Number of processors the family was built for.
     period:
@@ -80,11 +86,12 @@ class AdversarialResult:
     def opt_upper_bound(self) -> int:
         """Witness objective — an upper bound on OPT (≤ m + 1 in the
         paper's ``period = m + 1`` setting). Raises when no witness exists
-        (overloaded periods); use :attr:`opt_lower_bound` there."""
+        (overloaded periods, or more than ``m`` layers); use
+        :attr:`opt_lower_bound` there."""
         if self.opt_witness is None:
             raise ConfigurationError(
-                f"no OPT witness for period={self.period} < m+1={self.m + 1}; "
-                "use opt_lower_bound"
+                f"no OPT witness (it needs period >= m+1 = {self.m + 1} and "
+                f"at most m layers; period={self.period}); use opt_lower_bound"
             )
         return self.opt_witness.max_flow
 
@@ -100,68 +107,6 @@ class AdversarialResult:
         """A certified lower bound on FIFO's competitive ratio (requires
         the witness)."""
         return self.fifo_max_flow / self.opt_upper_bound
-
-
-class _AdversaryJob:
-    """Mutable per-job state during the co-simulation."""
-
-    __slots__ = (
-        "release",
-        "n_layers",
-        "layers",  # list of lists of local node ids
-        "keys",  # designated key subjob per layer
-        "key_set",  # same as keys, as a set (hot-path membership test)
-        "ready",  # local ids ready now
-        "pending_layer",  # next layer index awaiting materialization, or None
-        "n_nodes",
-        "done_count",
-        "completion",  # local id -> completion time (filled during co-sim)
-    )
-
-    def __init__(self, release: int, n_layers: int):
-        self.release = release
-        self.n_layers = n_layers
-        self.layers: list[list[int]] = []
-        self.keys: list[int] = []
-        self.key_set: set[int] = set()
-        self.ready: list[int] = []
-        self.pending_layer: int | None = 0
-        self.n_nodes = 0
-        self.done_count = 0
-        self.completion: dict[int, int] = {}
-
-    @property
-    def finished(self) -> bool:
-        return self.pending_layer is None and not self.ready and (
-            self.done_count == self.n_nodes
-        )
-
-    def materialize(self, size: int, key_index: int) -> list[int]:
-        """Create the pending layer with ``size`` subjobs; the subjob at
-        position ``key_index`` is the designated key (the one FIFO will
-        leave unscheduled at first touch)."""
-        assert self.pending_layer is not None
-        base = self.n_nodes
-        nodes = list(range(base, base + size))
-        self.n_nodes += size
-        self.layers.append(nodes)
-        self.keys.append(nodes[key_index])
-        self.key_set.add(nodes[key_index])
-        self.ready.extend(nodes)
-        self.pending_layer = None
-        return nodes
-
-    def key_of(self, layer_idx: int) -> int:
-        return self.keys[layer_idx]
-
-    def complete(self, local: int, t_finish: int) -> None:
-        self.completion[local] = t_finish
-        self.done_count += 1
-        # If the completed node is the key of the latest layer and more
-        # layers remain, the next layer becomes pending.
-        latest = len(self.layers) - 1
-        if local == self.key_of(latest) and latest + 1 < self.n_layers:
-            self.pending_layer = latest + 1
 
 
 @cached_generator(
@@ -181,6 +126,10 @@ def build_fifo_adversary(
     """Run the Section 4 adversary against arbitrary FIFO on ``m``
     processors and freeze the resulting instance.
 
+    ``m``, ``n_jobs``, ``n_layers`` and ``period`` must be integers (NumPy
+    integers included); anything else raises :class:`ConfigurationError`
+    naming the argument.
+
     Parameters
     ----------
     m:
@@ -189,7 +138,9 @@ def build_fifo_adversary(
         Number of released jobs. The paper's Theorem 4.2 argument uses
         ``2 m lg m`` jobs; the ratio typically saturates much sooner.
     n_layers:
-        Layers per job (default ``m``, as in the paper).
+        Layers per job (default ``m``, as in the paper). With more than
+        ``m`` layers the witness's leaves can overflow their window, so
+        none is built (``opt_witness`` is ``None``).
     period:
         Release spacing (default ``m + 1``, as in the paper). Smaller
         periods probe regimes the paper's analysis does not cover; the
@@ -209,14 +160,16 @@ def build_fifo_adversary(
     max_steps:
         Safety cap on simulated time (default generous).
     """
+    m = _as_index(m, "m")
+    n_jobs = _as_index(n_jobs, "n_jobs")
     if m < 2:
         raise ConfigurationError("the adversarial family needs m >= 2")
     if n_jobs < 1:
         raise ConfigurationError("n_jobs must be >= 1")
-    layers = m if n_layers is None else int(n_layers)
+    layers = m if n_layers is None else _as_index(n_layers, "n_layers")
     if layers < 1:
         raise ConfigurationError("n_layers must be >= 1")
-    period = m + 1 if period is None else int(period)
+    period = m + 1 if period is None else _as_index(period, "period")
     if period < 1:
         raise ConfigurationError("period must be >= 1")
     if key_placement not in ("last", "first", "random"):
@@ -230,134 +183,165 @@ def build_fifo_adversary(
         # time; pad generously.
         max_steps = (n_jobs + 4 * layers + 8) * period * 4 + 64
 
-    jobs: list[_AdversaryJob] = []
+    # One cell per (job, layer), at ``job * layers + layer``: the layer's
+    # size, its key's position within it, and the steps at which its leaves
+    # and its key ran.
+    n_cells = n_jobs * layers
+    size = [0] * n_cells
+    key_pos = [0] * n_cells
+    leaf_step = [0] * n_cells
+    key_step = [0] * n_cells
+    # A job's current cell: its pending layer, or the layer whose key is
+    # its only ready subjob (``key_ready``). FIFO orders a job's key after
+    # its other ready subjobs, so the step that runs a key has also run
+    # every other ready subjob of that job.
+    cell = [j * layers for j in range(n_jobs)]
+    key_ready = [False] * n_jobs
+    alive: list[int] = []  # released-and-unfinished jobs, arrival order
     next_release = 0
-    alive: list[_AdversaryJob] = []  # released-and-unfinished, arrival order
-    n_alive = 0  # len(alive), tracked to keep the loop condition O(1)
     t = 0
-    # Co-simulate FIFO: scan alive jobs oldest-first, materializing layers
-    # lazily the first time FIFO reaches them with spare capacity.
-    while next_release < n_jobs or n_alive > 0:
+    while next_release < n_jobs or alive:
         if t > max_steps:
             raise ConfigurationError(
                 f"adversary co-simulation exceeded {max_steps} steps"
             )
         while next_release < n_jobs and releases[next_release] == t:
-            job = _AdversaryJob(releases[next_release], layers)
-            jobs.append(job)
-            alive.append(job)
+            alive.append(next_release)
             next_release += 1
-            n_alive += 1
-        capacity = m
-        scheduled: list[tuple[_AdversaryJob, int]] = []
-        # `jobs` holds released jobs in arrival order; skip finished ones
-        # without rescanning (they are pruned after completions below).
-        for job in alive:
-            if capacity <= 0:
-                break
-            if job.pending_layer is not None and capacity >= 1:
-                # The adversary fixes the layer size now: capacity + 1,
-                # and designates the key per the placement policy.
-                size = capacity + 1
-                if key_placement == "last":
-                    key_index = size - 1
-                elif key_placement == "first":
-                    key_index = 0
-                else:
-                    key_index = int(rng.integers(0, size))
-                job.materialize(size, key_index)
-            if job.ready:
-                take = min(capacity, len(job.ready))
-                # Non-keys first (they are what FIFO schedules at first
-                # touch); the designated key is ordered last.
-                key_set = job.key_set
-                job.ready.sort(key=lambda v: (v in key_set, v))
-                chosen, job.ready = job.ready[:take], job.ready[take:]
-                scheduled.extend((job, local) for local in chosen)
-                capacity -= take
-        # Advance time; if nothing ran and nothing is ready, jump to the
-        # next release.
-        if not scheduled:
-            future = [r for r in releases[next_release:]]
-            if not future and all(j.finished for j in jobs):
-                break
-            t = future[0] if future else t + 1
+        if not alive:
+            t = releases[next_release]
             continue
-        finish = t + 1
-        pruned = False
-        for job, local in scheduled:
-            job.complete(local, finish)
-            if job.finished:
-                n_alive -= 1
-                pruned = True
-        if pruned:
-            alive = [j for j in alive if not j.finished]
-        t = finish
+        # Co-simulate one FIFO step: oldest job first, every ready key takes
+        # a processor, and the first pending layer takes all ``f`` that are
+        # left. The adversary fixes that layer's size now (f + 1), so its f
+        # leaves run and the key, ordered last, is left behind.
+        capacity = m
+        finished = False
+        for j in alive:
+            c = cell[j]
+            if key_ready[j]:
+                key_step[c] = t
+                key_ready[j] = False
+                cell[j] = c = c + 1
+                finished |= c == (j + 1) * layers
+                capacity -= 1
+                if not capacity:
+                    break
+            else:
+                size[c] = capacity + 1
+                if key_placement == "last":
+                    key_pos[c] = capacity
+                elif key_placement == "random":
+                    key_pos[c] = int(rng.integers(0, capacity + 1))
+                # "first" keeps position 0.
+                leaf_step[c] = t
+                key_ready[j] = True
+                break
+        if finished:
+            alive = [j for j in alive if cell[j] < (j + 1) * layers]
+        t += 1
 
-    return _freeze(jobs, m, period)
+    shape = (n_jobs, layers)
+    return _freeze(
+        m,
+        period,
+        np.array(size, dtype=_INT).reshape(shape),
+        np.array(key_pos, dtype=_INT).reshape(shape),
+        np.array(leaf_step, dtype=_INT).reshape(shape),
+        np.array(key_step, dtype=_INT).reshape(shape),
+    )
 
 
-def _freeze(jobs: list[_AdversaryJob], m: int, period: int) -> AdversarialResult:
-    """Materialize the co-simulated family into concrete objects."""
-    frozen_jobs: list[Job] = []
-    completions: list[np.ndarray] = []
-    for idx, aj in enumerate(jobs):
-        parents = np.full(aj.n_nodes, -1, dtype=_INT)
-        for layer_idx in range(1, len(aj.layers)):
-            key = aj.key_of(layer_idx - 1)
-            for node in aj.layers[layer_idx]:
-                parents[node] = key
-        dag = DAG.from_parents(parents)
-        frozen_jobs.append(Job(dag, aj.release, label=f"adv{idx}"))
-        comp = np.zeros(aj.n_nodes, dtype=_INT)
-        for local, tf in aj.completion.items():
-            comp[local] = tf
-        completions.append(comp)
-    instance = Instance(frozen_jobs)
-    fifo_schedule = Schedule(instance, m, completions)
+def _as_index(value: Any, name: str) -> int:
+    """``value`` as an exact integer (NumPy integers included), or a
+    :class:`ConfigurationError` naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
+def _freeze(
+    m: int,
+    period: int,
+    size: np.ndarray,
+    key_pos: np.ndarray,
+    leaf_step: np.ndarray,
+    key_step: np.ndarray,
+) -> AdversarialResult:
+    """Materialize the co-simulated layers into concrete objects.
+
+    The four ``(n_jobs, n_layers)`` arrays hold each layer's size, its
+    key's position within the layer, and the steps at which its leaves and
+    its key ran. Layer ``d`` of a job takes the next ``size[d]`` local ids.
+    """
+    n_jobs, layers = size.shape
+    sizes = size.ravel()
+    # Global ids of each layer's first subjob and of its key; each job's
+    # subjobs are one id range, split at ``bounds``.
+    layer_start = np.cumsum(sizes) - sizes
+    job_start = layer_start[::layers]
+    bounds = np.append(job_start, sizes.sum())[1:-1]
+    keys = layer_start.reshape(size.shape) + key_pos
+    # Layer 0 is parentless; every other layer hangs off the previous key.
+    parent = np.full(size.shape, -1, dtype=_INT)
+    parent[:, 1:] = keys[:, :-1] - job_start[:, None]
+    parents = np.split(np.repeat(parent.ravel(), sizes), bounds)
+    releases = np.arange(n_jobs, dtype=_INT) * period
+    jobs = [
+        Job(DAG.from_parents(p), int(r), label=f"adv{idx}")
+        for idx, (p, r) in enumerate(zip(parents, releases.tolist()))
+    ]
+    instance = Instance(jobs)
+    fifo = np.repeat(leaf_step.ravel() + 1, sizes)
+    fifo[keys.ravel()] = key_step.ravel() + 1
+    fifo_schedule = Schedule(instance, m, np.split(fifo, bounds))
     fifo_schedule.validate()
     witness = None
-    if period >= m + 1:
-        witness = _opt_witness(instance, m, period)
+    if period >= m + 1 and layers <= m:
+        witness_flat = _opt_witness(size, key_pos, releases, m)
+        witness = Schedule(instance, m, np.split(witness_flat, bounds))
         witness.validate()
     return AdversarialResult(instance, fifo_schedule, witness, m, period)
 
 
-def _opt_witness(instance: Instance, m: int, period: int) -> Schedule:
-    """The paper's OPT witness: run the key chain of each job one subjob per
-    step starting right after release, and pack the leaves greedily into the
-    job's own ``m+1``-step window (windows of consecutive jobs are disjoint,
-    so each job has the full ``m`` processors)."""
-    completions = []
-    for job in instance:
-        dag = job.dag
-        r = job.release
-        comp = np.zeros(dag.n, dtype=_INT)
-        # Keys are the internal nodes (outdegree > 0) plus the deepest
-        # layer's designated key; identify layers by depth.
-        depth = dag.depth
-        n_layers = int(depth.max())
-        # Key of layer d: the unique node at depth d with children, or (at
-        # the deepest layer) the largest-id node (by construction).
-        slots = np.full(period, m, dtype=_INT)  # free capacity of steps r+1..r+period
-        for d in range(1, n_layers + 1):
-            level = np.nonzero(depth == d)[0]
-            internal = level[dag.outdegree[level] > 0]
-            key = int(internal[0]) if internal.size else int(level.max())
-            comp[key] = r + d
-            slots[d - 1] -= 1
-            # Leaves of layer d may run in steps r+d .. r+period (they are
-            # ready once the previous key completes at r+d-1).
-            leaves = [int(v) for v in level if v != key]
-            s = d - 1  # slot index of step r+d
-            for v in leaves:
-                while s < period and slots[s] == 0:
-                    s += 1
-                if s >= period:
-                    raise ConfigurationError(
-                        "witness construction overflow: layer too large"
-                    )
-                comp[v] = r + s + 1
-                slots[s] -= 1
-        completions.append(comp)
-    return Schedule(instance, m, completions)
+def _opt_witness(
+    size: np.ndarray, key_pos: np.ndarray, releases: np.ndarray, m: int
+) -> np.ndarray:
+    """The paper's OPT witness, as one completion array over every job's
+    subjobs in id order.
+
+    Each job runs its key chain one subjob per step from its release: the
+    key of layer ``d`` (1-based) completes at ``r + d``. At the deepest
+    layer that "key" is the layer's largest id. Leaves fill the free
+    processors greedily in ascending id, from the step of their own
+    layer's key on; the job's ``m + 1``-step window is its own, as windows
+    of consecutive jobs are disjoint.
+
+    With at most ``m`` layers the packing has a closed form. Let ``s`` be
+    the number of earlier leaves spilled into the step of layer ``d``'s
+    key. Then ``m - s - 1`` of its leaves fit in that step, and the rest
+    spill into the next one, so ``s' = max(0, s + size_d - m)``. By
+    induction ``s <= d - 1``, so a key always fits, and the last spill
+    lands at step ``r + m + 1`` at the latest, inside the window.
+    """
+    n_jobs, layers = size.shape
+    sizes = size.ravel()
+    # s for every layer (a Lindley recursion, as a running minimum).
+    load = np.zeros((n_jobs, layers), dtype=_INT)
+    np.cumsum(size[:, :-1] - m, axis=1, out=load[:, 1:])
+    spill = load - np.minimum.accumulate(load, axis=1)
+    fit = m - spill - 1  # leaves that fit beside the key
+    witness_key = key_pos.copy()
+    witness_key[:, -1] = size[:, -1] - 1
+    # Position of the first leaf that spills, skipping the key.
+    first_spill = fit + (fit >= witness_key)
+    base = releases[:, None] + np.arange(1, layers + 1, dtype=_INT)
+    layer_start = np.cumsum(sizes) - sizes
+    pos = np.arange(sizes.sum(), dtype=_INT) - np.repeat(layer_start, sizes)
+    spilled = (pos >= np.repeat(first_spill.ravel(), sizes)) & (
+        pos != np.repeat(witness_key.ravel(), sizes)
+    )
+    return np.repeat(base.ravel(), sizes) + spilled

@@ -1,8 +1,9 @@
 """Keyed on-disk cache for expensive workload generators.
 
-Adversarial co-simulations (:func:`~repro.workloads.build_fifo_adversary`)
-and large random trees are pure functions of their arguments, yet the
-experiment harness regenerates them for every seed of every sweep. The
+Adversarial families (:func:`~repro.workloads.build_fifo_adversary`,
+whose large builds spend their time freezing and validating millions of
+subjobs) and large random trees are pure functions of their arguments, yet
+the experiment harness regenerates them for every seed of every sweep. The
 :func:`cached_generator` decorator memoizes their pickled results on disk,
 keyed by a canonicalized argument signature.
 

@@ -26,7 +26,7 @@ class TestAdversarialGolden:
 
     @pytest.mark.parametrize(
         "m,expected_flow,expected_opt",
-        [(8, 25, 9), (16, 62, 17), (32, 151, 33)],
+        [(8, 25, 9), (16, 62, 17), (32, 151, 33), (64, 360, 65)],
     )
     def test_fifo_flow_and_witness(self, m, expected_flow, expected_opt):
         adv = build_fifo_adversary(m, n_jobs=4 * m)

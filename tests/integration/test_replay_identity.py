@@ -26,6 +26,16 @@ def test_replay_identity_with_custom_layers(n_layers):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("m,period", [(4, 3), (8, 5), (16, 9)])
+def test_replay_identity_at_short_periods(m, period):
+    """E12's overloaded adversary (period ~ (m+1)/2): releases overlap, so
+    several jobs compete for each step, and the replay still matches."""
+    adv = build_fifo_adversary(m, n_jobs=3 * m, period=period)
+    replay = simulate(adv.instance, m, FIFOScheduler(ArbitraryTieBreak()))
+    for a, b in zip(replay.completion, adv.fifo_schedule.completion):
+        assert np.array_equal(a, b)
+
+
 def test_witness_and_fifo_agree_on_work():
     adv = build_fifo_adversary(8, n_jobs=12)
     assert adv.opt_witness.instance is adv.instance

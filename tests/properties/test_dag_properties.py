@@ -1,10 +1,11 @@
 """Property-based tests for DAG invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import DAG
+from repro.core import DAG, CycleError
 
 from .strategies import general_dags, out_forests, out_trees
 
@@ -128,3 +129,70 @@ def test_series_span_adds(a, b):
 @given(out_trees(max_nodes=12), out_trees(max_nodes=12))
 def test_parallel_span_maxes(a, b):
     assert a.parallel(b).span == max(a.span, b.span)
+
+
+# -- out-forest depth (pointer doubling) against an independent reference ----
+
+
+def _reference_depth(parents: list[int]) -> list[int]:
+    """``depth[v] = 1 + depth[parent[v]]``, roots 1, by walking up from each
+    node to the nearest node whose depth is already known."""
+    depth = [0] * len(parents)
+    for v in range(len(parents)):
+        path = []
+        u = v
+        while u >= 0 and not depth[u]:
+            path.append(u)
+            u = parents[u]
+        d = depth[u] if u >= 0 else 0
+        for w in reversed(path):
+            d += 1
+            depth[w] = d
+    return depth
+
+
+def _relabel(parents: list[int], perm: list[int]) -> list[int]:
+    """The same forest with node ``v`` renamed ``perm[v]``."""
+    out = [-1] * len(parents)
+    for v, p in enumerate(parents):
+        out[perm[v]] = -1 if p < 0 else perm[p]
+    return out
+
+
+@st.composite
+def relabelled_parent_arrays(draw, max_nodes: int = 60) -> list[int]:
+    """A random out-forest's parent array under a random relabelling, so
+    parents need not precede their children."""
+    n = draw(st.integers(1, max_nodes))
+    parents = [-1] + [draw(st.integers(-1, i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return _relabel(parents, perm)
+
+
+@given(relabelled_parent_arrays())
+def test_forest_depth_matches_reference(parents):
+    dag = DAG.from_parents(parents)
+    assert dag.is_out_forest
+    assert dag.depth.tolist() == _reference_depth(parents)
+    assert dag.depth.dtype == np.int64
+    assert not dag.depth.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 5000])
+def test_forest_depth_of_relabelled_chains(n):
+    perm = np.random.default_rng(n).permutation(n).tolist()
+    parents = _relabel(list(range(-1, n - 1)), perm)
+    dag = DAG.from_parents(parents)
+    assert dag.depth.tolist() == _reference_depth(parents)
+    assert dag.span == n
+
+
+@pytest.mark.parametrize(
+    "parents,unreachable",
+    [([1, 0], 2), ([1, 2, 0, 2], 4), ([1, 2, 0, -1, 3], 3)],
+)
+def test_cyclic_parent_arrays_count_unreachable_nodes(parents, unreachable):
+    """The nodes whose ancestor chain never reaches a root: each cycle plus
+    everything hanging below it (the count the Kahn pass reports)."""
+    with pytest.raises(CycleError, match=rf"\({unreachable} nodes unreachable\)"):
+        DAG.from_parents(parents)

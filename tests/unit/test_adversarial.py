@@ -105,6 +105,47 @@ class TestParameters:
             build_fifo_adversary(4, 0)
         with pytest.raises(ConfigurationError):
             build_fifo_adversary(4, 2, n_layers=0)
+        # Non-integers are named, never truncated or leaked as TypeError.
+        for args, kwargs, name in [
+            ((4, 2), {"period": 2.7}, "period"),
+            ((4, 2), {"n_layers": 3.9}, "n_layers"),
+            ((2.5, 2), {}, "m"),
+            ((4, 2.0), {}, "n_jobs"),
+            ((4, "2"), {}, "n_jobs"),
+        ]:
+            with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+                build_fifo_adversary(*args, **kwargs)
+
+    def test_numpy_integer_arguments_accepted(self):
+        adv = build_fifo_adversary(
+            np.int64(4), np.int32(3), n_layers=np.uint8(3), period=np.int64(6)
+        )
+        plain = build_fifo_adversary(4, 3, n_layers=3, period=6)
+        assert (adv.m, adv.period) == (4, 6)
+        for a, b in zip(adv.fifo_schedule.completion, plain.fifo_schedule.completion):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "m,n_jobs,kwargs",
+        [
+            (4, 3, {"n_layers": 6}),
+            (4, 3, {"n_layers": 5}),
+            (6, 5, {"n_layers": 9, "period": 30}),
+            (5, 7, {"n_layers": 7, "period": 40}),
+        ],
+    )
+    def test_more_layers_than_m_has_no_witness(self, m, n_jobs, kwargs):
+        """Past m layers the witness's leaves can overflow their step, so
+        none is built; the FIFO schedule is still built, valid and exact."""
+        adv = build_fifo_adversary(m, n_jobs, **kwargs)
+        adv.fifo_schedule.validate()
+        assert all(job.span == kwargs["n_layers"] for job in adv.instance)
+        assert adv.opt_witness is None
+        with pytest.raises(ConfigurationError, match="no OPT witness"):
+            _ = adv.opt_upper_bound
+        replay = simulate(adv.instance, m, FIFOScheduler(ArbitraryTieBreak()))
+        for a, b in zip(replay.completion, adv.fifo_schedule.completion):
+            assert np.array_equal(a, b)
 
     def test_max_steps_guard(self):
         with pytest.raises(ConfigurationError, match="exceeded"):

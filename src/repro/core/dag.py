@@ -17,10 +17,10 @@ algorithms and analyses need:
 
 Nodes are integers ``0..n-1``. The adjacency is stored twice in CSR form
 (children and parents) as ``int64`` numpy arrays; all derived quantities are
-computed once, on first access, by vectorized passes: ``depth`` by pointer
-doubling on out-forests and by a level-synchronous Kahn pass on other DAGs,
-the rest level by level. Instances are immutable: every combinator returns
-a new DAG.
+computed once, on first access, by vectorized passes: ``depth`` and
+``height`` by pointer doubling on out-forests and one depth level at a time
+on other DAGs (``depth`` by a Kahn pass). Instances are immutable: every
+combinator returns a new DAG.
 """
 
 from __future__ import annotations
@@ -108,7 +108,9 @@ class DAG:
     ``DAG`` object is always valid by the time user code holds it. The depth
     pass is O(n log span) in ``⌈log2 span⌉`` rounds on out-forests (every
     in-degree <= 1) and O(n + e) in ``span`` rounds of about ten NumPy calls
-    on other DAGs; the whole construction is O(n log n + e log e).
+    on other DAGs; the whole construction is O(n log n + e log e). The
+    lazily computed :attr:`height` takes the same number of rounds: also
+    ``⌈log2 span⌉`` on out-forests, one per depth level on other DAGs.
     """
 
     __slots__ = (
@@ -290,6 +292,14 @@ class DAG:
         depth.setflags(write=False)
         return depth
 
+    def _parent_jump(self) -> Array:
+        """Out-forest parent pointers with the sentinel ``n`` past a root
+        (``n + 1`` entries; the sentinel points at itself)."""
+        n = self.n
+        jump = np.full(n + 1, n, dtype=_INT)
+        jump[:n][self.indegree == 1] = self.parent_indices
+        return jump
+
     def _forest_depth(self) -> Array:
         """:attr:`depth` of an out-forest by pointer doubling.
 
@@ -299,8 +309,7 @@ class DAG:
         ``n`` hops lies on or below a cycle, which no root reaches.
         """
         n = self.n
-        jump = np.full(n + 1, n, dtype=_INT)
-        jump[:n][self.indegree == 1] = self.parent_indices
+        jump = self._parent_jump()
         hops = np.ones(n + 1, dtype=_INT)
         hops[n] = 0
         for _ in range(n.bit_length()):
@@ -319,10 +328,14 @@ class DAG:
     def height(self) -> Array:
         """``H(j)``: nodes on the longest j→leaf path; leaves have height 1.
 
-        A node's children always have strictly larger depth, so iterating
-        depth levels from deepest to shallowest is a valid reverse
-        topological order.
+        Out-forests (every in-degree <= 1) take a pointer-doubling pass:
+        ``⌈log2 span⌉`` rounds of a scatter-max and a gather. Other DAGs
+        iterate depth levels from deepest to shallowest (a node's children
+        always have strictly larger depth, so that is a valid reverse
+        topological order), one round per level.
         """
+        if np.all(self.indegree <= 1):
+            return self._forest_height()
         n = self.n
         height = np.zeros(n, dtype=_INT)
         depth = self.depth
@@ -337,6 +350,30 @@ class DAG:
         for block in blocks:
             kids, counts = csr_gather(self.child_indptr, self.child_indices, block)
             height[block] = 1 + segment_max(height[kids], counts, empty=0)
+        height.setflags(write=False)
+        return height
+
+    def _forest_height(self) -> Array:
+        """:attr:`height` of an out-forest by pointer doubling.
+
+        After ``k`` rounds ``best[v]`` is the largest depth among the nodes
+        of ``v``'s subtree fewer than ``2**k`` hops below ``v``: a round
+        pushes every node's ``best`` up to its ``2**k``-th ancestor
+        ``jump[v]`` (the sentinel ``n`` past a root), then doubles the
+        jump. Once every jump is past a root, ``best`` spans each whole
+        subtree and ``height = best - depth + 1``.
+        """
+        n = self.n
+        depth = self.depth
+        jump = self._parent_jump()
+        best = np.zeros(n + 1, dtype=_INT)
+        best[:n] = depth
+        while jump.min() < n:
+            # In place: a value already raised this round is still the
+            # depth of a descendant, so pushing it further up is harmless.
+            np.maximum.at(best, jump, best)
+            jump = jump[jump]
+        height = best[:n] - depth + 1
         height.setflags(write=False)
         return height
 

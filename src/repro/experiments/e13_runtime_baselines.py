@@ -22,19 +22,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.competitive import OptReference
+from ..core.simulator import simulate
 from ..schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
 from ..schedulers.fifo import FIFOScheduler
 from ..schedulers.worksteal import WorkStealingScheduler
 from ..workloads.adversarial import build_fifo_adversary
 from ..workloads.arrivals import poisson_instance
 from ..workloads.recursive import quicksort_tree
-from .runner import ExperimentResult, run_trials
+from .runner import ExperimentResult
 
 __all__ = ["run"]
 
 
 def _measure(instance, m, scheduler_factory, ref):
-    """One baseline run, routed through the run_trials harness.
+    """One baseline run.
 
     Utilization is derived from the completion histogram instead of a
     per-step observer (which would force the slow path): subjobs finishing
@@ -43,15 +44,9 @@ def _measure(instance, m, scheduler_factory, ref):
     active step, so the active window is exactly the steps with a
     completion.
     """
-    made: list = []
-
-    def factory():
-        made.append(scheduler_factory())
-        return made[-1]
-
-    schedule = run_trials([instance], m, factory)[0]
+    scheduler = scheduler_factory()
+    schedule = simulate(instance, m, scheduler)
     schedule.validate()
-    scheduler = made[-1]
     counts = np.bincount(np.concatenate(schedule.completion))
     busy = int(counts.sum())
     active_steps = int(np.count_nonzero(counts))

@@ -18,9 +18,10 @@ FIFO's flaw.
 
 from __future__ import annotations
 
+from ..core.simulator import simulate
 from ..schedulers.fifo import FIFOScheduler
 from ..workloads.adversarial import build_fifo_adversary
-from .runner import ExperimentResult, run_trials
+from .runner import ExperimentResult
 
 __all__ = ["run"]
 
@@ -39,10 +40,7 @@ def run(
     for m in ms:
         adv = build_fifo_adversary(m, n_jobs=jobs_per_m * m)
         for f in factors:
-            # Each (m, f) pair has its own processor count, so each is its
-            # own (single-instance) run_trials sweep — still the batched
-            # engine path, shared with the Monte-Carlo experiments.
-            schedule = run_trials([adv.instance], f * m, FIFOScheduler)[0]
+            schedule = simulate(adv.instance, f * m, FIFOScheduler())
             schedule.validate()
             ratio = schedule.max_flow / adv.opt_upper_bound
             ratios[(m, f)] = ratio

@@ -13,6 +13,7 @@ policy) rather than job ordering is FIFO's fatal flaw.
 from __future__ import annotations
 
 from ..analysis.competitive import OptReference
+from ..core.simulator import simulate
 from ..schedulers.base import (
     ArbitraryTieBreak,
     DepthTieBreak,
@@ -23,7 +24,7 @@ from ..schedulers.base import (
 )
 from ..schedulers.fifo import FIFOScheduler
 from ..workloads.adversarial import build_fifo_adversary
-from .runner import ExperimentResult, run_trials
+from .runner import ExperimentResult
 
 __all__ = ["run"]
 
@@ -51,12 +52,7 @@ def run(
         adv = build_fifo_adversary(m, n_jobs=jobs_per_m * m)
         ref = OptReference.witness(adv.opt_witness)
         for name, make in policies:
-            # One frozen instance per (m, policy): routed through
-            # run_trials so eligible tie-breaks replay on the batched
-            # engine (random tie-breaks fall back per instance inside it).
-            schedule = run_trials(
-                [adv.instance], m, lambda mk=make: FIFOScheduler(mk())
-            )[0]
+            schedule = simulate(adv.instance, m, FIFOScheduler(make()))
             schedule.validate()
             ratio = schedule.max_flow / ref.value
             per_policy[name].append(ratio)

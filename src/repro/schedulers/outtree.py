@@ -69,17 +69,23 @@ class _Cohort:
     release: int
     members: list[_Member]
     dag: DAG
-    offsets: Array  # member m occupies union ids offsets[m]:offsets[m+1]
     steps: list[Array] = field(default_factory=list)  # LPF steps (union ids)
     remaining: int = 0
     replayer: Optional[MostChildrenReplayer] = None
     head_steps: int = 0
 
+    def __post_init__(self) -> None:
+        # Union id -> job id and original node id, built once: to_global
+        # runs for every cohort node the scheduler picks.
+        self._job_ids: list[int] = []
+        self._node_ids: list[int] = []
+        for member in self.members:
+            self._job_ids += [member.job_id] * member.local_ids.size
+            self._node_ids += member.local_ids.tolist()
+
     def to_global(self, union_node: int) -> tuple[int, int]:
         """Map a union node id to ``(job_id, original node id)``."""
-        member_idx = int(np.searchsorted(self.offsets, union_node, side="right")) - 1
-        member = self.members[member_idx]
-        return member.job_id, int(member.local_ids[union_node - self.offsets[member_idx]])
+        return self._job_ids[union_node], self._node_ids[union_node]
 
     @property
     def finished(self) -> bool:
@@ -157,8 +163,8 @@ class _OutTreeBase(Scheduler):
                 sub, ids = job.dag.induced_subgraph(member.local_ids)
                 member.local_ids = ids
                 dags.append(sub)
-        union, offsets = DAG.disjoint_union(dags)
-        cohort = _Cohort(release=release, members=members, dag=union, offsets=offsets)
+        union, _ = DAG.disjoint_union(dags)
+        cohort = _Cohort(release=release, members=members, dag=union)
         if union.n:
             sched = lpf_schedule(union, self._group)
             # Single job released at 0: steps occupy t = 1..makespan densely.

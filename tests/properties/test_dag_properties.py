@@ -131,7 +131,8 @@ def test_parallel_span_maxes(a, b):
     assert a.parallel(b).span == max(a.span, b.span)
 
 
-# -- out-forest depth (pointer doubling) against an independent reference ----
+# -- out-forest depth and height (pointer doubling) against independent
+# -- references ---------------------------------------------------------------
 
 
 def _reference_depth(parents: list[int]) -> list[int]:
@@ -149,6 +150,19 @@ def _reference_depth(parents: list[int]) -> list[int]:
             d += 1
             depth[w] = d
     return depth
+
+
+def _reference_height(parents: list[int]) -> list[int]:
+    """``height[v] = 1 + max(height[c] for c in children(v))``, leaves 1, by
+    folding each node into its parent deepest first (a node's height is
+    final before its parent reads it)."""
+    depth = _reference_depth(parents)
+    height = [1] * len(parents)
+    for v in sorted(range(len(parents)), key=depth.__getitem__, reverse=True):
+        p = parents[v]
+        if p >= 0:
+            height[p] = max(height[p], height[v] + 1)
+    return height
 
 
 def _relabel(parents: list[int], perm: list[int]) -> list[int]:
@@ -176,6 +190,9 @@ def test_forest_depth_matches_reference(parents):
     assert dag.depth.tolist() == _reference_depth(parents)
     assert dag.depth.dtype == np.int64
     assert not dag.depth.flags.writeable
+    assert dag.height.tolist() == _reference_height(parents)
+    assert dag.height.dtype == np.int64
+    assert not dag.height.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024, 1025, 5000])
@@ -184,6 +201,7 @@ def test_forest_depth_of_relabelled_chains(n):
     parents = _relabel(list(range(-1, n - 1)), perm)
     dag = DAG.from_parents(parents)
     assert dag.depth.tolist() == _reference_depth(parents)
+    assert dag.height.tolist() == _reference_height(parents)
     assert dag.span == n
 
 

@@ -158,7 +158,7 @@ class TestCohortMapping:
         from repro.schedulers.outtree import _Cohort, _Member
 
         dag_a, dag_b = star(2), chain(3)
-        union, offsets = DAG.disjoint_union([dag_a, dag_b])
+        union, _ = DAG.disjoint_union([dag_a, dag_b])
         cohort = _Cohort(
             release=0,
             members=[
@@ -166,7 +166,6 @@ class TestCohortMapping:
                 _Member(9, np.arange(dag_b.n)),
             ],
             dag=union,
-            offsets=offsets,
         )
         assert cohort.to_global(0) == (7, 0)
         assert cohort.to_global(2) == (7, 2)

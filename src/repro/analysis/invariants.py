@@ -182,28 +182,30 @@ def check_mc_busy(
     first, the check fails.
     """
     replayer = MostChildrenReplayer(steps, dag)
-    done: set[int] = set()
-    completed_before_step: set[int] = set()
     # Predecessors outside the replayed portion (e.g. in the head of an LPF
-    # schedule whose tail we are replaying) count as already complete.
-    replayed: set[int] = set()
+    # schedule whose tail we are replaying) count as already complete, so
+    # only edges between replayed nodes gate readiness: ``waiting[v]``
+    # counts v's replayed parents not yet complete, and ``n_ready`` the
+    # unprocessed replayed nodes with none. Both change only between steps.
+    replayed = np.zeros(dag.n, dtype=bool)
     for level in steps:
-        replayed.update(int(v) for v in level)
+        replayed[np.asarray(level, dtype=np.int64)] = True
+    src = np.repeat(np.arange(dag.n, dtype=np.int64), np.diff(dag.child_indptr))
+    gating = replayed[src] & replayed[dag.child_indices]
+    src, dst = src[gating], dag.child_indices[gating]
+    kid_ptr = np.searchsorted(src, np.arange(dag.n + 1)).tolist()
+    kids = dst.tolist()
+    gates = np.bincount(dst, minlength=dag.n)
+    n_ready = int(np.count_nonzero(replayed & (gates == 0)))
+    waiting = gates.tolist()
 
     def ready(v: int) -> bool:
-        if not track_readiness:
-            return True
-        return all(
-            int(p) not in replayed or int(p) in completed_before_step
-            for p in dag.parents(v)
-        )
+        return not track_readiness or waiting[v] == 0
 
     for idx, m_t in enumerate(allocations):
         if replayer.finished:
             return CheckResult(True, f"finished after {idx} allocation steps")
-        ready_now = sum(
-            1 for v in replayed if v not in done and ready(int(v))
-        )
+        ready_now = n_ready if track_readiness else replayer.remaining
         picks = replayer.select(int(m_t), ready)
         target = int(m_t) if strict else min(int(m_t), ready_now)
         if len(picks) < target and not replayer.finished:
@@ -214,8 +216,12 @@ def check_mc_busy(
                 f"{ready_now} ready, scheduled {len(picks)}, "
                 f"{replayer.remaining} subjobs remain",
             )
-        done.update(picks)
-        completed_before_step = set(done)
+        n_ready -= len(picks)
+        for u in picks:
+            for c in kids[kid_ptr[u] : kid_ptr[u + 1]]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    n_ready += 1
     if not replayer.finished:
         return CheckResult(
             False, f"allocations exhausted with {replayer.remaining} subjobs left"

@@ -606,10 +606,12 @@ class DAG:
             raise GraphError("induced_subgraph: node id out of range")
         new_id = np.full(self.n, -1, dtype=_INT)
         new_id[original_ids] = np.arange(original_ids.size, dtype=_INT)
-        edges: list[tuple[int, int]] = []
-        for u, v in self.edge_list():
-            if new_id[u] >= 0 and new_id[v] >= 0:
-                edges.append((int(new_id[u]), int(new_id[v])))
+        src = new_id[
+            np.repeat(np.arange(self.n, dtype=_INT), np.diff(self.child_indptr))
+        ]
+        dst = new_id[self.child_indices]
+        kept = (src >= 0) & (dst >= 0)
+        edges = np.stack([src[kept], dst[kept]], axis=1)
         return DAG(int(original_ids.size), edges), original_ids
 
     # ------------------------------------------------------------------

@@ -8,11 +8,14 @@ operations (multi-range gathers, segmented reductions) that sit on hot paths.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from typing import Any, Optional, TypeAlias
 
 import numpy as np
 import numpy.typing as npt
+
+from .exceptions import ConfigurationError
 
 __all__ = [
     "Array",
@@ -24,6 +27,7 @@ __all__ = [
     "segment_max",
     "repeat_by_counts",
     "check_nonnegative_int",
+    "as_index",
 ]
 
 _INT = np.int64
@@ -50,6 +54,17 @@ def check_nonnegative_int(value: int | np.integer[Any], name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return int(value)
+
+
+def as_index(value: Any, name: str) -> int:
+    """``value`` as an exact integer (NumPy integers included), or a
+    :class:`~repro.core.exceptions.ConfigurationError` naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
 
 
 def build_csr(

@@ -134,20 +134,27 @@ class ReverseTieBreak(TieBreak):
 class RandomTieBreak(TieBreak):
     """Uniformly random priority per ready subjob.
 
-    Each ``key`` call advances the RNG stream, so keys depend on call order
-    and a rebuild re-draws them. There is no priority kernel: a run with
-    this tie-break dispatches the scheduler every step.
+    Each ``key`` call takes the next double of the RNG stream, so keys
+    depend on call order and a rebuild re-draws them. There is no priority
+    kernel: a run with this tie-break dispatches the scheduler every step.
+    The doubles are drawn ``_KEY_BLOCK`` at a time: ``rng.random(k)``
+    returns the same doubles, in the same order, as ``k`` scalar draws.
     """
+
+    _KEY_BLOCK = 1024
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.reset()
 
     def reset(self, seed: Optional[int] = None) -> None:
         self._rng = np.random.default_rng(self._seed if seed is None else seed)
+        self._keys: list[float] = []  # the block's undrawn doubles, last first
 
     def key(self, job: Job, node: int) -> tuple[Any, ...]:
-        return (float(self._rng.random()), node)
+        if not self._keys:
+            self._keys = self._rng.random(self._KEY_BLOCK).tolist()[::-1]
+        return (self._keys.pop(), node)
 
 
 class DepthTieBreak(TieBreak):

@@ -32,9 +32,7 @@ maximum flow at most ``m + 1``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from ..core.exceptions import ConfigurationError
 from ..core.instance import Instance
 from ..core.job import Job
 from ..core.schedule import Schedule
+from ..core.util import as_index
 from .cache import cached_generator
 
 __all__ = ["AdversarialResult", "build_fifo_adversary"]
@@ -160,16 +159,16 @@ def build_fifo_adversary(
     max_steps:
         Safety cap on simulated time (default generous).
     """
-    m = _as_index(m, "m")
-    n_jobs = _as_index(n_jobs, "n_jobs")
+    m = as_index(m, "m")
+    n_jobs = as_index(n_jobs, "n_jobs")
     if m < 2:
         raise ConfigurationError("the adversarial family needs m >= 2")
     if n_jobs < 1:
         raise ConfigurationError("n_jobs must be >= 1")
-    layers = m if n_layers is None else _as_index(n_layers, "n_layers")
+    layers = m if n_layers is None else as_index(n_layers, "n_layers")
     if layers < 1:
         raise ConfigurationError("n_layers must be >= 1")
-    period = m + 1 if period is None else _as_index(period, "period")
+    period = m + 1 if period is None else as_index(period, "period")
     if period < 1:
         raise ConfigurationError("period must be >= 1")
     if key_placement not in ("last", "first", "random"):
@@ -250,17 +249,6 @@ def build_fifo_adversary(
         np.array(leaf_step, dtype=_INT).reshape(shape),
         np.array(key_step, dtype=_INT).reshape(shape),
     )
-
-
-def _as_index(value: Any, name: str) -> int:
-    """``value`` as an exact integer (NumPy integers included), or a
-    :class:`ConfigurationError` naming the argument."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
 
 
 def _freeze(

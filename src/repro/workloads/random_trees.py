@@ -4,16 +4,28 @@ These produce the tree shapes the paper's introduction motivates (recursion
 trees of dynamic-multithreaded programs) in randomized form, for sweeps in
 the LPF-optimality and Algorithm-𝒜 experiments. All generators take a
 ``numpy.random.Generator`` (or an int seed) and are deterministic given it.
+
+Each generator makes one array draw per tree, generation or layer, not one
+scalar draw per node: node ``i`` of a random recursive tree picks its parent
+with ``rng.integers(0, i)``, so the whole tree is one
+``rng.integers(0, np.arange(1, n))``. NumPy fills an array draw element by
+element from the same bit stream, so the trees, and the state the
+``Generator`` is left in for the next draw, are exactly those of per-node
+draws. ``tests/unit/test_workloads_random.py`` pins both against per-node
+reference loops and against digests recorded from them.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Optional
 
 import numpy as np
 
 from ..core.dag import DAG
 from ..core.exceptions import ConfigurationError
+from ..core.util import as_index
 from .cache import cached_generator, int_seed_required
 
 __all__ = [
@@ -41,14 +53,15 @@ def random_attachment_tree(
     ``bias = 0`` is the uniform random recursive tree (expected span
     Θ(log n)).
     """
+    n = as_index(n, "n")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     rng = _rng(seed)
     parents = np.full(n, -1, dtype=np.int64)
-    for i in range(1, n):
-        if bias == 0.0:
-            parents[i] = rng.integers(0, i)
-        else:
+    if bias == 0.0:
+        parents[1:] = rng.integers(0, np.arange(1, n))
+    else:
+        for i in range(1, n):
             weights = np.arange(1, i + 1, dtype=np.float64) ** bias
             weights /= weights.sum()
             parents[i] = rng.choice(i, p=weights)
@@ -58,18 +71,19 @@ def random_attachment_tree(
 def random_binary_tree(n: int, seed=None) -> DAG:
     """Uniform-ish random binary out-tree grown by attaching each new node
     to a uniformly random node that still has fewer than two children."""
+    n = as_index(n, "n")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     rng = _rng(seed)
-    parents = np.full(n, -1, dtype=np.int64)
+    parents = [-1]
     open_slots = [0, 0]  # node 0 has two free child slots
-    for i in range(1, n):
-        k = int(rng.integers(0, len(open_slots)))
+    # Node i picks among the i + 1 slots open when it attaches.
+    picks = rng.integers(0, np.arange(2, n + 1)).tolist()
+    for i, k in enumerate(picks, start=1):
         open_slots[k], open_slots[-1] = open_slots[-1], open_slots[k]
-        parent = open_slots.pop()
-        parents[i] = parent
-        open_slots.extend([i, i])
-    return DAG.from_parents(parents)
+        parents.append(open_slots.pop())
+        open_slots += (i, i)
+    return DAG.from_parents(np.array(parents, dtype=np.int64))
 
 
 def galton_watson_tree(
@@ -85,22 +99,33 @@ def galton_watson_tree(
     ``max_children``; generation proceeds breadth-first so truncation keeps
     the tree's upper levels intact. Always returns at least one node.
     """
+    max_nodes = as_index(max_nodes, "max_nodes")
+    max_children = as_index(max_children, "max_children")
     if max_nodes < 1:
         raise ConfigurationError("max_nodes must be >= 1")
+    if max_children < 0:
+        raise ConfigurationError("max_children must be >= 0")
+    if not (
+        isinstance(offspring_mean, numbers.Real)
+        and 0 <= offspring_mean < math.inf
+    ):
+        raise ConfigurationError(
+            f"offspring_mean must be a finite number >= 0, got {offspring_mean!r}"
+        )
     rng = _rng(seed)
-    parents = [-1]
-    frontier = [0]
-    while frontier and len(parents) < max_nodes:
-        nxt: list[int] = []
-        for node in frontier:
-            k = min(int(rng.poisson(offspring_mean)), max_children)
-            for _ in range(k):
-                if len(parents) >= max_nodes:
-                    break
-                parents.append(node)
-                nxt.append(len(parents) - 1)
-        frontier = nxt
-    return DAG.from_parents(np.array(parents, dtype=np.int64))
+    generations = [np.full(1, -1, dtype=np.int64)]
+    frontier = np.zeros(1, dtype=np.int64)
+    size = 1
+    while frontier.size and size < max_nodes:
+        # Every frontier node draws its count, also past the truncation.
+        counts = np.minimum(
+            rng.poisson(offspring_mean, size=frontier.size), max_children
+        )
+        kids = np.repeat(frontier, counts)[: max_nodes - size]
+        generations.append(kids)
+        frontier = np.arange(size, size + kids.size, dtype=np.int64)
+        size += kids.size
+    return DAG.from_parents(np.concatenate(generations))
 
 
 @cached_generator(safe=int_seed_required)
@@ -112,17 +137,19 @@ def layered_tree(widths: list[int], seed=None) -> DAG:
     nodes are roots), which makes this the building block of the
     packed-instance generator.
     """
+    try:
+        widths = [as_index(w, f"widths[{k}]") for k, w in enumerate(widths)]
+    except TypeError:  # not a sequence at all
+        widths = []
     if not widths or any(w < 1 for w in widths):
         raise ConfigurationError("widths must be a nonempty list of positive ints")
     rng = _rng(seed)
-    parents: list[int] = [-1] * widths[0]
+    layers = [np.full(widths[0], -1, dtype=np.int64)]
     prev_start = 0
-    for k in range(1, len(widths)):
-        prev = list(range(prev_start, prev_start + widths[k - 1]))
-        prev_start = len(parents)
-        for _ in range(widths[k]):
-            parents.append(int(rng.choice(prev)))
-    return DAG.from_parents(np.array(parents, dtype=np.int64))
+    for prev_width, width in zip(widths, widths[1:]):
+        layers.append(prev_start + rng.integers(0, prev_width, size=width))
+        prev_start += prev_width
+    return DAG.from_parents(np.concatenate(layers))
 
 
 def random_out_forest(
@@ -134,8 +161,13 @@ def random_out_forest(
 ) -> DAG:
     """Out-forest of ``n`` nodes split over ``n_trees`` random attachment
     trees (default: a Poisson-ish number around ``sqrt(n)``)."""
+    n = as_index(n, "n")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
+    if n_trees is not None:
+        n_trees = as_index(n_trees, "n_trees")
+        if n_trees < 1:
+            raise ConfigurationError("n_trees must be >= 1")
     rng = _rng(seed)
     if n_trees is None:
         n_trees = max(1, int(rng.integers(1, int(np.sqrt(n)) + 2)))

@@ -1,8 +1,10 @@
 """Property-based tests for DAG invariants."""
 
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DAG, CycleError
@@ -111,6 +113,30 @@ def test_induced_subgraph_of_executed_prefix_is_forest(tree):
     sub, ids = tree.induced_subgraph(remaining)
     assert sub.is_out_forest
     assert sub.n == remaining.size
+
+
+def _reference_induced_subgraph(dag, keep):
+    """``DAG.induced_subgraph`` as first written: one pass over
+    ``edge_list()`` keeping each edge whose endpoints are both kept."""
+    original_ids = np.unique(np.asarray(keep, dtype=np.int64))
+    new_id = np.full(dag.n, -1, dtype=np.int64)
+    new_id[original_ids] = np.arange(original_ids.size, dtype=np.int64)
+    edges = []
+    for u, v in dag.edge_list():
+        if new_id[u] >= 0 and new_id[v] >= 0:
+            edges.append((int(new_id[u]), int(new_id[v])))
+    return DAG(int(original_ids.size), edges), original_ids
+
+
+@given(general_dags(max_nodes=30), st.data())
+@settings(max_examples=150)
+def test_induced_subgraph_matches_per_edge_filter(dag, data):
+    """The array-masked edge filter pickles byte for byte like the per-edge
+    loop, for any keep set (empty, repeated or unsorted ids included)."""
+    keep = data.draw(st.lists(st.integers(0, dag.n - 1), max_size=dag.n + 3))
+    assert pickle.dumps(dag.induced_subgraph(keep)) == pickle.dumps(
+        _reference_induced_subgraph(dag, keep)
+    )
 
 
 @given(general_dags(max_nodes=12))

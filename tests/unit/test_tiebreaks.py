@@ -1,5 +1,6 @@
 """Unit tests for tie-break policies and the ready heap."""
 
+import numpy as np
 import pytest
 
 from repro.core import Job
@@ -58,6 +59,15 @@ class TestKeys:
         first = [tb.key(job, i) for i in range(5)]
         tb.reset()
         assert [tb.key(job, i) for i in range(5)] == first
+        # Keys come in blocks; across block ends, and after a reset that
+        # drops half a block, they are the scalar draws of a fresh stream.
+        for _ in range(700):
+            tb.key(job, 0)
+        for reset_seed, seed in ((None, 3), (11, 11)):
+            tb.reset(reset_seed)
+            rng = np.random.default_rng(seed)
+            keys = [tb.key(job, i % 6) for i in range(2500)]
+            assert keys == [(rng.random(), i % 6) for i in range(2500)]
 
     def test_names(self):
         assert ArbitraryTieBreak().name == "arbitrary"

@@ -18,6 +18,7 @@ not approximation.
 
 Run locally:  python scripts/serve_soak.py --jobs 2000
 CI (~60 s):   python scripts/serve_soak.py --jobs 60000 --kill-after 8
+CI (~4 s):    python scripts/serve_soak.py --jobs 5000 --kill-after 2 --checkpoint-every 1
 """
 
 from __future__ import annotations

@@ -274,6 +274,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         TraceReplaySource,
     )
 
+    if args.resume and args.checkpoint is None:
+        print("--resume requires --checkpoint PATH", file=sys.stderr)
+        return 2
+    if args.source == "trace" and args.trace_path is None:
+        print("--source trace requires --trace-path", file=sys.stderr)
+        return 2
     if args.source == "poisson":
         source: Any = PoissonSource(
             rate=args.rate,
@@ -291,9 +297,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_jobs=args.jobs,
         )
     else:  # trace
-        if args.trace_path is None:
-            print("--source trace requires --trace-path", file=sys.stderr)
-            return 2
         from .core import load_schedule_npz
 
         source = TraceReplaySource.from_instance(
@@ -504,7 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint",
         default=None,
         metavar="PATH",
-        help="write atomic engine checkpoints to PATH",
+        help="write atomic engine checkpoints to PATH (the previous one is "
+        "kept beside it as PATH.spare and rewritten by the next save)",
     )
     serve_p.add_argument(
         "--checkpoint-every",
@@ -516,7 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument(
         "--resume",
         action="store_true",
-        help="restore from --checkpoint PATH when it exists",
+        help="restore from --checkpoint PATH (required) when it exists; "
+        "otherwise say so on stderr and start fresh",
     )
     serve_p.add_argument(
         "--stall-timeout",

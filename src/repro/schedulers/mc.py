@@ -56,6 +56,39 @@ __all__ = ["MostChildrenReplayer"]
 _always_ready: Callable[[int], bool] = lambda node: True
 
 
+def _checked_levels(steps: Sequence[Array], n: int) -> list[Array]:
+    """``steps`` as int64 arrays, once each is known to be a non-empty list
+    of integer node ids in ``[0, n)`` and no node appears twice."""
+    levels = []
+    seen: set[int] = set()
+    for idx, nodes in enumerate(steps):
+        arr = np.asarray(nodes)
+        if arr.size == 0:
+            raise ConfigurationError(f"step {idx} of the input schedule is empty")
+        if arr.ndim != 1:
+            raise ConfigurationError(
+                f"step {idx} of the input schedule is not a flat list of node ids"
+            )
+        ids = arr.tolist()
+        if arr.dtype.kind not in "iu":  # checked after the empty step: [] is a float array
+            node = next((v for v in ids if not (isinstance(v, float) and v.is_integer())), ids[0])
+            raise ConfigurationError(
+                f"step {idx} of the input schedule holds node {node!r}, not an integer id"
+            )
+        low, high = min(ids), max(ids)
+        if low < 0 or high >= n:
+            raise ConfigurationError(
+                f"step {idx} of the input schedule holds node {low if low < 0 else high}, "
+                f"outside the job's nodes [0, {n})"
+            )
+        dup = seen.intersection(ids)
+        if dup:
+            raise ConfigurationError(f"node {next(iter(dup))} appears twice in S")
+        seen.update(ids)
+        levels.append(arr.astype(np.int64, copy=False))
+    return levels
+
+
 class MostChildrenReplayer:
     """Replays the node sets of a schedule ``S`` under varying allocation.
 
@@ -74,20 +107,9 @@ class MostChildrenReplayer:
         self._levels: list[list[tuple[int, int, int]]] = []  # (-children, -height, node) heaps
         self._level_remaining: list[int] = []
         self._remaining = 0
-        seen: set[int] = set()
-        for idx, nodes in enumerate(steps):
-            arr = np.asarray(nodes, dtype=np.int64)
-            if arr.size == 0:
-                raise ConfigurationError(f"step {idx} of the input schedule is empty")
-            dup = seen.intersection(arr.tolist())
-            if dup:
-                raise ConfigurationError(f"node {next(iter(dup))} appears twice in S")
-            seen.update(arr.tolist())
-            nxt = (
-                np.asarray(steps[idx + 1], dtype=np.int64)
-                if idx + 1 < len(steps)
-                else np.empty(0, dtype=np.int64)
-            )
+        levels = _checked_levels(steps, dag.n)
+        for idx, arr in enumerate(levels):
+            nxt = levels[idx + 1] if idx + 1 < len(levels) else np.empty(0, dtype=np.int64)
             counts = self._children_in_next(arr, nxt)
             # Priority: most children in the next level, then greatest
             # height (see the module docstring's reproduction finding),

@@ -22,7 +22,8 @@ pure logical stepper; everything operational lives here:
 * **Checkpoints** — atomic snapshots every ``checkpoint_every`` time
   steps (plus on drain/abort), written via
   :mod:`repro.streaming.checkpoint`. ``resume=True`` restores from the
-  checkpoint file when present, and the resumed run's final metrics are
+  checkpoint file when present (and says on ``err`` that it starts fresh
+  when not), and the resumed run's final metrics are
   bit-identical to an uninterrupted one — the property suite and the CI
   soak job (SIGKILL mid-run, then ``--resume``) both pin this.
 
@@ -200,6 +201,8 @@ def serve(
             file=err,
         )
     else:
+        if resume:
+            print(f"no checkpoint at {checkpoint_path}; starting fresh", file=err)
         engine = StreamingEngine(source, m, **engine_kwargs)
 
     out_closed = False

@@ -53,6 +53,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_serve_resume_requires_checkpoint(self, capsys):
+        assert main(["serve", "4", "--jobs", "3", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "--checkpoint" in captured.err
+        assert captured.out == ""
+
 
 class TestReport:
     def test_report_writes_markdown(self, tmp_path, capsys):

@@ -28,6 +28,23 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="twice"):
             MostChildrenReplayer([np.array([0]), np.array([0])], kary)
 
+    @pytest.mark.parametrize(
+        "last, problem",
+        [([-1], "node -1"), ([7], "node 7"), ([3.7], "node 3.7"), ([[3]], "not a flat list")],
+        ids=["negative", "past-the-end", "non-integer", "nested"],
+    )
+    def test_bad_node_id_rejected(self, last, problem):
+        dag = DAG.from_parents([-1, 0, 0, 1])
+        with pytest.raises(ConfigurationError, match=f"step 2 .*{problem}"):
+            MostChildrenReplayer([[0], [1, 2], last], dag)
+
+    def test_bad_node_id_rejected_by_check_mc_busy(self):
+        from repro.analysis.invariants import check_mc_busy
+
+        dag = DAG.from_parents([-1, 0, 0, 1])
+        with pytest.raises(ConfigurationError, match="step 2 .* node 7"):
+            check_mc_busy([[0], [1, 2], [7]], dag, [2] * 10)
+
 
 class TestPriorities:
     def test_most_children_first(self):

@@ -1,6 +1,10 @@
 """Unit tests for the streaming engine, metrics, and checkpoint format."""
 
+import hashlib
 import json
+import os
+import pickle
+import stat
 
 import pytest
 
@@ -138,6 +142,16 @@ class TestValidation:
 # ----------------------------------------------------------------------
 
 
+class _Killed(BaseException):
+    """Stands in for a kill inside a save: no ``except Exception`` stops it."""
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 class TestCheckpointFormat:
     def _snapshot(self):
         source = PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=10)
@@ -151,6 +165,15 @@ class TestCheckpointFormat:
         snapshot = self._snapshot()
         save_checkpoint(path, snapshot)
         assert load_checkpoint(path) == snapshot
+        # The framing is fixed, so either version of the writer resumes
+        # checkpoints written by the other: magic, length, digest, pickle.
+        payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        assert path.read_bytes() == (
+            b"repro-stream-ckpt:1\n"
+            + len(payload).to_bytes(8, "little")
+            + hashlib.sha256(payload).digest()
+            + payload
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -186,7 +209,174 @@ class TestCheckpointFormat:
         second = dict(first, t=first["t"] + 1)
         save_checkpoint(path, second)
         assert load_checkpoint(path)["t"] == first["t"] + 1
-        assert list(tmp_path.iterdir()) == [path]  # no leftover temp files
+        # The previous file stays as the next save's spare; nothing else.
+        spare = tmp_path / "s.ckpt.spare"
+        assert sorted(tmp_path.iterdir()) == sorted([path, spare])
+
+    def test_saves_recycle_the_previous_file(self, tmp_path):
+        path, spare = tmp_path / "s.ckpt", tmp_path / "s.ckpt.spare"
+        save_checkpoint(path, {"t": 0})
+        first = os.stat(path)
+        save_checkpoint(path, {"t": 1})
+        second = os.stat(path)
+        assert os.path.samestat(os.stat(spare), first)
+        assert not os.path.samestat(second, first)
+        save_checkpoint(path, {"t": 2})
+        assert os.path.samestat(os.stat(path), first)
+        assert os.path.samestat(os.stat(spare), second)
+        assert load_checkpoint(path) == {"t": 2}
+        assert os.stat(spare).st_mode & 0o777 == 0o600 & ~_umask()
+
+    def test_fsync_order(self, tmp_path, monkeypatch):
+        """The data fsync comes before any rename; the directory fsync
+        comes after the renames, inside the same save."""
+        calls = []
+
+        def record(name):
+            real = getattr(os, name)
+
+            def wrapper(*args, **kwargs):
+                if name == "fsync":
+                    is_dir = stat.S_ISDIR(os.fstat(args[0]).st_mode)
+                    calls.append("fsync directory" if is_dir else "fsync data")
+                else:
+                    calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, wrapper)
+
+        for name in ("write", "ftruncate", "fsync", "link", "replace", "unlink"):
+            record(name)
+        path = tmp_path / "s.ckpt"
+        saves = []
+        for t in range(3):
+            save_checkpoint(path, {"t": t})
+            saves.append(calls[:])
+            calls.clear()
+        data = ["write", "ftruncate", "fsync data"]
+        assert saves[0] == [*data, "replace", "fsync directory"]  # no file to recycle yet
+        swap = [*data, "link", "replace", "replace", "fsync directory"]
+        assert saves[1:] == [swap, swap]
+
+    # An interrupted save, as a kill would leave it: the os call raises
+    # instead of running ("before") or once it has run ("after"). Calls
+    # that only read or open are interrupted before they run.
+    _WRITES = ("write", "ftruncate", "fsync", "link", "replace", "unlink")
+    _INTERRUPTS = [
+        *((call, "before") for call in ("lstat", "open", "pread", *_WRITES)),
+        *((call, "after") for call in _WRITES),
+    ]
+
+    @pytest.mark.parametrize("earlier", ["1", "2", "3", "2+hold"])
+    @pytest.mark.parametrize("call, when", _INTERRUPTS)
+    def test_interrupted_save_leaves_old_or_new(self, tmp_path, earlier, call, when):
+        """Interrupt the nth call of ``call`` in a save, for every n the
+        save makes: ``path`` loads as the old or the new snapshot, the next
+        two saves succeed, and only ``path`` and its spare remain.
+        ``2+hold`` starts from the link a save killed after ``os.link``
+        leaves behind."""
+        saves = int(earlier[0])
+        real = getattr(os, call)
+        nth = 0
+        while True:
+            nth += 1
+            directory = tmp_path / str(nth)
+            path = directory / "s.ckpt"
+            for t in range(saves):
+                save_checkpoint(path, {"t": t})
+            if earlier.endswith("+hold"):
+                os.link(path, directory / "s.ckpt.hold")
+            calls = 0
+
+            def interrupted(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                if calls == nth and when == "before":
+                    raise _Killed
+                result = real(*args, **kwargs)
+                if calls == nth:
+                    raise _Killed
+                return result
+
+            setattr(os, call, interrupted)
+            try:
+                save_checkpoint(path, {"t": saves})
+            except _Killed:
+                pass
+            else:
+                break  # every call of this kind has been interrupted once
+            finally:
+                setattr(os, call, real)
+            assert load_checkpoint(path)["t"] in (saves - 1, saves)
+            save_checkpoint(path, {"t": saves + 1})
+            save_checkpoint(path, {"t": saves + 2})
+            assert load_checkpoint(path) == {"t": saves + 2}
+            assert sorted(directory.iterdir()) == [path, directory / "s.ckpt.spare"]
+        if call != "unlink" or earlier.endswith("+hold"):
+            assert nth > 1, f"the save never called os.{call}"
+
+    def test_hard_links_and_symlink_targets_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, {"t": 0})
+        save_checkpoint(path, {"t": 1})
+        backup = tmp_path / "backup.ckpt"
+        os.link(path, backup)
+        kept = backup.read_bytes()
+        target = tmp_path / "target.ckpt"
+        save_checkpoint(target, {"t": "target"})
+        target_bytes = target.read_bytes()
+        linked = tmp_path / "linked.ckpt"
+        linked.symlink_to(target)
+        for t in range(2, 6):
+            save_checkpoint(path, {"t": t})
+            save_checkpoint(linked, {"t": t})
+        assert backup.read_bytes() == kept
+        assert load_checkpoint(backup) == {"t": 1}
+        assert target.read_bytes() == target_bytes
+        assert not linked.is_symlink()
+        assert load_checkpoint(path) == load_checkpoint(linked) == {"t": 5}
+
+    @pytest.mark.parametrize("suffix", [".spare", ".hold"])
+    @pytest.mark.parametrize("kind", ["text", "directory", "symlink"])
+    def test_foreign_spare_or_hold_is_refused(self, tmp_path, suffix, kind):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, {"t": 0})
+        save_checkpoint(path, {"t": 1})
+        foreign = tmp_path / ("s.ckpt" + suffix)
+        if foreign.exists():
+            foreign.unlink()
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"not yours")
+        if kind == "text":
+            foreign.write_bytes(b"user notes")
+        elif kind == "directory":
+            foreign.mkdir()
+            (foreign / "inside.txt").write_bytes(b"kept")
+        else:
+            foreign.symlink_to(victim)
+        before = foreign.lstat()
+        with pytest.raises(CheckpointError, match="s.ckpt" + suffix):
+            save_checkpoint(path, {"t": 2})
+        assert os.path.samestat(foreign.lstat(), before)
+        assert victim.read_bytes() == b"not yours"
+        if kind == "text":
+            assert foreign.read_bytes() == b"user notes"
+        elif kind == "directory":
+            assert [p.name for p in foreign.iterdir()] == ["inside.txt"]
+        else:
+            assert os.readlink(foreign) == str(victim)
+        assert load_checkpoint(path) == {"t": 1}
+
+    def test_saves_without_hard_links(self, tmp_path, monkeypatch):
+        def no_link(*args, **kwargs):
+            raise PermissionError("hard links are not supported here")
+
+        monkeypatch.setattr(os, "link", no_link)
+        path = tmp_path / "s.ckpt"
+        for t in range(4):
+            save_checkpoint(path, {"t": t})
+            assert load_checkpoint(path) == {"t": t}
+        assert list(tmp_path.iterdir()) == [path]
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +481,28 @@ class TestServeLoop:
         clean.pop("resumed")
         resumed.pop("resumed")
         assert clean == resumed
+
+    def test_resume_without_a_checkpoint_says_it_starts_fresh(self, tmp_path):
+        import io
+
+        source_kwargs = dict(rate=0.7, seed=6, dag_nodes=10, n_jobs=40)
+        common = dict(install_signals=False, stall_timeout=None, tick_every=5)
+        fresh = io.StringIO()
+        assert serve(PoissonSource(**source_kwargs), 3, out=fresh, err=io.StringIO(), **common) == 0
+        ckpt = tmp_path / "absent.ckpt"
+        out, err = io.StringIO(), io.StringIO()
+        status = serve(
+            PoissonSource(**source_kwargs),
+            3,
+            checkpoint_path=ckpt,
+            resume=True,
+            out=out,
+            err=err,
+            **common,
+        )
+        assert status == 0
+        assert f"no checkpoint at {ckpt}; starting fresh" in err.getvalue().splitlines()
+        assert out.getvalue() == fresh.getvalue()
 
     def test_stall_exit_status_and_checkpoint(self, tmp_path):
         import io

@@ -30,7 +30,8 @@ Commands
     outcomes per artifact).
 ``inspect schedule.npz [--gantt] [--window 0:40]``
     Load a saved schedule archive (``repro.core.save_schedule_npz``) and
-    print its metrics, fairness report, and optionally the packing.
+    print its metrics, fairness report, and optionally the packing; a
+    corrupt archive exits 2 with its named error.
 ``demo``
     A 30-second guided tour (Figure 1 packing + a tiny adversarial run).
 ``lint [paths...] [--format json] [--select RPR001] [--list-rules]``
@@ -43,8 +44,9 @@ Commands
     bounded memory, incremental metrics ticks, graceful SIGTERM/SIGINT
     drain, and crash-safe checkpoints (kill → ``--resume`` reproduces an
     uninterrupted run's final metrics bit-identically). Exit status: 0
-    complete/drained, 130 interrupted or stdout closed (checkpoint
-    saved), 3 stalled.
+    complete/drained, 2 bad input (an unreadable ``--trace-path`` archive
+    or ``--resume`` checkpoint, reported without a traceback), 130
+    interrupted or stdout closed (checkpoint saved), 3 stalled.
     See ``docs/serving.md``.
 """
 
@@ -212,13 +214,23 @@ def _cmd_report(output: str, only: str | None, scale: str = "default") -> int:
     return status
 
 
+def _bad_input(exc: BaseException) -> int:
+    """Report an unreadable input file by its named error: exit 2, no
+    traceback."""
+    print(f"repro: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_inspect(path: str, gantt: bool, window: str | None) -> int:
     from .analysis import fairness_report
-    from .core import load_schedule_npz
+    from .core import ReproError, load_schedule_npz
     from .experiments.runner import format_table
     from .viz import render_gantt
 
-    schedule = load_schedule_npz(path)
+    try:
+        schedule = load_schedule_npz(path)
+    except ReproError as exc:
+        return _bad_input(exc)
     schedule.validate()
     print(f"{path}: {schedule}")
     print(f"instance: {schedule.instance}")
@@ -267,7 +279,8 @@ def _cmd_demo() -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .streaming import serve
+    from .core import ConfigurationError, ReproError
+    from .streaming import CheckpointError, serve
     from .workloads.arrivals import (
         AdversarialDripSource,
         PoissonSource,
@@ -299,25 +312,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:  # trace
         from .core import load_schedule_npz
 
-        source = TraceReplaySource.from_instance(
-            load_schedule_npz(args.trace_path).instance
+        try:
+            instance = load_schedule_npz(args.trace_path).instance
+        except ReproError as exc:
+            return _bad_input(exc)
+        source = TraceReplaySource.from_instance(instance)
+    try:
+        status = serve(
+            source,
+            args.m,
+            policy=args.policy,
+            max_live_subjobs=args.max_live_subjobs,
+            max_live_jobs=args.max_live_jobs,
+            max_jobs=args.jobs,
+            tick_every=args.tick_every,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            stall_timeout=args.stall_timeout if args.stall_timeout > 0 else None,
+            metrics_out=args.metrics_out,
+            quiet=args.quiet,
+            max_steps=args.max_steps,
         )
-    status = serve(
-        source,
-        args.m,
-        policy=args.policy,
-        max_live_subjobs=args.max_live_subjobs,
-        max_live_jobs=args.max_live_jobs,
-        max_jobs=args.jobs,
-        tick_every=args.tick_every,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        stall_timeout=args.stall_timeout if args.stall_timeout > 0 else None,
-        metrics_out=args.metrics_out,
-        quiet=args.quiet,
-        max_steps=args.max_steps,
-    )
+    except (CheckpointError, ConfigurationError) as exc:
+        # An unreadable checkpoint, or one written under another
+        # configuration, is bad input like a bad flag.
+        return _bad_input(exc)
     try:
         sys.stdout.flush()
     except BrokenPipeError:

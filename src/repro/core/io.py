@@ -14,13 +14,15 @@ Round-trips are exact: ids, releases, labels, completion times.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Union
 
 import numpy as np
 
 from .dag import DAG
-from .exceptions import ScheduleError
+from .exceptions import ConfigurationError, ReproError, ScheduleError
 from .instance import Instance
 from .job import Job
 from .schedule import Schedule
@@ -40,6 +42,14 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+#: What a truncated, bit-flipped or foreign file raises while it is read
+#: and rebuilt (``json.JSONDecodeError`` and ``UnicodeDecodeError`` are
+#: ``ValueError``s).
+_CORRUPT = (
+    ReproError, EOFError, ValueError, KeyError, IndexError, TypeError,
+    zipfile.BadZipFile, zlib.error,
+)
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +108,15 @@ def save_instance_json(instance: Instance, path: PathLike) -> None:
 
 
 def load_instance_json(path: PathLike) -> Instance:
-    """Read an instance previously written by :func:`save_instance_json`."""
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    """Read an instance previously written by :func:`save_instance_json`.
+
+    A file that is not such an instance raises :class:`ConfigurationError`
+    naming ``path``.
+    """
+    try:
+        return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except _CORRUPT as exc:
+        raise ConfigurationError(f"corrupt instance file {path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -130,20 +147,24 @@ def save_schedule_npz(schedule: Schedule, path: PathLike) -> None:
 
 
 def load_schedule_npz(path: PathLike) -> Schedule:
-    """Read a schedule previously written by :func:`save_schedule_npz`."""
-    with np.load(Path(path)) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        m = int(data["m"][0])
-        jobs: list[Job] = []
-        completion: list[Array] = []
-        for i, info in enumerate(meta):
-            edges = list(
-                zip(data[f"job{i}_src"].tolist(), data[f"job{i}_dst"].tolist())
-            )
-            dag = DAG(int(info["n"]), edges)
-            jobs.append(Job(dag, int(info["release"]), info.get("label")))
-            completion.append(np.asarray(data[f"job{i}_completion"], dtype=np.int64))
+    """Read a schedule previously written by :func:`save_schedule_npz`.
+
+    A truncated, bit-flipped or foreign file, or one whose schedule fails
+    validation, raises :class:`ScheduleError` naming ``path``.
+    """
     try:
+        with np.load(Path(path)) as data:
+            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+            m = int(data["m"][0])
+            jobs: list[Job] = []
+            completion: list[Array] = []
+            for i, info in enumerate(meta):
+                edges = list(
+                    zip(data[f"job{i}_src"].tolist(), data[f"job{i}_dst"].tolist())
+                )
+                dag = DAG(int(info["n"]), edges)
+                jobs.append(Job(dag, int(info["release"]), info.get("label")))
+                completion.append(np.asarray(data[f"job{i}_completion"], dtype=np.int64))
         return Schedule(Instance(jobs), m, completion)
-    except ScheduleError as exc:  # pragma: no cover - corrupt file path
+    except _CORRUPT as exc:
         raise ScheduleError(f"corrupt schedule archive {path}: {exc}") from exc

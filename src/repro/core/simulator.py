@@ -25,8 +25,9 @@ call per step, and each selected subjob applied and its children walked
 in Python. It serves every scheduler that is not a list rule (Algorithm 𝒜,
 work stealing, round robin, random tie-breaks) and every run with an
 observer or a fault injector attached. :func:`_simulate_reference`, the
-oracle the equivalence suites compare against, runs the same loop for
-every scheduler.
+oracle the conformance matrix (``tests/properties/test_conformance.py``)
+compares every other engine path against, runs the same loop for every
+scheduler.
 
 FIFO, LPF and SRPT are *list rules*: they walk released jobs by a job key
 and take each job's ready subjobs by a per-node priority. A scheduler says
@@ -42,7 +43,7 @@ decomposition (:attr:`~repro.core.instance.Instance.chain_layout`) it
 detects that a forced selection will repeat verbatim for the next Δt steps
 and commits all Δt schedule columns in one vectorized write (see
 ``docs/engine-internals.md``). Its schedules are held bit-identical to the
-dispatch loop by the differential-equivalence tests.
+dispatch loop by the conformance matrix.
 
 Per-run counters are collected in :class:`EngineStats` (attached to the
 returned schedule as ``schedule.engine_stats``) and accumulated process-wide
@@ -1467,7 +1468,6 @@ def simulate_batch(
     *,
     availability: BatchAvailability = None,
     max_steps: Optional[int] = None,
-    batch: Optional[InstanceBatch] = None,
 ) -> list[Schedule]:
     """Run ``scheduler`` on many independent instances in lockstep.
 
@@ -1475,8 +1475,8 @@ def simulate_batch(
     axis (:func:`~repro.core.instance.pack_instances`) and advances every
     eligible instance per time step with single NumPy passes — including a
     batched chain-run macro-step. Results are **bit-identical** to running
-    :func:`simulate` per instance (enforced by the three-way property
-    suite): eligibility is exactly the regime in which the per-instance
+    :func:`simulate` per instance (enforced by the conformance matrix's
+    ``batch`` row): eligibility is exactly the regime in which the per-instance
     engine never dispatches ``select`` — the scheduler is a list rule
     (:meth:`Scheduler.frontier_priorities` returns a kernel for the
     instance) with the FIFO job walk. Ineligible instances are
@@ -1497,10 +1497,6 @@ def simulate_batch(
     max_steps:
         As for :func:`simulate`; the default step bound covers the whole
         batch.
-    batch:
-        Optional pre-packed :class:`InstanceBatch` for ``instances``
-        (reused across sweeps to skip packing); must pack exactly these
-        instances.
 
     Returns
     -------
@@ -1539,16 +1535,7 @@ def simulate_batch(
     results: list[Optional[Schedule]] = [None] * len(insts)
 
     if eligible:
-        if batch is not None and len(eligible) == len(insts):
-            if len(batch.instances) != len(insts) or any(
-                a is not b for a, b in zip(batch.instances, insts)
-            ):
-                raise ConfigurationError(
-                    "simulate_batch: `batch` does not pack these instances"
-                )
-            packed = batch
-        else:
-            packed = pack_instances([insts[b] for b in eligible])
+        packed = pack_instances([insts[b] for b in eligible])
         prio_full = np.concatenate([kernels[b] for b in eligible])
         sub_traces = (
             None if traces is None else [traces[b] for b in eligible]
@@ -1592,9 +1579,9 @@ def _simulate_reference(
     included.
 
     :func:`simulate` runs this same loop for every scheduler that is not a
-    list rule and for every observed or faulted run; the
-    differential-equivalence tests hold its list-rule engine and
-    :func:`simulate_batch` bit-identical to it on a spread of seeded
+    list rule and for every observed or faulted run; the conformance
+    matrix holds its list-rule engine, faulted runs, :func:`simulate_batch`
+    and the streaming engine bit-identical to it on a spread of seeded
     workloads, availability traces included. The run is not counted in the
     process-wide :class:`EngineStats`.
     """

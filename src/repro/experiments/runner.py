@@ -258,24 +258,8 @@ def repeat_experiment(
     return results, rates
 
 
-def _run_trials_chunk(task: tuple) -> tuple[list, Any]:
-    """Top-level pool worker for :func:`run_trials` (must be picklable).
-
-    Returns flat per-instance completion arrays (cheap to ship — the
-    parent already holds the instances and rebuilds the schedules) plus
-    the chunk's :class:`~repro.core.EngineStats` delta.
-    """
-    import numpy as np
-
-    from ..core import engine_stats_snapshot, simulate_batch
-
-    instances, m, scheduler_factory, availability = task
-    before = engine_stats_snapshot()
-    schedules = simulate_batch(
-        instances, m, scheduler_factory(), availability=availability
-    )
-    completions = [np.concatenate(s.completion) for s in schedules]
-    return completions, engine_stats_snapshot().delta(before)
+#: Most subjobs one :func:`run_trials` chunk packs into a single batch.
+TRIAL_CHUNK_NODES = 1_000_000
 
 
 def _chunk_by_nodes(instances: Sequence, budget: int) -> list[tuple[int, int]]:
@@ -317,8 +301,6 @@ def run_trials(
     scheduler_factory,
     *,
     availability: Any = None,
-    n_workers: Optional[int] = None,
-    batch_node_budget: int = 1_000_000,
 ) -> list:
     """Run one scheduler over many independent trial instances, batched.
 
@@ -326,82 +308,31 @@ def run_trials(
     share ``m`` and a scheduler configuration (``scheduler_factory`` builds
     a fresh instance per batch chunk), so eligible trials advance in
     lockstep through :func:`~repro.core.simulate_batch` instead of paying
-    one Python engine loop — or one process-pool dispatch — per trial.
-    Ineligible trials (not a list rule, or not the FIFO job walk) fall
-    back to per-instance runs inside ``simulate_batch`` itself.
+    one Python engine loop per trial. Ineligible trials (not a list rule,
+    or not the FIFO job walk) fall back to per-instance runs inside
+    ``simulate_batch`` itself.
 
-    Chunking: the sweep is split into contiguous chunks of at most
-    ``batch_node_budget`` total subjobs (bounding each batch's working
-    set). With ``n_workers > 1`` *and* more than one chunk, chunks fan out
-    over the persistent shared pool (:func:`~repro.experiments.pool.
-    shared_pool`); workers ship back flat completion arrays and an
-    :class:`~repro.core.EngineStats` delta that is folded into this
-    process's accumulator. A single-chunk sweep always runs in-process —
-    forking would only add dispatch cost. Falls back to serial (with a
-    :class:`RuntimeWarning`) when ``scheduler_factory`` cannot be pickled.
+    The sweep is split into contiguous chunks of at most
+    :data:`TRIAL_CHUNK_NODES` total subjobs, which bounds each batch's
+    working set.
 
     Returns one :class:`~repro.core.Schedule` per instance, in order.
-    Worker-run chunks rebuild schedules in the parent, so those carry
-    ``engine_stats None``; in-process chunks keep their batch stats.
     """
-    from ..core import Schedule, accumulate_engine_stats, simulate_batch
+    from ..core import simulate_batch
 
     insts = list(instances)
     if not insts:
         return []
     per_avail = _split_availability(availability, insts)
-    spans = _chunk_by_nodes(insts, batch_node_budget)
-
-    def chunk_avail(start: int, stop: int) -> Any:
-        part = per_avail[start:stop]
-        return None if all(v is None for v in part) else part
-
-    parallel = n_workers is not None and n_workers > 1 and len(spans) > 1
-    if parallel:
-        try:
-            pickle.dumps(scheduler_factory)
-        except Exception:
-            warnings.warn(
-                "run_trials: scheduler_factory cannot be pickled for "
-                "worker processes; running the sweep in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            parallel = False
-    if parallel:
-        from .pool import shared_pool
-
-        pool = shared_pool(n_workers)
-        futures = [
-            pool.submit(
-                _run_trials_chunk,
-                (
-                    insts[start:stop],
-                    m,
-                    scheduler_factory,
-                    chunk_avail(start, stop),
-                ),
-            )
-            for start, stop in spans
-        ]
-        schedules: list = []
-        for (start, stop), future in zip(spans, futures):
-            completions, delta = future.result()
-            accumulate_engine_stats(delta)
-            schedules.extend(
-                Schedule.from_flat(inst, m, flat)
-                for inst, flat in zip(insts[start:stop], completions)
-            )
-        return schedules
-
     schedules = []
-    for start, stop in spans:
+    for start, stop in _chunk_by_nodes(insts, TRIAL_CHUNK_NODES):
+        part = per_avail[start:stop]
         schedules.extend(
             simulate_batch(
                 insts[start:stop],
                 m,
                 scheduler_factory(),
-                availability=chunk_avail(start, stop),
+                availability=None if all(v is None for v in part) else part,
             )
         )
     return schedules

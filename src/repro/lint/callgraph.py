@@ -416,15 +416,6 @@ class ProjectIndex:
             return None
         return None
 
-    def to_data(self) -> dict:
-        return {name: info.to_data() for name, info in sorted(self.modules.items())}
-
-    @classmethod
-    def from_data(cls, data: dict) -> "ProjectIndex":
-        index = cls()
-        for payload in data.values():
-            index.add(ModuleInfo.from_data(payload))
-        return index
 
 
 def build_index(

@@ -3,13 +3,8 @@
 Beyond the original run-the-rules flags, the CLI fronts the incremental
 engine:
 
-* ``--jobs N`` — parallel per-file analysis over a process pool;
 * ``--cache-dir`` / ``--no-cache`` — the incremental findings cache
   (default ``.repro-lint-cache`` in the working directory; git-ignored);
-* ``--changed [REF]`` — report findings only for files touched in the
-  git diff against REF (default ``HEAD``) plus untracked files; every
-  file still feeds the whole-program call graph, so interprocedural
-  findings in changed files stay correct;
 * ``--baseline`` / ``--update-baseline`` — the committed accepted-debt
   file (see :mod:`repro.lint.baseline`);
 * ``--format sarif`` + ``--output`` — SARIF 2.1.0 for code scanning.
@@ -19,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .baseline import DEFAULT_BASELINE_NAME, load_baseline, write_baseline
 from .engine import lint_paths, ruleset_fingerprint
@@ -66,13 +60,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze files with N parallel worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
@@ -87,18 +74,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "report findings only for files changed relative to git REF "
-            "(default HEAD) plus untracked files; the whole tree is still "
-            "indexed so interprocedural results stay correct"
-        ),
     )
     parser.add_argument(
         "--baseline",
@@ -121,31 +96,6 @@ def _list_rules() -> int:
         print(f"{rule.rule_id}  {rule.title}")
         print(f"        {rule.rationale}")
     return 0
-
-
-def _git_changed_files(ref: str) -> Optional[set[str]]:
-    """Paths changed vs ``ref`` plus untracked files, or ``None`` on error."""
-    changed: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "-z", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True, timeout=30
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.update(tok for tok in proc.stdout.split("\0") if tok)
-    return changed
-
-
-def _resolve_restrict(ref: str) -> Optional[set[str]]:
-    """Changed-file set normalized the way the engine keys files."""
-    changed = _git_changed_files(ref)
-    if changed is None:
-        return None
-    return {str(Path(p)) for p in changed if p.endswith(".py")}
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -172,16 +122,6 @@ def run_lint(args: argparse.Namespace) -> int:
             return 2
         rules = [RULES[rule_id] for rule_id in wanted]
 
-    restrict: Optional[set[str]] = None
-    if args.changed is not None:
-        restrict = _resolve_restrict(args.changed)
-        if restrict is None:
-            print(
-                f"--changed: git diff against {args.changed!r} failed; "
-                "linting everything",
-                file=sys.stderr,
-            )
-
     baseline_path = Path(args.baseline) if args.baseline else Path(
         DEFAULT_BASELINE_NAME
     )
@@ -195,18 +135,9 @@ def run_lint(args: argparse.Namespace) -> int:
         baseline = loaded or None
 
     cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-
     try:
         report = lint_paths(
-            args.paths,
-            rules=rules,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            restrict=restrict,
-            baseline=baseline,
+            args.paths, rules=rules, cache_dir=cache_dir, baseline=baseline
         )
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

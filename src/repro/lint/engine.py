@@ -16,16 +16,7 @@ leg reads, and aggregates a
   through :meth:`FileContext.lookup_call` is recorded as a dependency and
   re-validated against the fresh summary table on every warm run, so an
   edit to a helper three modules away correctly invalidates its callers
-  and nothing else;
-* **parallel analysis** (``jobs=``): per-file rule execution fans out over
-  a process pool; the (already closed) summary table is serialized to each
-  worker once via the pool initializer. Findings are collected keyed by
-  path and merged in sorted order, so serial, parallel, and cached runs
-  produce bit-identical reports;
-* **scoped reporting** (``restrict=``): every file still contributes to
-  the project index (the call graph must be whole-program to be right),
-  but findings are reported only for the restricted set — this is what
-  ``repro lint --changed`` uses.
+  and nothing else. Cached and cold runs produce bit-identical reports.
 
 Suppression pragmas (``# repro-lint: disable=...``) cover the line they
 sit on *and*, via :attr:`FileContext.statement_anchors`, any continuation
@@ -409,36 +400,6 @@ def _deps_valid(deps: list[list[Any]], table: SummaryTable) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Parallel workers
-# ----------------------------------------------------------------------
-
-_WORKER_RULES: list[Rule] = []
-_WORKER_TABLE: Optional[SummaryTable] = None
-
-
-def _worker_init(
-    rule_ids: list[str], index_data: dict, summaries_data: dict
-) -> None:
-    """Pool initializer: reconstruct the shared project context once."""
-    global _WORKER_RULES, _WORKER_TABLE
-    _WORKER_RULES = [RULES[rule_id] for rule_id in rule_ids]
-    index = ProjectIndex.from_data(index_data)
-    summaries = {
-        qualname: FunctionSummary.from_json(data)
-        for qualname, data in summaries_data.items()
-    }
-    _WORKER_TABLE = SummaryTable(index, summaries)
-
-
-def _worker_lint(task: tuple[str, str]) -> tuple[str, list[dict], int, list]:
-    path, source = task
-    tree = ast.parse(source, filename=path)  # parse errors handled upstream
-    ctx = FileContext(path=path, source=source, tree=tree, project=_WORKER_TABLE)
-    findings, suppressed = _lint_tree(ctx, _WORKER_RULES)
-    return path, [v.to_json() for v in findings], suppressed, _dedup_deps(ctx.deps)
-
-
 def _dedup_deps(deps: list[list[Any]]) -> list[list[Any]]:
     seen: set[tuple] = set()
     out: list[list[Any]] = []
@@ -477,21 +438,17 @@ def lint_paths(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
     *,
-    jobs: int = 1,
     cache_dir: str | Path | None = None,
-    restrict: Optional[set[str]] = None,
     baseline: Optional[dict] = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
-    ``jobs`` > 1 fans per-file rule execution out over a process pool;
-    ``cache_dir`` enables the incremental findings cache; ``restrict``
-    limits which files' findings appear in the report (all files still
-    feed the whole-program index); ``baseline`` is a loaded baseline
-    multiset (see :mod:`repro.lint.baseline`) filtered at report level.
+    ``cache_dir`` enables the incremental findings cache; ``baseline`` is
+    a loaded baseline multiset (see :mod:`repro.lint.baseline`) filtered
+    at report level.
 
-    The report is byte-identical across serial, parallel, and cached
-    execution for the same tree.
+    The report is byte-identical across cold and cached runs for the same
+    tree.
     """
     from .baseline import apply_baseline
 
@@ -509,10 +466,6 @@ def lint_paths(
     # Only a full-rule-set run may reuse or refresh cached findings; a
     # --select run would otherwise poison the cache with partial results.
     full_ruleset = rules is None
-    report_set = (
-        {str(f) for f in files} if restrict is None
-        else {str(f) for f in files if str(f) in restrict}
-    )
 
     # Phase 1: per-file symbol tables + local summaries (cache-aware).
     trees: dict[str, ast.Module] = {}
@@ -582,47 +535,20 @@ def lint_paths(
                 entry.get("deps", []),
             )
             continue
-        if key in report_set or (cache_path is not None and full_ruleset):
-            to_lint.append(key)
+        to_lint.append(key)
 
-    # Phase 4: run the rules (serially or across a process pool).
-    if len(to_lint) > 1 and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # Phase 4: run the rules.
+    for key in to_lint:
+        tree = trees.get(key)
+        if tree is None:
+            tree = ast.parse(sources[key], filename=key)
+        ctx = FileContext(path=key, source=sources[key], tree=tree, project=table)
+        findings, suppressed = _lint_tree(ctx, active)
+        results[key] = (findings, suppressed, _dedup_deps(ctx.deps))
 
-        rule_ids = [rule.rule_id for rule in active]
-        index_data = index.to_data()
-        summaries_data = {
-            qualname: summary.to_json()
-            for qualname, summary in table.summaries.items()
-        }
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(to_lint)),
-            initializer=_worker_init,
-            initargs=(rule_ids, index_data, summaries_data),
-        ) as pool:
-            tasks = [(key, sources[key]) for key in to_lint]
-            for path, findings_json, suppressed, deps in pool.map(
-                _worker_lint, tasks
-            ):
-                results[path] = (
-                    [Violation(**v) for v in findings_json],
-                    suppressed,
-                    deps,
-                )
-    else:
-        for key in to_lint:
-            tree = trees.get(key)
-            if tree is None:
-                tree = ast.parse(sources[key], filename=key)
-            ctx = FileContext(
-                path=key, source=sources[key], tree=tree, project=table
-            )
-            findings, suppressed = _lint_tree(ctx, active)
-            results[key] = (findings, suppressed, _dedup_deps(ctx.deps))
-
-    # Phase 5: assemble the report (restricted set only) deterministically.
+    # Phase 5: assemble the report deterministically.
     report = LintReport()
-    for key in sorted(report_set):
+    for key in sorted(sources):
         report.files_checked += 1
         findings, suppressed, _deps = results.get(key, ([], 0, []))
         report.violations.extend(findings)

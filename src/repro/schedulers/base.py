@@ -34,8 +34,9 @@ runs the whole instance as a list rule without dispatching the scheduler
 A dispatched run (an observer or fault injector attached, or a tie-break
 without a kernel) keeps each job's ready subjobs in a :class:`ReadyHeap`
 ordered by :meth:`TieBreak.key`, and so does the reference engine
-``_simulate_reference``. The equivalence suites hold the list-rule path
-equal to the reference, which checks every kernel against its ``key()``.
+``_simulate_reference``. The conformance matrix
+(``tests/properties/test_conformance.py``) holds the list-rule path equal
+to the reference, which checks every kernel against its ``key()``.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class TieBreak(abc.ABC):
         is scheduled sooner, ties broken by ascending node id. Returning an
         array makes the FIFO and SRPT schedulers built on this tie-break
         list rules; their dispatched runs still order by ``key()``, and the
-        equivalence suites hold the two equal. ``None`` (the default) means
+        conformance matrix holds the two equal. ``None`` (the default) means
         "no kernel": every run dispatches the scheduler, which orders
         ready subjobs by per-node ``key()`` calls through
         :class:`ReadyHeap`. A key that consumes hidden state per call (an

@@ -55,12 +55,14 @@ import pickle
 import stat
 from typing import Any
 
+from ..core.exceptions import ReproError
+
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
 _MAGIC = b"repro-stream-ckpt:1\n"
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(ReproError, RuntimeError):
     """A checkpoint file is unreadable (missing, corrupt, or foreign)."""
 
 

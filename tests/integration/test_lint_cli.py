@@ -176,44 +176,6 @@ def run_lint_in(cwd: Path, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def _git(cwd: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", *argv],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-        timeout=60,
-        env={
-            **os.environ,
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@example.invalid",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@example.invalid",
-        },
-    )
-
-
-def test_changed_scopes_report_to_git_diff(tmp_path):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "old.py").write_text(BAD_EXCEPT)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "-A")
-    _git(tmp_path, "commit", "-qm", "seed")
-    (pkg / "new.py").write_text(BAD_EXCEPT)
-
-    proc = run_lint_in(tmp_path, "pkg", "--changed", "--format", "json")
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    # Only the untracked file is reported; the committed violation is not.
-    assert payload["files_checked"] == 1
-    assert all(v["path"].endswith("new.py") for v in payload["violations"])
-
-    full = run_lint_in(tmp_path, "pkg", "--format", "json")
-    assert json.loads(full.stdout)["files_checked"] == 3
-
-
 def test_baseline_accepts_existing_debt_but_not_new(tmp_path):
     (tmp_path / "legacy.py").write_text(BAD_EXCEPT)
     record = run_lint_in(tmp_path, ".", "--update-baseline")
@@ -234,12 +196,9 @@ def test_baseline_accepts_existing_debt_but_not_new(tmp_path):
 
 
 def test_jobs_and_cache_reports_match_serial(tmp_path, seeded_package):
-    serial = run_lint_in(tmp_path, str(seeded_package), "--format", "json")
-    parallel = run_lint_in(
-        tmp_path, str(seeded_package), "--jobs", "4", "--format", "json"
-    )
+    cold = run_lint_in(tmp_path, str(seeded_package), "--format", "json")
     warm = run_lint_in(tmp_path, str(seeded_package), "--format", "json")
-    assert serial.stdout == parallel.stdout == warm.stdout
+    assert cold.stdout == warm.stdout
     assert (tmp_path / ".repro-lint-cache" / "cache.json").is_file()
 
 

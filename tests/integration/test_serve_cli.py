@@ -109,6 +109,71 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
     assert clean == resumed
 
 
+#: Runs ``repro serve`` (argv[4:]) with ``os.<argv[1]>`` wrapped so that
+#: the process SIGKILLs itself right after the ``argv[3]``-th call whose
+#: destination is ``argv[2]``: a kill inside a checkpoint save's
+#: link/rename window, which a kill from outside seldom hits.
+_KILL_IN_SAVE = """
+import os, signal, sys
+from repro.cli import main
+
+name, dst, after = sys.argv[1], sys.argv[2], int(sys.argv[3])
+real, hits = getattr(os, name), 0
+
+def wrapper(src, target, **kwargs):
+    global hits
+    result = real(src, target, **kwargs)
+    hits += target == dst
+    if hits == after:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return result
+
+setattr(os, name, wrapper)
+sys.exit(main(["serve", *sys.argv[4:]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "window, left",
+    [("link", {"serve.ckpt", "serve.ckpt.spare", "serve.ckpt.hold"}),
+     ("replace", {"serve.ckpt", "serve.ckpt.hold"})],
+    ids=["link", "replace"],
+)
+@pytest.mark.parametrize("policy", ["fifo", "srpt"])
+def test_kill_inside_a_save_then_resume_is_bit_identical(tmp_path, policy, window, left):
+    """A SIGKILL right after a save's ``os.link(path, path.hold)``, or
+    right after its ``os.replace(path.spare, path)``, leaves ``path`` a
+    complete checkpoint; a fresh ``--resume`` reproduces the clean run."""
+    args = [*STREAM_ARGS, "--policy", policy]
+    clean_json = tmp_path / "clean.json"
+    result = run_serve(*args, "--metrics-out", str(clean_json))
+    assert result.returncode == 0, result.stderr
+
+    ckpt = tmp_path / "serve.ckpt"
+    dst = str(ckpt) + (".hold" if window == "link" else "")
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILL_IN_SAVE, window, dst, "3", *args,
+         "--checkpoint", str(ckpt), "--checkpoint-every", "25"],
+        capture_output=True, text=True, env=_env(), cwd=REPO_ROOT, timeout=300,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert {p.name for p in tmp_path.iterdir()} - {"clean.json"} == left
+
+    resumed_json = tmp_path / "resumed.json"
+    result = run_serve(
+        *args, "--checkpoint", str(ckpt), "--resume", "--metrics-out", str(resumed_json)
+    )
+    assert result.returncode == 0, result.stderr
+    assert "resumed from" in result.stderr
+    clean = json.loads(clean_json.read_text())
+    resumed = json.loads(resumed_json.read_text())
+    assert (clean.pop("resumed"), resumed.pop("resumed")) == (False, True)
+    assert clean == resumed
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "clean.json", "resumed.json", "serve.ckpt", "serve.ckpt.spare"
+    }
+
+
 def test_closed_stdout_exits_130_without_traceback(tmp_path):
     """`repro serve ... | head -n 1`: once the reader closes the pipe the
     run aborts with status 130, saves its checkpoint and metrics, and

@@ -1,13 +1,19 @@
-"""Hypothesis strategies for DAGs, trees, and instances."""
+"""Hypothesis strategies for DAGs, trees, and instances, and the shipped
+tie-breaks split by whether they have a priority kernel."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.core import DAG, Instance, Job
+from repro.core import DAG, Instance, Job, complete_kary_tree
+from repro.schedulers import TieBreak
 
 __all__ = [
+    "KERNEL_TIE_BREAKS",
+    "KEY_ONLY_TIE_BREAKS",
     "out_trees",
     "out_forests",
     "general_dags",
@@ -76,3 +82,24 @@ def forest_instances(min_jobs: int = 1, max_jobs: int = 4, max_release: int = 20
         dag_strategy=out_forests(),
         max_release=max_release,
     )
+
+
+def _shipped_tie_breaks() -> list[type[TieBreak]]:
+    """Every concrete ``TieBreak`` subclass defined under ``repro.schedulers``,
+    so a new tie-break is tested with no edit to the tests."""
+    found: set[type[TieBreak]] = set()
+    stack = [TieBreak]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.schedulers.") and not inspect.isabstract(sub):
+                found.add(sub)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+_SHIPPED = _shipped_tie_breaks()
+_PROBE = Job(complete_kary_tree(2, 3), 0)
+#: Tie-breaks whose ``priority_kernel`` returns an array (list rules).
+KERNEL_TIE_BREAKS = [c for c in _SHIPPED if c().priority_kernel(_PROBE) is not None]
+#: Tie-breaks that order only through ``key()`` (dispatched every step).
+KEY_ONLY_TIE_BREAKS = [c for c in _SHIPPED if c not in KERNEL_TIE_BREAKS]

@@ -1,61 +1,42 @@
-"""Batched ≡ per-instance ≡ reference-loop parity suite.
+"""Batched ≡ per-instance ≡ reference-loop parity.
 
-For every instance in the corpus, the lockstep batched engine
-(``simulate_batch``), the per-instance engine (``simulate``, with its
-fast/priority/macro paths and the kernels of :mod:`repro.core.kernels`),
-and the per-node reference loop (``_simulate_reference``) must produce
-bit-identical completion arrays.
+Each case is a slice of the conformance matrix (``test_conformance.py``):
+the lockstep batched engine (``simulate_batch``), the per-instance engine
+(``simulate``, with its fast/priority/macro paths and the kernels of
+:mod:`repro.core.kernels`) and every other engine path must produce
+completion arrays bit-identical to ``_simulate_reference``.
 
 SRPT rides along with FIFO/LPF here because its list-rule run exercises
 the dynamic-job-order walk, and ``simulate_batch`` must route it per
 instance (its job walk is not FIFO).
 """
 
-import numpy as np
 import pytest
 
-from repro.core import kernels, simulate, simulate_batch
-from repro.core.simulator import _simulate_reference
-from repro.schedulers import FIFOScheduler, LPFScheduler, ReverseTieBreak
-from repro.schedulers.srpt import SRPTScheduler
+from repro.core import kernels
 
-from .test_batch_properties import (
-    _adversarial_batch,
-    _chains_batch,
-    _ragged_batch,
-    _random_batch,
-)
+from .test_conformance import conforming
 
-BUILDERS = (_chains_batch, _random_batch, _adversarial_batch, _ragged_batch)
+#: Builder name -> matrix family.
+BUILDERS = {
+    "chains_batch": "chains-batch",
+    "random_batch": "random-batch",
+    "adversarial_batch": "adversary-batch",
+    "ragged_batch": "ragged-batch",
+}
 CORPUS = [(b, s) for b in BUILDERS for s in range(2)]
-
 SCHEDULERS = {
-    "fifo": lambda: FIFOScheduler(),
-    "fifo-reverse": lambda: FIFOScheduler(ReverseTieBreak()),
-    "lpf": lambda: LPFScheduler(),
-    "srpt": lambda: SRPTScheduler(),
+    "fifo": "fifo-arbitrary",
+    "fifo-reverse": "fifo-reverse",
+    "lpf": "fifo-longestpath",
+    "srpt": "srpt-arbitrary",
 }
 
 
-def _three_way(instances, make_scheduler, m):
-    batched = simulate_batch(instances, m, make_scheduler())
-    per_instance = [simulate(inst, m, make_scheduler()) for inst in instances]
-    refs = [_simulate_reference(inst, m, make_scheduler()) for inst in instances]
-    for b in range(len(instances)):
-        legs = (batched[b].completion, per_instance[b].completion, refs[b].completion)
-        for i, (x, y, z) in enumerate(zip(*legs)):
-            assert np.array_equal(x, y), f"batched vs per-instance: instance {b} job {i}"
-            assert np.array_equal(y, z), f"per-instance vs reference: instance {b} job {i}"
-
-
-@pytest.mark.parametrize(
-    "builder,seed", CORPUS, ids=[f"{b.__name__[1:]}-{s}" for b, s in CORPUS]
-)
+@pytest.mark.parametrize("builder,seed", CORPUS, ids=[f"{b}-{s}" for b, s in CORPUS])
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
 def test_three_way_bit_identity(builder, seed, policy):
-    batch = builder(seed)
-    for m in (1, 3, 8):
-        _three_way(batch, SCHEDULERS[policy], m)
+    conforming(BUILDERS[builder], SCHEDULERS[policy], seed=seed)
 
 
 def test_registry_covers_arena_kernels():

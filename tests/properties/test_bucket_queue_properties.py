@@ -1,4 +1,4 @@
-"""Property tests for priority kernels: every kernel against its ``key()``.
+"""Priority kernels: every kernel against its ``key()``.
 
 A tie-break whose ``priority_kernel`` returns an array makes FIFO and SRPT
 list rules: the engine runs them without dispatching, ordering each job's
@@ -8,83 +8,51 @@ ready frontier by the kernel. A dispatched run and the reference engine
 
 1. the kernel contract: sorting nodes by ``(kernel[v], v)`` equals sorting
    them by ``(key(job, v), v)``;
-2. ``simulate`` on the list-rule path produces completion arrays identical
-   to the reference engine, for FIFO and SRPT, across random trees, the
-   Section 4 adversarial family, and packed rectangles with known OPT.
+2. every engine path produces completion arrays identical to the
+   reference engine, for FIFO and SRPT with every kernel tie-break,
+   across drawn random trees and forests, the Section 4 adversarial
+   family, and packed rectangles with known OPT (slices of the
+   conformance matrix, ``test_conformance.py``).
 
 The tie-breaks are the ``TieBreak`` subclasses defined under
-``repro.schedulers``, split by whether their kernel returns an array, so a
-new kernel tie-break is checked against its ``key()`` with no edit here.
-The packed-rectangle cases run the tie-breaks of the paper's three FIFO
-rules (FIFO, LPF, MC) under both job walks.
+``repro.schedulers``, split by whether their kernel returns an array
+(``strategies.KERNEL_TIE_BREAKS``), so a new kernel tie-break is checked
+against its ``key()`` with no edit here.
 
 The module keeps the name it had when it also tested a bucket-queue ready
 structure (since deleted), so its test ids stay stable.
 """
 
-import inspect
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Instance, Job, chain, complete_kary_tree, simulate
-from repro.core.simulator import _simulate_reference
+from repro.core import Instance, Job, chain, complete_kary_tree
 from repro.schedulers import (
-    ArbitraryTieBreak,
     FIFOScheduler,
     LongestPathTieBreak,
-    LPFScheduler,
-    MostChildrenTieBreak,
     RandomTieBreak,
     SRPTScheduler,
-    TieBreak,
 )
-from repro.workloads import build_fifo_adversary, packed_instance
 
-from .strategies import instances, out_forests, out_trees
-
-
-def _shipped_tie_breaks() -> list[type[TieBreak]]:
-    """Every concrete ``TieBreak`` subclass defined under ``repro.schedulers``."""
-    found: set[type[TieBreak]] = set()
-    stack = [TieBreak]
-    while stack:
-        for sub in stack.pop().__subclasses__():
-            stack.append(sub)
-            if sub.__module__.startswith("repro.schedulers.") and not (
-                inspect.isabstract(sub)
-            ):
-                found.add(sub)
-    return sorted(found, key=lambda cls: cls.__name__)
-
-
-_PROBE = Job(complete_kary_tree(2, 3), 0)
-KERNEL_TIE_BREAKS = [
-    cls for cls in _shipped_tie_breaks() if cls().priority_kernel(_PROBE) is not None
-]
-KEY_ONLY_TIE_BREAKS = [
-    cls for cls in _shipped_tie_breaks() if cls not in KERNEL_TIE_BREAKS
-]
+from .strategies import KERNEL_TIE_BREAKS, KEY_ONLY_TIE_BREAKS, instances, out_forests, out_trees
+from .test_conformance import LIST_RULES, conforming, drawn_conforms
 
 #: The schedulers a tie-break plugs into, by their job walk.
 SCHEDULERS = {"FIFO": FIFOScheduler, "SRPT": SRPTScheduler}
-
 #: Every (scheduler, kernel tie-break) pair, with a readable test id.
 PAIRS = [
     pytest.param(name, cls, id=f"{name}-{cls.__name__}")
     for name in sorted(SCHEDULERS)
     for cls in KERNEL_TIE_BREAKS
 ]
-
 #: The paper's FIFO rules by short name, as the tie-break each one gives
-#: FIFO's job walk.
-FIFO_RULES = {
-    "fifo": ArbitraryTieBreak,
-    "lpf": LongestPathTieBreak,
-    "mc": MostChildrenTieBreak,
-}
+#: a job walk.
+FIFO_RULES = {"fifo": "arbitrary", "lpf": "longestpath", "mc": "mostchildren"}
+
+
+def _column(name: str, tie_break) -> str:
+    return f"{name.lower()}-{tie_break().name}"
 
 
 def test_the_tie_break_lists_are_not_empty():
@@ -126,26 +94,13 @@ def test_kernel_order_matches_key_order(dag, which):
 # ---------------------------------------------------------------------------
 
 
-def _assert_matches_reference(instance, name, tie_break, m):
-    kernel = simulate(instance, m, SCHEDULERS[name](tie_break()))
-    ref = _simulate_reference(instance, m, SCHEDULERS[name](tie_break()))
-    for i in range(len(instance)):
-        assert np.array_equal(kernel.completion[i], ref.completion[i]), (
-            f"{name}[{tie_break.__name__}]: list-rule path vs reference "
-            f"diverged on job {i}, m={m}"
-        )
-    kernel.validate()
-
-
 @given(
     instances(max_jobs=3, dag_strategy=out_trees(max_nodes=20)),
     st.integers(1, 6),
 )
 @settings(max_examples=25, deadline=None)
 def test_kernel_path_identical_on_random_trees(instance, m):
-    for name in SCHEDULERS:
-        for tie_break in KERNEL_TIE_BREAKS:
-            _assert_matches_reference(instance, name, tie_break, m)
+    drawn_conforms(instance, m, cols=LIST_RULES)
 
 
 @given(
@@ -154,9 +109,7 @@ def test_kernel_path_identical_on_random_trees(instance, m):
 )
 @settings(max_examples=20, deadline=None)
 def test_kernel_path_identical_on_random_forests(instance, m):
-    for name in SCHEDULERS:
-        for tie_break in KERNEL_TIE_BREAKS:
-            _assert_matches_reference(instance, name, tie_break, m)
+    drawn_conforms(instance, m, cols=LIST_RULES)
 
 
 @pytest.mark.parametrize("name, tie_break", PAIRS)
@@ -164,27 +117,16 @@ def test_kernel_path_identical_on_random_forests(instance, m):
 def test_kernel_path_identical_on_adversarial_instances(name, tie_break, m):
     """Section 4 adversarial instances: layered out-trees engineered to
     truncate FIFO mid-frontier — the regime the priority commit covers."""
-    adversary = build_fifo_adversary(m, n_jobs=2 * m)
-    _assert_matches_reference(adversary.instance, name, tie_break, m)
+    conforming("adversary-2m", _column(name, tie_break), m=m)
 
 
 @pytest.mark.parametrize("rule", sorted(FIFO_RULES))
 def test_kernel_path_identical_on_packed_rectangles(rule):
-    packed = packed_instance(8, 6, flow=12, period=4, seed=5)
-    for name in sorted(SCHEDULERS):
-        for m in (3, 8):
-            _assert_matches_reference(
-                packed.instance, name, FIFO_RULES[rule], m
-            )
+    for walk in ("fifo", "srpt"):
+        conforming("packed-opt", f"{walk}-{FIFO_RULES[rule]}")
 
 
 def test_kernel_path_engages_on_truncating_workload():
-    """Guard against silently testing the no-op: the adversarial runs above
+    """Guard against silently testing the no-op: the truncating runs
     must actually take kernel-commit steps."""
-    from repro.workloads import layered_tree
-
-    inst = Instance(
-        [Job(layered_tree([7] * 12, seed=s), 4 * s) for s in range(3)]
-    )
-    st_ = simulate(inst, 5, LPFScheduler()).engine_stats
-    assert st_.kernel_steps > 0
+    assert conforming("truncating", "fifo-longestpath").stats["list"]["kernel_steps"] > 0

@@ -3,166 +3,48 @@
 The contract under test (docs/serving.md): a streaming run that is
 checkpointed, killed, restored from the on-disk checkpoint, and drained
 produces **bit-identical** final metrics to the same run left
-uninterrupted — across every policy, arbitrary checkpoint epochs
-(including several kill/restore cycles in one run), and restricted
-availability traces. The checkpoint round-trips through the real file
-format (`save_checkpoint`/`load_checkpoint`), not just the in-memory
-snapshot, so framing and integrity checks ride along.
-
-A second property pins the engine's semantics to the batch reference:
-over any finite stream prefix, the per-job flows of the streaming engine
-equal `simulate()`'s under the matching scheduler.
+uninterrupted — across every policy, drawn checkpoint epochs (up to
+three kill/restore cycles in one run), and restricted availability
+traces. The checkpoint round-trips through the real file format
+(``save_checkpoint``/``load_checkpoint``), so framing and integrity
+checks ride along. The runs are the conformance matrix's
+``stream-resumed`` cells (``test_conformance.py``), whose flows must also
+equal ``_simulate_reference``'s on the materialised stream prefix.
 """
 
-import json
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.simulator import simulate
-from repro.schedulers.base import ArbitraryTieBreak, LongestPathTieBreak
-from repro.schedulers.fifo import FIFOScheduler
-from repro.schedulers.srpt import SRPTScheduler
-from repro.streaming import (
-    StreamingEngine,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.workloads.arrivals import AdversarialDripSource, PoissonSource
+from repro.core.exceptions import ConfigurationError
+from repro.streaming import StreamingEngine, load_checkpoint, save_checkpoint
+from repro.workloads.arrivals import PoissonSource
 
-POLICIES = ("fifo", "lpf", "srpt")
+from .test_conformance import STREAM_POLICY, conforming
 
-_BATCH_FACTORIES = {
-    "fifo": lambda: FIFOScheduler(ArbitraryTieBreak()),
-    "lpf": lambda: FIFOScheduler(LongestPathTieBreak()),
-    "srpt": SRPTScheduler,
-}
+#: The Poisson, Galton-Watson and adversarial-drip stream families.
+SOURCES = ("poisson", "galton", "drip")
 
 
-def _source(kind: str, seed: int, n_jobs: int, m: int):
-    if kind == "poisson":
-        return PoissonSource(
-            rate=0.5, seed=seed, dag_nodes=12, family="attachment", n_jobs=n_jobs
-        )
-    if kind == "galton":
-        return PoissonSource(
-            rate=0.3,
-            seed=seed,
-            dag_nodes=18,
-            family="galton-watson",
-            n_jobs=n_jobs,
-        )
-    return AdversarialDripSource(m, period=3, seed=seed, n_jobs=n_jobs)
-
-
-def _final_state(engine: StreamingEngine) -> str:
-    """The bit-identity surface, serialized canonically."""
-    return json.dumps(
-        {"t": engine.t, "summary": engine.metrics.summary()}, sort_keys=True
-    )
-
-
-@settings(max_examples=25)
-@given(
-    policy=st.sampled_from(POLICIES),
-    kind=st.sampled_from(("poisson", "galton", "drip")),
-    seed=st.integers(0, 10_000),
-    n_jobs=st.integers(1, 25),
-    m=st.integers(2, 6),
-    epochs=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-    availability=st.one_of(
-        st.none(), st.lists(st.integers(0, 2), min_size=1, max_size=15)
-    ),
-)
-def test_kill_restore_drain_is_bit_identical(
-    tmp_path_factory, policy, kind, seed, n_jobs, m, epochs, availability
-):
+def test_kill_restore_drain_is_bit_identical():
     """checkpoint → kill → restore → drain == uninterrupted, exactly."""
-    source = _source(kind, seed, n_jobs, m)
-    avail = None if availability is None else [min(v, m) for v in availability]
-    kwargs = dict(policy=policy, availability=avail)
-
-    reference = StreamingEngine(source, m, **kwargs)
-    reference.run()
-    expected = _final_state(reference)
-
-    path = tmp_path_factory.mktemp("ckpt") / "stream.ckpt"
-    engine = StreamingEngine(source, m, **kwargs)
-    for epoch in epochs:  # several kill/restore cycles in one run
-        for _ in range(epoch):
-            if not engine.step():
-                break
-        save_checkpoint(path, engine.snapshot())
-        # "Kill": drop the engine entirely; restore from disk only.
-        engine = StreamingEngine.from_snapshot(
-            load_checkpoint(path), source, m, **kwargs
-        )
-    engine.run()
-    assert _final_state(engine) == expected
+    for family in SOURCES:
+        conforming(family, STREAM_POLICY, traces="any", paths=("stream-resumed",))
 
 
-@settings(max_examples=25)
-@given(
-    policy=st.sampled_from(POLICIES),
-    kind=st.sampled_from(("poisson", "drip")),
-    seed=st.integers(0, 10_000),
-    n_jobs=st.integers(1, 20),
-    m=st.integers(2, 6),
-)
-def test_streaming_matches_batch_simulate(policy, kind, seed, n_jobs, m):
-    """Per-job flows of the streaming engine equal `simulate()`'s."""
-    source = _source(kind, seed, n_jobs, m)
-    flows = {}
-    engine = StreamingEngine(
-        source,
-        m,
-        policy=policy,
-        on_retire=lambda index, flow: flows.__setitem__(index, flow),
-    )
-    engine.run()
-    schedule = simulate(
-        source.prefix_instance(n_jobs), m, _BATCH_FACTORIES[policy]()
-    )
-    assert [flows[j] for j in range(n_jobs)] == [
-        schedule.job_flow(j) for j in range(n_jobs)
-    ]
+def test_streaming_matches_batch_simulate():
+    """Per-job flows and retirement order of the streaming engine equal
+    those of the reference loop on the same prefix."""
+    for family in ("poisson", "drip", "poisson-40"):
+        conforming(family, STREAM_POLICY, paths=("stream",), checks=("= ref",))
 
 
-@settings(max_examples=15)
-@given(
-    policy=st.sampled_from(POLICIES),
-    seed=st.integers(0, 10_000),
-    cut=st.integers(1, 60),
-)
-def test_resume_under_availability_trace(tmp_path_factory, policy, seed, cut):
-    """One deep trace-restricted run, killed at a drawn step, resumes
-    bit-identically (capacity gaps span the kill point)."""
-    m = 4
-    trace = [0, 1, 0, 2, 4, 0, 0, 3, 1, 4] * 8
-    source = PoissonSource(rate=0.7, seed=seed, dag_nodes=10, n_jobs=30)
-    kwargs = dict(policy=policy, availability=trace)
-
-    reference = StreamingEngine(source, m, **kwargs)
-    reference.run()
-
-    path = tmp_path_factory.mktemp("ckpt") / "trace.ckpt"
-    engine = StreamingEngine(source, m, **kwargs)
-    for _ in range(cut):
-        if not engine.step():
-            break
-    save_checkpoint(path, engine.snapshot())
-    engine = StreamingEngine.from_snapshot(
-        load_checkpoint(path), source, m, **kwargs
-    )
-    engine.run()
-    assert _final_state(engine) == _final_state(reference)
+def test_resume_under_availability_trace():
+    """Trace-restricted runs, killed at drawn steps, resume
+    bit-identically (capacity gaps span the kill points)."""
+    conforming("poisson-traced", STREAM_POLICY, traces="traced", paths=("stream-resumed",))
 
 
 def test_fingerprint_mismatch_is_rejected(tmp_path):
     """A checkpoint resumes only under the configuration that wrote it."""
-    from repro.core.exceptions import ConfigurationError
-
     source = PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=10)
     engine = StreamingEngine(source, 3, policy="fifo")
     engine.step()

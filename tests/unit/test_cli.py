@@ -59,6 +59,23 @@ class TestCommands:
         assert "--checkpoint" in captured.err
         assert captured.out == ""
 
+    def test_serve_resume_from_a_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
+        from repro.streaming import StreamingEngine, save_checkpoint
+        from repro.workloads.arrivals import PoissonSource
+
+        engine = StreamingEngine(PoissonSource(rate=0.5, seed=1, n_jobs=3), 4)
+        engine.step()
+        path = tmp_path / "serve.ckpt"
+        save_checkpoint(path, engine.snapshot())
+        blob = bytearray(path.read_bytes())
+        blob[-10] ^= 0x80
+        path.write_bytes(bytes(blob))
+        argv = ["serve", "4", "--jobs", "3", "--checkpoint", str(path), "--resume"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: checkpoint {path} failed its integrity digest\n"
+        assert captured.out == ""
+
 
 class TestReport:
     def test_report_writes_markdown(self, tmp_path, capsys):
@@ -111,6 +128,20 @@ class TestInspect:
         assert main(["inspect", path, "--gantt", "--window", "1:3"]) == 0
         out = capsys.readouterr().out
         assert "p1" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["inspect"], ["serve", "4", "--source", "trace", "--trace-path"]],
+        ids=["inspect", "serve-trace-path"],
+    )
+    def test_corrupt_archive_exits_2(self, tmp_path, capsys, argv):
+        path, _ = self._save(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(100)
+        assert main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro: corrupt schedule archive {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_inspect_missing_file(self, tmp_path):
         with pytest.raises(Exception):

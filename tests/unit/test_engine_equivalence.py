@@ -1,135 +1,57 @@
 """Differential equivalence: the list-rule engine must produce
 bit-identical schedules to the reference per-node loop.
 
-``simulate`` and ``_simulate_reference`` (the dispatch loop, for every
-scheduler) are run on the same instance with freshly constructed
-schedulers, and the resulting completion arrays compared exactly — across
-FIFO (several tie-breaks), LPF, most-children FIFO and randomized work
-stealing, on packed, quicksort, random-forest and adversarial workloads.
-
-FIFO with the random tie-break and work stealing are not list rules, so
-``simulate`` runs them through the same dispatch loop as the reference:
-their cases (``fifo-random``, ``worksteal``, ``worksteal-wc``) run one
-loop twice and check that it is deterministic for a fixed seed.
+Each case is a slice of the conformance matrix
+(``tests/properties/test_conformance.py``): one scheduler column on the
+instance one seed builds in the packed, quicksort, random-forest,
+adversarial or same-time-arrival family, run at m = 2 and 8 through every
+engine path and checked against ``_simulate_reference``. FIFO with the
+random tie-break and work stealing are not list rules; their cells run
+the reference loop twice (determinism) and the faulted and batch paths.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import Instance, Job, simulate
-from repro.core.simulator import _simulate_reference
-from repro.schedulers import (
-    DepthTieBreak,
-    FIFOScheduler,
-    LPFScheduler,
-    MostChildrenTieBreak,
-    RandomTieBreak,
-    ReverseTieBreak,
-    WorkStealingScheduler,
-)
-from repro.workloads import (
-    build_fifo_adversary,
-    layered_tree,
-    quicksort_tree,
-    random_out_forest,
-)
+from repro.core import Instance, Job, SimulationObserver, simulate
+from repro.schedulers import FIFOScheduler, RandomTieBreak
+from repro.workloads import layered_tree
 
-# ---------------------------------------------------------------------------
-# Workload zoo: (name, seed) -> Instance. Small enough to run the reference
-# loop quickly, varied enough to hit every engine path (whole-frontier and
-# truncated commits, macro-steps, idle gaps, same-time arrivals).
-# ---------------------------------------------------------------------------
+from ..properties.test_conformance import conforming
 
-
-def _packed(seed: int) -> Instance:
-    rng = np.random.default_rng(seed)
-    jobs = [
-        Job(layered_tree([4] * int(rng.integers(4, 9)), seed=seed + i), 3 * i)
-        for i in range(4)
-    ]
-    return Instance(jobs)
-
-
-def _quicksort(seed: int) -> Instance:
-    rng = np.random.default_rng(seed + 1000)
-    jobs = [
-        Job(quicksort_tree(int(rng.integers(20, 60)), seed=seed + i), 7 * i)
-        for i in range(3)
-    ]
-    return Instance(jobs)
-
-
-def _forest(seed: int) -> Instance:
-    rng = np.random.default_rng(seed + 2000)
-    jobs = [
-        Job(random_out_forest(int(rng.integers(15, 40)), seed=seed + i), int(r))
-        for i, r in enumerate(rng.integers(0, 12, size=4))
-    ]
-    return Instance(jobs)
-
-
-def _adversarial(seed: int) -> Instance:
-    return build_fifo_adversary(4, 3, seed=seed).instance
-
-
-def _bursty_gap(seed: int) -> Instance:
-    # Same-time arrival ties plus a long idle gap (exercises the idle jump
-    # and the insort branch of FIFO's arrival handling).
-    jobs = [
-        Job(layered_tree([3] * 5, seed=seed), 0),
-        Job(quicksort_tree(25, seed=seed), 0),
-        Job(layered_tree([2] * 4, seed=seed + 1), 50),
-    ]
-    return Instance(jobs)
-
-
-WORKLOADS = [
-    (builder, seed)
-    for builder in (_packed, _quicksort, _forest, _adversarial, _bursty_gap)
-    for seed in range(4)
-]  # 20 seeded workloads
-
-SCHEDULERS = {
-    "fifo-arbitrary": lambda: FIFOScheduler(),
-    "fifo-reverse": lambda: FIFOScheduler(ReverseTieBreak()),
-    "fifo-depth": lambda: FIFOScheduler(DepthTieBreak()),
-    "fifo-random": lambda: FIFOScheduler(RandomTieBreak(seed=7)),
-    "fifo-most-children": lambda: FIFOScheduler(MostChildrenTieBreak()),
-    "lpf": lambda: LPFScheduler(),
-    "worksteal": lambda: WorkStealingScheduler(seed=11),
-    "worksteal-wc": lambda: WorkStealingScheduler(
-        seed=13, deterministic_fallback=True
-    ),
+#: Workload name -> matrix family.
+WORKLOADS = {
+    "packed": "packed",
+    "quicksort": "quicksort",
+    "forest": "forest",
+    "adversarial": "adversary",
+    "bursty_gap": "bursty-gap",
 }
+#: Scheduler name -> matrix column.
+SCHEDULERS = {
+    "fifo-arbitrary": "fifo-arbitrary",
+    "fifo-reverse": "fifo-reverse",
+    "fifo-depth": "fifo-depth",
+    "fifo-random": "fifo-random",
+    "fifo-most-children": "fifo-mostchildren",
+    "lpf": "fifo-longestpath",
+    "worksteal": "worksteal",
+    "worksteal-wc": "worksteal-wc",
+}
+CASES = [(name, seed) for name in WORKLOADS for seed in range(4)]
 
 
-def _assert_identical(instance: Instance, make_scheduler, m: int) -> object:
-    fast = simulate(instance, m, make_scheduler())
-    ref = _simulate_reference(instance, m, make_scheduler())
-    for i, (a, b) in enumerate(zip(fast.completion, ref.completion)):
-        assert np.array_equal(a, b), f"job {i} diverged on m={m}"
-    return fast
-
-
-@pytest.mark.parametrize(
-    "builder,seed", WORKLOADS, ids=[f"{b.__name__[1:]}-{s}" for b, s in WORKLOADS]
-)
+@pytest.mark.parametrize("workload,seed", CASES, ids=[f"{w}-{s}" for w, s in CASES])
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
-def test_engines_agree(builder, seed, policy):
-    instance = builder(seed)
-    for m in (2, 8):
-        _assert_identical(instance, SCHEDULERS[policy], m)
+def test_engines_agree(workload, seed, policy):
+    conforming(WORKLOADS[workload], SCHEDULERS[policy], seed=seed)
 
 
 def test_fast_path_actually_engages_and_agrees():
     """The packed-rectangle regime must hit the fast path (otherwise the
     equivalence above would not be exercising it at all) and still match
     the reference loop exactly."""
-    inst = Instance([Job(layered_tree([8] * 30, seed=0), 10 * i) for i in range(3)])
-    fast = _assert_identical(inst, FIFOScheduler, 8)
-    assert fast.engine_stats.fast_forwarded_steps > 0
-    assert fast.engine_stats.resyncs >= 0
-    fast.validate()
+    stats = conforming("rectangles-8x30", "fifo-arbitrary").stats["list"]
+    assert stats["fast_forwarded_steps"] > 0
 
 
 def test_impure_tiebreak_never_fast_forwards():
@@ -139,8 +61,6 @@ def test_impure_tiebreak_never_fast_forwards():
 
 
 def test_observer_disables_fast_path():
-    from repro.core import SimulationObserver
-
     class Counter(SimulationObserver):
         def __init__(self):
             self.n = 0

@@ -1,6 +1,8 @@
 """Failure-injection tests: corrupted inputs, misbehaving schedulers,
 checker negatives — the library must fail loudly and precisely."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,24 @@ from repro.core import (
     ConfigurationError,
     Instance,
     Job,
+    ReproError,
     Schedule,
+    ScheduleError,
     Scheduler,
     SchedulerProtocolError,
     antichain,
     chain,
+    load_instance_json,
+    load_schedule_npz,
+    save_instance_json,
+    save_schedule_npz,
     simulate,
     star,
 )
+from repro.schedulers import FIFOScheduler
+from repro.streaming import CheckpointError, StreamingEngine, load_checkpoint, save_checkpoint
 from repro.workloads import batched_instance
+from repro.workloads.arrivals import PoissonSource
 
 
 class TestCheckerNegatives:
@@ -71,9 +82,6 @@ class TestCheckerNegatives:
 
 class TestCorruptArchives:
     def test_npz_with_wrong_completion_shape(self, tmp_path):
-        from repro.core import load_schedule_npz, save_schedule_npz
-        from repro.schedulers import FIFOScheduler
-
         inst = Instance([Job(star(3), 0)])
         sched = simulate(inst, 2, FIFOScheduler())
         path = tmp_path / "x.npz"
@@ -82,16 +90,62 @@ class TestCorruptArchives:
         data = dict(np.load(path))
         data["job0_completion"] = data["job0_completion"][:-1]
         np.savez_compressed(path, **data)
-        with pytest.raises(Exception):
+        with pytest.raises(ScheduleError, match="corrupt schedule archive"):
             load_schedule_npz(path)
 
     def test_instance_json_garbage(self, tmp_path):
-        from repro.core import load_instance_json
-
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError, match="corrupt instance file"):
             load_instance_json(path)
+
+
+def _write_schedule(path):
+    inst = Instance([Job(star(3), 0), Job(chain(4), 1)])
+    save_schedule_npz(simulate(inst, 2, FIFOScheduler()), path)
+
+
+def _write_instance(path):
+    save_instance_json(Instance([Job(star(3), 0), Job(chain(4), 1)]), path)
+
+
+def _write_checkpoint(path):
+    engine = StreamingEngine(PoissonSource(rate=0.5, seed=1, dag_nodes=8, n_jobs=10), 3)
+    engine.step()
+    save_checkpoint(path, engine.snapshot())
+
+
+def _flip_middle_byte(blob):
+    mid = len(blob) // 2
+    return blob[:mid] + bytes([blob[mid] ^ 0x80]) + blob[mid + 1 :]
+
+
+#: Input file format -> (file name, writer, loader, named error).
+FILE_FORMATS = {
+    "schedule-archive": ("s.npz", _write_schedule, load_schedule_npz, ScheduleError),
+    "instance-json": ("i.json", _write_instance, load_instance_json, ConfigurationError),
+    "checkpoint": ("c.ckpt", _write_checkpoint, load_checkpoint, CheckpointError),
+}
+CORRUPTIONS = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "empty": lambda blob: b"",
+    "flipped-byte": _flip_middle_byte,
+    "text": lambda blob: b"not a repro file\n",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("fmt", sorted(FILE_FORMATS))
+def test_corrupt_file_raises_named_error(tmp_path, fmt, corruption):
+    """Bad bytes at a file boundary raise the format's ``ReproError``
+    subclass, naming the file, never a parser's own exception."""
+    name, write, load, error = FILE_FORMATS[fmt]
+    path = tmp_path / name
+    write(path)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(ReproError, match=re.escape(str(path))) as info:
+        load(path)
+    assert type(info.value) is error
 
 
 class MidRunCrasher(Scheduler):

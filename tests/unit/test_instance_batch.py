@@ -2,7 +2,6 @@
 contract behind pool shipping, and ``run_trials`` routing."""
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +10,12 @@ from repro.core import (
     DAG,
     ConfigurationError,
     Instance,
-    InstanceBatch,
     Job,
     pack_instances,
     simulate,
-    simulate_batch,
 )
-from repro.experiments import run_trials
-from repro.schedulers import FIFOScheduler, LongestPathTieBreak
+from repro.experiments import run_trials, runner
+from repro.schedulers import FIFOScheduler
 from repro.workloads import map_reduce_dag, random_out_forest
 
 
@@ -121,12 +118,6 @@ class TestPackInstances:
         with pytest.raises(ConfigurationError):
             pack_instances([])
 
-    def test_mismatched_prepacked_batch_rejected(self):
-        insts = [_forest_instance(s) for s in range(2)]
-        other = pack_instances([_forest_instance(5)])
-        with pytest.raises(ConfigurationError):
-            simulate_batch(insts, 2, FIFOScheduler(), batch=other)
-
 
 class TestInstancePickling:
     def test_pickle_drops_cached_layouts_and_rebuilds_frozen(self):
@@ -172,39 +163,15 @@ class TestRunTrials:
             for x, y in zip(sched.completion, ref.completion):
                 assert np.array_equal(x, y)
 
-    def test_chunked_serial_matches_single_batch(self):
+    def test_chunked_serial_matches_single_batch(self, monkeypatch):
         trials = self._trials(10)
         one = run_trials(trials, 2, _fifo_factory)
         # A tiny node budget forces many chunks; results must not change.
-        many = run_trials(trials, 2, _fifo_factory, batch_node_budget=30)
+        monkeypatch.setattr(runner, "TRIAL_CHUNK_NODES", 30)
+        assert len(runner._chunk_by_nodes(trials, 30)) > 1
+        many = run_trials(trials, 2, _fifo_factory)
         for a, b in zip(one, many):
             for x, y in zip(a.completion, b.completion):
-                assert np.array_equal(x, y)
-
-    def test_parallel_matches_serial(self):
-        trials = self._trials(10)
-        serial = run_trials(trials, 2, _fifo_factory)
-        parallel = run_trials(
-            trials, 2, _fifo_factory, n_workers=2, batch_node_budget=60
-        )
-        for a, b in zip(serial, parallel):
-            for x, y in zip(a.completion, b.completion):
-                assert np.array_equal(x, y)
-
-    def test_unpicklable_factory_warns_and_runs_serial(self):
-        trials = self._trials(6)
-        tb = LongestPathTieBreak()
-        with pytest.warns(RuntimeWarning, match="cannot be pickled"):
-            schedules = run_trials(
-                trials,
-                2,
-                lambda: FIFOScheduler(tb),  # closure: not picklable
-                n_workers=2,
-                batch_node_budget=30,
-            )
-        for inst, sched in zip(trials, schedules):
-            ref = simulate(inst, 2, FIFOScheduler(LongestPathTieBreak()))
-            for x, y in zip(sched.completion, ref.completion):
                 assert np.array_equal(x, y)
 
     def test_empty_input(self):

@@ -147,8 +147,12 @@ class TestResolveCall:
 
 
 def test_index_round_trips_through_plain_data():
+    """The incremental cache keeps each module as plain data and rebuilds
+    the index from it."""
     index = _index(**TestResolveCall.SOURCES)
-    clone = ProjectIndex.from_data(index.to_data())
+    clone = ProjectIndex()
+    for info in index.modules.values():
+        clone.add(ModuleInfo.from_data(info.to_data()))
     assert sorted(clone.modules) == sorted(index.modules)
     info = clone.resolve_call("pkg.sched", ("self", "shared"), "Sched")
     assert info is not None and info.qualname == "pkg.sched.Base.shared"

@@ -2,26 +2,33 @@
 
 SRPT's (remaining work, job id) walk is a pure function of the engine's
 own unfinished counts (``dynamic_job_order``), so with a kernel tie-break
-the engine recomputes it per step and never dispatches ``select``. With an
-observer attached the engine dispatches SRPT's one ``select`` path instead,
-and a fault injector's crash rebuilds the scheduler mid-run. Everything
-here is checked bit-identical against ``_simulate_reference``.
+the engine recomputes it per step and never dispatches ``select``; a
+fault injector's crash rebuilds the scheduler mid-run. The bit-identity
+cases are slices of the conformance matrix
+(``tests/properties/test_conformance.py``), checked against
+``_simulate_reference``: the ``quicksort-stream`` family (Poisson streams
+of quicksort trees), its traced twin, and chains.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DAG, Instance, Job, SimulationObserver, chain, simulate
+from repro.core import Instance, Job, chain, simulate
 from repro.core.simulator import _simulate_reference
 from repro.faults import FaultInjector
-from repro.schedulers.base import (
-    ArbitraryTieBreak,
-    DepthTieBreak,
-    LongestPathTieBreak,
-    RandomTieBreak,
-)
+from repro.schedulers import base
+from repro.schedulers.base import RandomTieBreak
 from repro.schedulers.srpt import SRPTScheduler
 from repro.workloads import poisson_instance, quicksort_tree
+
+from ..properties.test_conformance import conforming
+
+#: Tie-break -> matrix column of SRPT with it.
+TIE_BREAKS = {
+    "ArbitraryTieBreak": "srpt-arbitrary",
+    "DepthTieBreak": "srpt-depth",
+    "LongestPathTieBreak": "srpt-longestpath",
+}
 
 
 def _stream(seed=0, n_jobs=8, n=120):
@@ -31,37 +38,18 @@ def _stream(seed=0, n_jobs=8, n=120):
     return poisson_instance(dags, rate=0.3, seed=seed)
 
 
-def _chains(seed=0):
-    rng = np.random.default_rng(seed + 9)
-    jobs = [
-        Job(
-            DAG.from_parents(
-                np.arange(-1, int(rng.integers(20, 60)) - 1, dtype=np.int64)
-            ),
-            int(rng.integers(0, 5)),
-        )
-        for _ in range(4)
-    ]
-    return Instance(jobs)
-
-
 def _assert_identical(a, b):
     for x, y in zip(a.completion, b.completion):
         np.testing.assert_array_equal(np.asarray(x), np.asarray(y))
 
 
-@pytest.mark.parametrize(
-    "tie_break", [ArbitraryTieBreak, DepthTieBreak, LongestPathTieBreak]
-)
+@pytest.mark.parametrize("tie_break", sorted(TIE_BREAKS))
 @pytest.mark.parametrize("m", [1, 3, 16])
 def test_fast_path_matches_heap_reference(tie_break, m):
-    inst = _stream()
-    fast = simulate(inst, m, SRPTScheduler(tie_break()))
-    ref = _simulate_reference(inst, m, SRPTScheduler(tie_break()))
-    _assert_identical(fast, ref)
-    stats = fast.engine_stats
-    assert stats.select_calls == 0, "kernel path dispatched select()"
-    assert stats.fast_forwarded_steps == stats.steps
+    """The list-rule run equals the reference loop and never dispatches
+    ``select`` (the matrix's "no dispatch" check)."""
+    stats = conforming("quicksort-stream", TIE_BREAKS[tie_break], m=m, seed=0).stats["list"]
+    assert stats["fast_forwarded_steps"] == stats["steps"] > 0
 
 
 def test_contract_declared_only_on_kernel_path():
@@ -77,60 +65,37 @@ def test_contract_declared_only_on_kernel_path():
     assert random_tb.frontier_priorities(inst) is None  # no kernel
 
 
-@pytest.mark.parametrize(
-    "tie_break", [ArbitraryTieBreak, DepthTieBreak, LongestPathTieBreak]
-)
+@pytest.mark.parametrize("tie_break", sorted(TIE_BREAKS))
 @pytest.mark.parametrize("traced", [False, True], ids=["constant", "trace"])
 def test_dispatched_select_matches_fast_path_and_reference(tie_break, traced):
-    """An observer forces SRPT's one ``select`` path every step; it must
-    agree with the list-rule run and with the reference loop."""
-    inst = _stream(4)
-    m = 3
-    kwargs = {}
+    """Every path agrees with the reference loop, under a constant ``m``
+    and under the adversarial and random traces; the faulted path is the
+    dispatched ``select`` every step."""
     if traced:
-        rng = np.random.default_rng(7)
-        kwargs["availability"] = rng.integers(0, m + 1, size=150).tolist()
-    fast = simulate(inst, m, SRPTScheduler(tie_break()), **kwargs)
-    observed = simulate(
-        inst,
-        m,
-        SRPTScheduler(tie_break()),
-        observer=SimulationObserver(),
-        **kwargs,
-    )
-    ref = _simulate_reference(inst, m, SRPTScheduler(tie_break()), **kwargs)
-    _assert_identical(fast, ref)
-    _assert_identical(observed, ref)
-    assert fast.engine_stats.select_calls == 0
-    assert observed.engine_stats.select_calls == observed.engine_stats.steps
+        tally = conforming("quicksort-stream-traced", TIE_BREAKS[tie_break], traces="traced")
+    else:
+        tally = conforming("quicksort-stream", TIE_BREAKS[tie_break], m=3)
+    assert tally.stats["faulted"]["select_calls"] == tally.stats["faulted"]["steps"] > 0
 
 
 def test_random_tie_break_still_dispatches():
-    inst = _stream(5)
-    a = simulate(inst, 4, SRPTScheduler(RandomTieBreak(11), seed=11))
-    b = simulate(inst, 4, SRPTScheduler(RandomTieBreak(11), seed=11))
-    _assert_identical(a, b)  # seeded: reproducible
-    assert a.engine_stats.select_calls > 0  # heap path, per-step dispatch
+    """A key-only tie-break: the reference loop is deterministic for a
+    seed, and a batch falls back to the dispatched run."""
+    tally = conforming("quicksort-stream", "srpt-random", m=3)
+    assert tally.stats["batch"]["fallback_runs"] > 0
+    assert tally.stats["faulted"]["select_calls"] > 0
 
 
 @pytest.mark.parametrize("m", [2, 7])
 def test_parity_under_fluctuating_availability(m):
     """Capacity changes re-rank nothing but change the walk's cutoff —
     including zero-capacity steps the fast path must idle through."""
-    inst = _stream(2)
-    rng = np.random.default_rng(42)
-    trace = rng.integers(0, m + 1, size=200).tolist()
-    fast = simulate(inst, m, SRPTScheduler(), availability=trace)
-    ref = _simulate_reference(inst, m, SRPTScheduler(), availability=trace)
-    _assert_identical(fast, ref)
+    conforming("quicksort-stream-traced", "srpt-arbitrary", m=m, traces="traced")
 
 
 def test_macro_stepping_engages_on_chains():
-    inst = _chains()
-    fast = simulate(inst, 2, SRPTScheduler(DepthTieBreak()))
-    ref = _simulate_reference(inst, 2, SRPTScheduler(DepthTieBreak()))
-    _assert_identical(fast, ref)
-    assert fast.engine_stats.macro_steps > 0, (
+    stats = conforming("chains", "srpt-depth", m=2).stats["list"]
+    assert stats["macro_steps"] > 0, (
         "chain-heavy SRPT run never macro-stepped — the dynamic-order "
         "macro contract is not engaging"
     )
@@ -162,18 +127,17 @@ def test_crash_rebuild_keeps_remaining_work(engine):
 
 
 @ENGINES
-@pytest.mark.parametrize(
-    "tie_break", [ArbitraryTieBreak, DepthTieBreak, LongestPathTieBreak]
-)
+@pytest.mark.parametrize("tie_break", sorted(TIE_BREAKS))
 def test_crash_only_runs_equal_the_uncrashed_schedule(engine, tie_break):
     """Crashes without delivery perturbation change nothing SRPT decides:
     finished jobs stay finished and unfinished ones keep their rank."""
+    make = getattr(base, tie_break)
     for seed in range(4):
         inst = _stream(seed, n_jobs=6, n=60)
-        plain = simulate(inst, 3, SRPTScheduler(tie_break()))
+        plain = _simulate_reference(inst, 3, SRPTScheduler(make()))
         crashes = FaultInjector(crash_times=(4, 9, 17, 30))
-        crashed = engine(
-            inst, 3, SRPTScheduler(tie_break()), fault_injector=crashes
-        )
+        crashed = engine(inst, 3, SRPTScheduler(make()), fault_injector=crashes)
         assert crashes.crashes, f"no crash fired (seed {seed})"
+        # The last crash lands after a job has finished.
+        assert min(int(c.max()) for c in plain.completion) <= crashes.crashes[-1]
         _assert_identical(crashed, plain)

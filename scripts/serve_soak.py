@@ -33,6 +33,9 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.streaming import STREAM_POLICIES  # noqa: E402
 
 
 def _serve_cmd(args: argparse.Namespace, extra: list[str]) -> list[str]:
@@ -68,7 +71,7 @@ def _run(cmd: list[str], env: dict) -> subprocess.CompletedProcess:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, default=8)
-    parser.add_argument("--policy", default="fifo", choices=("fifo", "lpf", "srpt"))
+    parser.add_argument("--policy", default="fifo", choices=tuple(STREAM_POLICIES))
     parser.add_argument("--jobs", type=int, default=20_000)
     parser.add_argument("--rate", type=float, default=0.5)
     parser.add_argument("--dag-nodes", type=int, default=12)

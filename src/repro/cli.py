@@ -351,6 +351,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .streaming import STREAM_POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Scheduling Out-Trees Online to "
@@ -467,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         help="arrival stream family (default poisson)",
     )
     serve_p.add_argument(
-        "--policy", choices=("fifo", "lpf", "srpt"), default="fifo"
+        "--policy", choices=tuple(STREAM_POLICIES), default="fifo"
     )
     serve_p.add_argument(
         "--jobs",

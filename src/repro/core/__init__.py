@@ -41,6 +41,7 @@ from .simulator import (
     EngineState,
     EngineStats,
     FaultHooks,
+    ListRule,
     Scheduler,
     SimulationObserver,
     accumulate_engine_stats,
@@ -63,6 +64,7 @@ __all__ = [
     "Job",
     "Instance",
     "Schedule",
+    "ListRule",
     "Scheduler",
     "SimulationObserver",
     "AvailabilityTrace",

@@ -9,11 +9,20 @@ report) is table stakes for a release. Formats:
   adversarial instance has 8.4M subjobs; JSON would be absurd).
 
 Round-trips are exact: ids, releases, labels, completion times.
+
+Files that hold pickles (stream checkpoints, workload-cache entries,
+sweep journals) are digest-framed (:func:`frame_bytes`), so a truncated or
+bit-flipped file is detected before anything is unpickled.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
+import pickle
+import tempfile
 import zipfile
 import zlib
 from pathlib import Path
@@ -39,6 +48,10 @@ __all__ = [
     "load_instance_json",
     "save_schedule_npz",
     "load_schedule_npz",
+    "frame_bytes",
+    "unframe_bytes",
+    "save_framed_pickle",
+    "load_framed_pickle",
 ]
 
 PathLike = Union[str, Path]
@@ -110,11 +123,13 @@ def save_instance_json(instance: Instance, path: PathLike) -> None:
 def load_instance_json(path: PathLike) -> Instance:
     """Read an instance previously written by :func:`save_instance_json`.
 
-    A file that is not such an instance raises :class:`ConfigurationError`
-    naming ``path``.
+    A missing file, or one that is not such an instance, raises
+    :class:`ConfigurationError` naming ``path``.
     """
     try:
         return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except FileNotFoundError:
+        raise ConfigurationError(f"instance file {path} does not exist") from None
     except _CORRUPT as exc:
         raise ConfigurationError(f"corrupt instance file {path}: {exc}") from exc
 
@@ -149,8 +164,9 @@ def save_schedule_npz(schedule: Schedule, path: PathLike) -> None:
 def load_schedule_npz(path: PathLike) -> Schedule:
     """Read a schedule previously written by :func:`save_schedule_npz`.
 
-    A truncated, bit-flipped or foreign file, or one whose schedule fails
-    validation, raises :class:`ScheduleError` naming ``path``.
+    A missing, truncated, bit-flipped or foreign file, or one whose
+    schedule fails validation, raises :class:`ScheduleError` naming
+    ``path``.
     """
     try:
         with np.load(Path(path)) as data:
@@ -166,5 +182,58 @@ def load_schedule_npz(path: PathLike) -> Schedule:
                 jobs.append(Job(dag, int(info["release"]), info.get("label")))
                 completion.append(np.asarray(data[f"job{i}_completion"], dtype=np.int64))
         return Schedule(Instance(jobs), m, completion)
+    except FileNotFoundError:
+        raise ScheduleError(f"schedule archive {path} does not exist") from None
     except _CORRUPT as exc:
         raise ScheduleError(f"corrupt schedule archive {path}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# digest framing (for files that hold pickles)
+# ----------------------------------------------------------------------
+
+
+def frame_bytes(magic: bytes, payload: bytes) -> bytes:
+    """``payload`` framed as ``magic``, its 8-byte little-endian length,
+    its SHA-256 digest, then the payload itself."""
+    return b"".join(
+        (magic, len(payload).to_bytes(8, "little"), hashlib.sha256(payload).digest(), payload)
+    )
+
+
+def unframe_bytes(magic: bytes, blob: bytes) -> bytes:
+    """The payload of a :func:`frame_bytes` frame; ``ValueError`` (its
+    message completes "the file ...") for a bad magic, a short blob or a
+    failed digest."""
+    if not blob.startswith(magic):
+        raise ValueError("has a bad magic")
+    length_end = len(magic) + 8
+    header_end = length_end + hashlib.sha256().digest_size
+    length = int.from_bytes(blob[len(magic) : length_end], "little")
+    payload = blob[header_end:]
+    if len(blob) < header_end or len(payload) != length:
+        raise ValueError(f"is truncated ({len(blob)} bytes in all)")
+    if hashlib.sha256(payload).digest() != blob[length_end:header_end]:
+        raise ValueError("failed its integrity digest")
+    return payload
+
+
+def save_framed_pickle(path: Path, magic: bytes, value: Any) -> None:
+    """Write ``value`` pickled and framed under ``magic`` to ``path``,
+    atomically: through a temporary file in ``path``'s directory and
+    ``os.replace``, so readers see the old file or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(frame_bytes(magic, pickle.dumps(value)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def load_framed_pickle(path: Path, magic: bytes) -> Any:
+    """The value :func:`save_framed_pickle` wrote to ``path`` (see
+    :func:`unframe_bytes` for what a bad frame raises)."""
+    return pickle.loads(unframe_bytes(magic, path.read_bytes()))

@@ -31,9 +31,10 @@ scheduler.
 
 FIFO, LPF and SRPT are *list rules*: they walk released jobs by a job key
 and take each job's ready subjobs by a per-node priority. A scheduler says
-so with one method, :meth:`Scheduler.frontier_priorities`; when it returns
-an array and no observer or fault injector is attached, the engine runs the
-whole instance itself on the flattened instance graph
+so with one value, :class:`ListRule`, returned by
+:meth:`Scheduler.list_rule`; when it has one and no observer or fault
+injector is attached, the engine runs the whole instance itself on the
+flattened instance graph
 (:attr:`~repro.core.instance.Instance.flat_graph`) with per-job frontier
 arrays and never dispatches the scheduler. Each step commits whole
 frontiers along the job walk and resolves a mid-job truncation as a prefix
@@ -56,7 +57,7 @@ import abc
 import operator
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .schedule import Schedule
 from .util import Array, encode_priorities
 
 __all__ = [
+    "ListRule",
     "Scheduler",
     "SimulationObserver",
     "FaultHooks",
@@ -88,16 +90,34 @@ _INT = np.int64
 Selection = Sequence[tuple[int, int]] | Array
 
 
+@dataclass(frozen=True)
+class ListRule:
+    """A list rule: each step, walk the released jobs with ready work and
+    take from each as many of its ready subjobs as capacity allows.
+
+    ``priorities(job)`` orders a job's nodes: one int64 per node, smaller
+    first, ties by ascending id (a tie-break's
+    :meth:`~repro.schedulers.base.TieBreak.priority_kernel`); ``None`` for
+    any job of an instance sends that run through the dispatch loop.
+    ``by_remaining_work`` picks the job walk: ascending ``(unfinished
+    subjobs, job id)`` (SRPT) if True, else arrival order, i.e. ascending
+    job id (FIFO). Committing work never moves a job later in either walk,
+    which is what macro windows and the streaming arena rely on.
+    """
+
+    priorities: Callable[[Job], Optional[Array]]
+    by_remaining_work: bool = False
+
+
 class Scheduler(abc.ABC):
     """Protocol every scheduling policy implements.
 
-    Lifecycle: ``reset`` once per run, then :meth:`frontier_priorities`
-    unless an observer or fault injector is attached. If it returns an
-    array the scheduler is a *list rule*: the engine runs the whole
-    instance itself and calls nothing else on it. Otherwise, at each time
-    step the engine calls ``on_job_arrival`` for jobs with ``r_i == t``,
-    ``on_nodes_ready`` for subjobs that became ready at ``t``, and finally
-    ``select``.
+    Lifecycle: ``reset`` once per run, then :meth:`list_rule` unless an
+    observer or fault injector is attached. If the scheduler is a list
+    rule, the engine runs the whole instance itself and calls nothing
+    else on it. Otherwise, at each time step the engine calls
+    ``on_job_arrival`` for jobs with ``r_i == t``, ``on_nodes_ready`` for
+    subjobs that became ready at ``t``, and finally ``select``.
     """
 
     #: Whether the policy inspects job DAGs beyond what a non-clairvoyant
@@ -105,48 +125,17 @@ class Scheduler(abc.ABC):
     #: experiment tables report it.
     clairvoyant: bool = False
 
-    #: The job walk of a list rule (see :meth:`frontier_priorities`).
-    #: False (the default) is the FIFO walk: released unfinished jobs in
-    #: ascending job-id order. True declares that the walk is the order
-    #: :meth:`fast_path_job_order` returns, which the engine recomputes
-    #: every step from its authoritative unfinished counts (e.g. SRPT's
-    #: remaining-work order). The order must be monotone in (unfinished,
-    #: job id): a macro window only commits whole frontiers, committed
-    #: jobs' counts only decrease and excluded jobs' stay constant, so the
-    #: committed prefix then cannot be overtaken mid-window.
-    #: :func:`simulate_batch` runs only FIFO walks in lockstep.
-    dynamic_job_order: bool = False
+    def list_rule(self) -> Optional[ListRule]:
+        """The :class:`ListRule` that :meth:`select` follows, or ``None``.
 
-    def fast_path_job_order(
-        self, jobs: list[int], unfinished: Array
-    ) -> list[int]:
-        """Walk order over ``jobs`` for one list-rule commit scan.
-
-        Only consulted when :attr:`dynamic_job_order` is True. ``jobs``
-        are the released jobs with ready work this step (ascending ids);
-        ``unfinished`` is the engine's authoritative per-job count of
-        uncompleted subjobs. Must return a permutation of ``jobs`` in
-        exactly the order the scheduler's own :meth:`select` would serve
-        them — the engine commits whole frontiers along it.
-        """
-        return jobs
-
-    def frontier_priorities(self, instance: Instance) -> Optional[Array]:
-        """Flat per-global-node int64 priorities (smaller = sooner, ties by
-        ascending id), or ``None``.
-
-        The one declaration that a scheduler is a *list rule*: at every
-        step it walks released unfinished jobs (by id, or by
-        :meth:`fast_path_job_order` when :attr:`dynamic_job_order` is
-        True) and takes from each job as many of its ready subjobs as
-        remaining capacity allows, in this array's order. Called once per
-        run, after :meth:`reset`, when no observer or fault injector is
-        attached. Returning an array hands the whole run to the engine: it
+        The one declaration that a scheduler is a list rule. Returning a
+        rule hands every unobserved, unfaulted run to the engine: it
         commits every step itself, macro-steps chain runs on out-forests,
-        and batches FIFO walks in :func:`simulate_batch`; the scheduler
-        gets no further callback. The array must order every job's nodes
-        exactly as the scheduler's own :meth:`select` would. ``None`` (the
-        default) means the engine dispatches :meth:`select` every step.
+        and batches arrival walks in :func:`simulate_batch`; the scheduler
+        gets no callback after :meth:`reset`. The rule must order jobs
+        and nodes exactly as the scheduler's own :meth:`select` would.
+        ``None`` (the default) means the engine dispatches :meth:`select`
+        every step.
         """
         return None
 
@@ -233,12 +222,11 @@ class EngineStats:
         dispatch loop).
     fast_forwarded_steps:
         Steps committed by the engine itself on the list-rule path (see
-        :meth:`Scheduler.frontier_priorities`), without a ``select``
-        dispatch.
+        :meth:`Scheduler.list_rule`), without a ``select`` dispatch.
     kernel_steps:
         The subset of ``fast_forwarded_steps`` that truncated a job
-        mid-frontier and were resolved by the scheduler's priority kernel
-        (:meth:`Scheduler.frontier_priorities`) instead of a dispatch.
+        mid-frontier and were resolved by the rule's node priorities
+        (:attr:`ListRule.priorities`) instead of a dispatch.
     macro_steps:
         Macro-step batch commits: each wrote several consecutive forced
         schedule columns in one vectorized pass (chain-run compression,
@@ -566,8 +554,8 @@ def simulate(
 ) -> Schedule:
     """Run ``scheduler`` on ``instance`` with ``m`` processors to completion.
 
-    A list rule (:meth:`Scheduler.frontier_priorities` returns an array)
-    with no observer or fault injector is run by the engine alone; every
+    A list rule (see :meth:`Scheduler.list_rule`) with no observer or
+    fault injector is run by the engine alone; every
     other run goes through the dispatch loop, one ``select`` per step (see
     the module docstring). The two give bit-identical schedules.
 
@@ -610,14 +598,16 @@ def simulate(
     scheduler.reset(instance, m)
     # Observers and fault hooks need every step dispatched, so only an
     # unobserved, unfaulted run asks whether the scheduler is a list rule.
-    prio_flat: Optional[Array] = (
-        scheduler.frontier_priorities(instance)
+    rule = (
+        scheduler.list_rule()
         if observer is None and fault_injector is None
         else None
     )
-    if prio_flat is not None:
+    prio_flat = None if rule is None else _flat_priorities(rule, instance)
+    if rule is not None and prio_flat is not None:
         schedule = _simulate_list_rule(
-            instance, m, scheduler, prio_flat, trace, max_steps, stats
+            instance, m, scheduler.name, rule.by_remaining_work, prio_flat,
+            trace, max_steps, stats,
         )
     else:
         schedule = _dispatch_loop(
@@ -630,17 +620,32 @@ def simulate(
     return schedule
 
 
+def _flat_priorities(rule: ListRule, instance: Instance) -> Optional[Array]:
+    """``rule``'s node priorities concatenated in job order: one int64
+    priority per global node. ``None`` when they are missing for any job,
+    and for an empty instance: the run is then dispatched."""
+    per_job: list[Array] = []
+    for job in instance:
+        prio = rule.priorities(job)
+        if prio is None:
+            return None
+        per_job.append(prio)
+    return np.concatenate(per_job) if per_job else None
+
+
 def _simulate_list_rule(
     instance: Instance,
     m: int,
-    scheduler: Scheduler,
+    name: str,
+    by_remaining_work: bool,
     prio_flat: Array,
     trace: Optional[AvailabilityTrace],
     max_steps: int,
     stats: EngineStats,
 ) -> Schedule:
-    """Run a list rule (see :meth:`Scheduler.frontier_priorities`) without
-    dispatching it; ``prio_flat`` is its flat priority kernel.
+    """Run the list rule of scheduler ``name`` without dispatching it:
+    its walk is SRPT's if ``by_remaining_work`` (else arrival order), and
+    ``prio_flat`` holds its flat node priorities.
 
     Works on the flat instance CSR with one ready frontier array per live
     job. Each step commits whole ready frontiers along the job walk and
@@ -691,13 +696,6 @@ def _simulate_list_rule(
         avail_vals = list(trace.values)
         avail_len = len(avail_vals)
         avail_tail = trace.tail
-    # Dynamic job walk order (see Scheduler.dynamic_job_order): schedulers
-    # whose job order is a pure function of the engine's own unfinished
-    # counts (e.g. SRPT) hand over their walk order each step — the FIFO
-    # ascending-id walk otherwise.
-    dyn_order = (
-        scheduler.fast_path_job_order if scheduler.dynamic_job_order else None
-    )
     # Encoded priority frontiers: with a non-constant kernel each frontier
     # is stored pre-sorted by the composite key
     # ``rank(priority) * n_total + gid`` — unique per node and lexicographic
@@ -739,7 +737,7 @@ def _simulate_list_rule(
         if t > max_steps:
             raise SimulationError(
                 f"simulation exceeded max_steps={max_steps}; scheduler "
-                f"{scheduler.name} appears to be livelocked "
+                f"{name} appears to be livelocked "
                 f"({total_left} subjobs left)"
             )
         # Arrivals with r_i == t go straight into their frontiers; the
@@ -785,12 +783,14 @@ def _simulate_list_rule(
         commit_jobs: list[int] = []
         trunc_job = -1
         walk: Iterable[int]
-        if dyn_order is None:
+        if not by_remaining_work:
             walk = range(head, next_arrival_idx)
         else:
+            # SRPT's walk: the jobs with ready work, stably sorted from
+            # ascending ids by unfinished count.
             live = np.nonzero(ready_per_job[head:next_arrival_idx])[0]
             live += head
-            walk = dyn_order(live.tolist(), unfinished)
+            walk = live[np.argsort(unfinished[live], kind="stable")].tolist()
         for j in walk:
             if cap == 0:
                 break
@@ -1207,16 +1207,18 @@ def _batch_priorities(
     """Probe per-instance eligibility for the lockstep path.
 
     Mirrors :func:`simulate`'s list-rule setup: ``reset`` then
-    :meth:`Scheduler.frontier_priorities` per instance. ``None`` entries
-    mark instances that must fall back to per-instance runs: all of them
-    when the job walk is not FIFO (:attr:`Scheduler.dynamic_job_order`).
+    :meth:`Scheduler.list_rule` per instance, and the rule's flat node
+    priorities. ``None`` entries mark instances that must fall back to
+    per-instance runs: all of them unless the scheduler is a list rule
+    with the arrival walk.
     """
-    if scheduler.dynamic_job_order:
-        return [None] * len(instances)
     kernels: list[Optional[Array]] = []
     for inst in instances:
         scheduler.reset(inst, m)
-        kernels.append(scheduler.frontier_priorities(inst))
+        rule = scheduler.list_rule()
+        if rule is None or rule.by_remaining_work:
+            return [None] * len(instances)
+        kernels.append(_flat_priorities(rule, inst))
     return kernels
 
 
@@ -1477,9 +1479,9 @@ def simulate_batch(
     batched chain-run macro-step. Results are **bit-identical** to running
     :func:`simulate` per instance (enforced by the conformance matrix's
     ``batch`` row): eligibility is exactly the regime in which the per-instance
-    engine never dispatches ``select`` — the scheduler is a list rule
-    (:meth:`Scheduler.frontier_priorities` returns a kernel for the
-    instance) with the FIFO job walk. Ineligible instances are
+    engine never dispatches ``select`` and the job walk is arrival order —
+    the scheduler's :meth:`Scheduler.list_rule` has node priorities for
+    the instance and ``by_remaining_work`` False. Ineligible instances are
     transparently routed through per-instance :func:`simulate` (counted in
     :attr:`EngineStats.fallback_runs`).
 

@@ -4,10 +4,7 @@ mirrored in code. ``run_all`` regenerates every table/figure."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
-
-if TYPE_CHECKING:
-    from .supervisor import SupervisorConfig
+from typing import Callable, Optional
 
 from . import (
     e1_packing,
@@ -29,6 +26,7 @@ from . import (
     e17_nonclairvoyant_lower_bound,
 )
 from .runner import ExperimentResult
+from .supervisor import SupervisorConfig, fan_out
 
 __all__ = ["Experiment", "EXPERIMENTS", "SCALE_PRESETS", "run_experiment", "run_all"]
 
@@ -238,25 +236,6 @@ def _run_registered(task: tuple) -> ExperimentResult:
     )
 
 
-def _run_registered_with_stats(task: tuple) -> tuple[ExperimentResult, object]:
-    """Worker wrapper returning the result plus the engine-stats delta this
-    task cost in its worker (the parent folds it into its accumulator)."""
-    from ..core import engine_stats_snapshot
-
-    before = engine_stats_snapshot()
-    result = _run_registered(task)
-    return result, engine_stats_snapshot().delta(before)
-
-
-def _run_registered_local(task: tuple) -> tuple[ExperimentResult, object]:
-    """In-process twin of :func:`_run_registered_with_stats` for the
-    supervisor's serial paths; the zero delta avoids double-counting
-    effort that already landed in this process's accumulator."""
-    from ..core import EngineStats
-
-    return _run_registered(task), EngineStats()
-
-
 def _registered_key(task: tuple) -> str:
     """Stable checkpoint-journal key for one ``run_all`` task."""
     exp_id, scale, engine_stats, kwargs = task
@@ -272,7 +251,7 @@ def run_all(
     n_workers: Optional[int] = None,
     engine_stats: bool = False,
     only: Optional[list[str]] = None,
-    supervisor: Optional["SupervisorConfig"] = None,
+    supervisor: Optional[SupervisorConfig] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
     **params_by_id,
@@ -308,41 +287,12 @@ def run_all(
         if only is None or exp_id in only
     ]
     keys = [_registered_key(task) for task in tasks]
-    if n_workers is not None and n_workers > 1:
-        from ..core import accumulate_engine_stats
-
-        from .supervisor import run_supervised
-
-        outcome = run_supervised(
-            _run_registered_with_stats,
-            tasks,
-            n_workers=n_workers,
-            config=supervisor,
-            keys=keys,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            local_fn=_run_registered_local,
-        )
-        resumed = set(outcome.resumed_indices)
-        for idx, pair in enumerate(outcome.results):
-            if pair is not None and idx not in resumed:
-                accumulate_engine_stats(pair[1])
-        if outcome.interrupted:
-            raise KeyboardInterrupt
-        return [result for result, _ in outcome.results]
-    if checkpoint_dir is not None:
-        from .supervisor import run_supervised
-
-        outcome = run_supervised(
-            _run_registered_local,
-            tasks,
-            n_workers=1,
-            config=supervisor,
-            keys=keys,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        )
-        if outcome.interrupted:
-            raise KeyboardInterrupt
-        return [result for result, _ in outcome.results]
-    return [_run_registered(task) for task in tasks]
+    return fan_out(
+        _run_registered,
+        tasks,
+        keys,
+        n_workers=n_workers,
+        supervisor=supervisor,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )

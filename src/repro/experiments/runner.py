@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from .supervisor import SupervisorConfig, run_supervised
+from .supervisor import SupervisorConfig, fan_out
 
 __all__ = [
     "Claim",
@@ -84,27 +84,6 @@ def _run_one_seed(task: tuple) -> "ExperimentResult":
     """Top-level worker for :func:`repeat_experiment` (must be picklable)."""
     run_fn, params, seed = task
     return run_fn(seed=seed, **params)
-
-
-def _run_one_seed_with_stats(task: tuple) -> tuple["ExperimentResult", Any]:
-    """Worker wrapper that also captures the engine effort this task cost
-    in its worker process, as an :class:`~repro.core.EngineStats` delta the
-    parent folds back into its own accumulator."""
-    from ..core import engine_stats_snapshot
-
-    before = engine_stats_snapshot()
-    result = _run_one_seed(task)
-    return result, engine_stats_snapshot().delta(before)
-
-
-def _run_one_seed_local(task: tuple) -> tuple["ExperimentResult", Any]:
-    """In-process twin of :func:`_run_one_seed_with_stats` for the
-    supervisor's serial-degradation path. The delta is deliberately zero:
-    an in-process ``simulate`` already lands in this process's accumulator,
-    so folding a nonzero delta back would double-count the effort."""
-    from ..core import EngineStats
-
-    return _run_one_seed(task), EngineStats()
 
 
 def _task_key(prefix: str, run_fn: Any, params: dict, seed: int) -> str:
@@ -185,7 +164,10 @@ def repeat_experiment(
     shutdown; journaled seeds survive for the next (resumed) invocation.
     """
     tasks = [(run_fn, dict(params), seed) for seed in seeds]
-    results: Optional[list[ExperimentResult]] = None
+    keys = [
+        _task_key("repeat", run_fn, task_params, seed)
+        for _, task_params, seed in tasks
+    ]
     if n_workers is not None and n_workers > 1 and len(tasks) > 1:
         offender = _unpicklable_part(tasks[0])
         if offender is not None:
@@ -195,50 +177,18 @@ def repeat_experiment(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        else:
-            from ..core import accumulate_engine_stats
-
-            keys = [
-                _task_key("repeat", run_fn, task_params, seed)
-                for _, task_params, seed in tasks
-            ]
-            outcome = run_supervised(
-                _run_one_seed_with_stats,
-                tasks,
-                n_workers=n_workers,
-                config=supervisor,
-                keys=keys,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                local_fn=_run_one_seed_local,
-            )
-            resumed = set(outcome.resumed_indices)
-            for idx, pair in enumerate(outcome.results):
-                if pair is not None and idx not in resumed:
-                    accumulate_engine_stats(pair[1])
-            if outcome.interrupted:
-                raise KeyboardInterrupt
-            results = [result for result, _ in outcome.results]
-    if results is None:
-        if checkpoint_dir is not None:
-            keys = [
-                _task_key("repeat", run_fn, task_params, seed)
-                for _, task_params, seed in tasks
-            ]
-            outcome = run_supervised(
-                _run_one_seed_local,
-                tasks,
-                n_workers=1,
-                config=supervisor,
-                keys=keys,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-            )
-            if outcome.interrupted:
-                raise KeyboardInterrupt
-            results = [result for result, _ in outcome.results]
-        else:
-            results = [_run_one_seed(task) for task in tasks]
+            n_workers = None
+    else:
+        n_workers = None
+    results: list[ExperimentResult] = fan_out(
+        _run_one_seed,
+        tasks,
+        keys,
+        n_workers=n_workers,
+        supervisor=supervisor,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
 
     # Key claims by description across ALL results, in first-seen order.
     descriptions: list[str] = []

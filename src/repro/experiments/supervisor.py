@@ -18,14 +18,16 @@ fast; this module makes them survive the failures a long sweep hits first:
   in-process execution — slower, but it completes;
 * with a **checkpoint directory**, every completed task's result is
   journaled atomically (tmp file + ``os.replace``, the workload-cache
-  pattern), so an interrupted sweep resumes where it stopped instead of
-  restarting; a corrupt or truncated journal entry is treated as missing
-  and recomputed;
+  pattern) as a digest-framed pickle (:func:`~repro.core.io.frame_bytes`),
+  so an interrupted sweep resumes where it stopped instead of restarting;
+  a corrupt or truncated journal entry is a miss, recomputed with a
+  ``RuntimeWarning`` naming the file;
 * ``KeyboardInterrupt`` mid-sweep shuts the pool down cleanly and returns
   the partial results gathered so far (journaled ones included).
 
-:func:`run_supervised` is the engine room; ``repeat_experiment`` and
-``run_all`` route their parallel paths through it.
+:func:`run_supervised` is the engine room; :func:`fan_out`, the one
+sweep loop of ``repeat_experiment`` and ``run_all``, routes their
+parallel and journaled paths through it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import concurrent.futures
 import hashlib
 import os
 import pickle
-import tempfile
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -45,12 +46,15 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core import EngineStats, accumulate_engine_stats, engine_stats_snapshot
+from ..core.io import load_framed_pickle, save_framed_pickle
 from .pool import shared_pool, shutdown_shared_pool
 
 __all__ = [
     "SupervisorConfig",
     "SupervisedOutcome",
     "TaskTimeoutError",
+    "fan_out",
     "run_supervised",
 ]
 
@@ -133,8 +137,10 @@ class SupervisedOutcome:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journal: one atomically-written pickle per completed task
+# Checkpoint journal: one atomically-written framed pickle per task
 # ----------------------------------------------------------------------
+
+_JOURNAL_MAGIC = b"repro-journal:1\n"
 
 
 def _journal_path(checkpoint_dir: Path, key: str) -> Path:
@@ -148,11 +154,16 @@ def _journal_load(checkpoint_dir: Path, key: str) -> tuple[bool, Any]:
     if not path.is_file():
         return False, None
     try:
-        with open(path, "rb") as fh:
-            return True, pickle.load(fh)
-    except Exception:
-        # Same contract as the workload cache: a journal must never turn
-        # garbage bytes into a crash — recompute and overwrite.
+        return True, load_framed_pickle(path, _JOURNAL_MAGIC)
+    except Exception as exc:
+        # Same contract as the workload cache: garbage bytes never become a
+        # crash or a wrong answer — recompute, overwrite and warn.
+        warnings.warn(
+            f"checkpoint journal entry {path} is unreadable ({exc}); "
+            "recomputing it",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return False, None
 
 
@@ -161,17 +172,7 @@ def _journal_store(checkpoint_dir: Path, key: str, value: Any) -> None:
     path = _journal_path(checkpoint_dir, key)
     try:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=checkpoint_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        save_framed_pickle(path, _JOURNAL_MAGIC, value)
     except (OSError, pickle.PicklingError):
         warnings.warn(
             f"checkpoint journal write failed for {path}; the sweep "
@@ -225,10 +226,8 @@ def run_supervised(
         overwritten as tasks complete).
     local_fn:
         In-process twin of ``worker_fn`` used for serial execution and
-        serial degradation (defaults to ``worker_fn``). The experiment
-        runner passes a variant that skips worker-side EngineStats deltas
-        — in-process engine effort already lands in this process's
-        accumulator, and folding a nonzero delta would double-count it.
+        serial degradation (defaults to ``worker_fn``); :func:`fan_out`
+        passes one that reports no EngineStats delta.
 
     Returns
     -------
@@ -373,3 +372,67 @@ def run_supervised(
         pending = retry_round
 
     return outcome
+
+
+# ----------------------------------------------------------------------
+# The sweep loop shared by repeat_experiment and run_all
+# ----------------------------------------------------------------------
+
+
+def _with_stats(item: tuple[Callable[[Any], Any], Any]) -> tuple[Any, Any]:
+    """Pool worker for :func:`fan_out`: ``fn(task)`` plus the engine effort
+    it cost in the worker, as an :class:`~repro.core.EngineStats` delta
+    the parent folds into its own accumulator."""
+    fn, task = item
+    before = engine_stats_snapshot()
+    result = fn(task)
+    return result, engine_stats_snapshot().delta(before)
+
+
+def _local(item: tuple[Callable[[Any], Any], Any]) -> tuple[Any, Any]:
+    """In-process twin of :func:`_with_stats`, with a zero delta: effort
+    spent in this process already lands in its accumulator, and folding
+    it back would double-count it."""
+    fn, task = item
+    return fn(task), EngineStats()
+
+
+def fan_out(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    keys: Sequence[str],
+    *,
+    n_workers: Optional[int],
+    supervisor: Optional[SupervisorConfig],
+    checkpoint_dir: Optional[str | os.PathLike[str]],
+    resume: bool,
+) -> list[Any]:
+    """``[fn(task) for task in tasks]``, supervised where asked.
+
+    With ``n_workers > 1`` the tasks run on the shared pool under
+    :func:`run_supervised` (``fn`` must be a picklable module-level
+    function); otherwise, with ``checkpoint_dir``, serially under it,
+    journaled by ``keys`` and with its retries; otherwise as a plain loop
+    with no retries. Each freshly run task's EngineStats delta is folded
+    into this process's accumulator. ``KeyboardInterrupt`` mid-sweep is
+    re-raised after the supervisor's clean shutdown.
+    """
+    if (n_workers is None or n_workers <= 1) and checkpoint_dir is None:
+        return [fn(task) for task in tasks]
+    outcome = run_supervised(
+        _with_stats,
+        [(fn, task) for task in tasks],
+        n_workers=n_workers or 1,
+        config=supervisor,
+        keys=keys,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        local_fn=_local,
+    )
+    resumed = set(outcome.resumed_indices)
+    for idx, pair in enumerate(outcome.results):
+        if pair is not None and idx not in resumed:
+            accumulate_engine_stats(pair[1])
+    if outcome.interrupted:
+        raise KeyboardInterrupt
+    return [result for result, _ in outcome.results]

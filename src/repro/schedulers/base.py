@@ -26,8 +26,8 @@ Every built-in tie-break above except :class:`RandomTieBreak` orders
 nodes by ``(scalar(node), node)`` for some per-node integer scalar, and
 :meth:`TieBreak.priority_kernel` exposes that scalar as a precomputed
 int64 array over the whole DAG. A kernel is the one declaration that a
-tie-break is precomputable: :func:`flat_priority_kernel` concatenates the
-per-job kernels for ``Scheduler.frontier_priorities``, and the engine then
+tie-break is precomputable: FIFO and SRPT name it as the node priorities
+of their :class:`~repro.core.simulator.ListRule`, and the engine then
 runs the whole instance as a list rule without dispatching the scheduler
 (see ``docs/engine-internals.md``).
 
@@ -48,7 +48,6 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from ..core.dag import DAG
-from ..core.instance import Instance
 from ..core.job import Job
 from ..core.util import Array, csr_gather
 
@@ -61,7 +60,6 @@ __all__ = [
     "LongestPathTieBreak",
     "MostChildrenTieBreak",
     "ReadyHeap",
-    "flat_priority_kernel",
 ]
 
 _INT = np.int64
@@ -254,18 +252,3 @@ def _unfinished_work(dag: DAG, frontier: Array) -> int:
         fresh = np.unique(children[~seen[children]])
     return int(np.count_nonzero(seen))
 
-
-def flat_priority_kernel(policy: TieBreak, instance: Instance) -> Optional[Array]:
-    """``policy``'s per-job priority kernels concatenated in job order: one
-    int64 priority per global node, as ``Scheduler.frontier_priorities``
-    returns it. ``None`` for a tie-break whose kernel is missing on any
-    job, and for an empty instance."""
-    kernels: list[Array] = []
-    for job in instance:
-        kernel = policy.priority_kernel(job)
-        if kernel is None:
-            return None
-        kernels.append(kernel)
-    if not kernels:
-        return None
-    return np.concatenate(kernels)

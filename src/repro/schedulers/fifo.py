@@ -20,13 +20,16 @@ each unfinished one's frontier; FIFO recounts a job's remaining work from
 that frontier, so a finished job never re-enters the walk.
 
 Each job's ready subjobs wait in a :class:`~repro.schedulers.base.ReadyHeap`
-ordered by the tie-break's ``key()``. When the tie-break has a priority
-kernel, :meth:`FIFOScheduler.frontier_priorities` hands the engine the
-kernels flattened over all jobs. That makes FIFO a list rule: with no
-observer or fault injector attached the engine runs the whole instance
+ordered by the tie-break's ``key()``. FIFO is a list rule:
+:meth:`FIFOScheduler.list_rule` names the arrival walk and the
+tie-break's priority kernel, and when the tie-break has one, with no
+observer or fault injector attached, the engine runs the whole instance
 itself (forced and truncated steps alike, with chain-run macro-steps on
 out-forests) and never dispatches the scheduler
-(``docs/engine-internals.md``).
+(``docs/engine-internals.md``). The rule's walk and the dispatched
+:meth:`~FIFOScheduler.select`'s come from one attribute, so SRPT
+(:class:`~repro.schedulers.srpt.SRPTScheduler`) is this class with the
+other walk.
 """
 
 from __future__ import annotations
@@ -38,15 +41,9 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..core.job import Job
-from ..core.simulator import Scheduler, Selection
+from ..core.simulator import ListRule, Scheduler, Selection
 from ..core.util import Array
-from .base import (
-    ArbitraryTieBreak,
-    ReadyHeap,
-    TieBreak,
-    _unfinished_work,
-    flat_priority_kernel,
-)
+from .base import ArbitraryTieBreak, ReadyHeap, TieBreak, _unfinished_work
 
 __all__ = ["FIFOScheduler"]
 
@@ -64,6 +61,10 @@ class FIFOScheduler(Scheduler):
         Forwarded to ``tie_break.reset`` (relevant for random tie-breaks).
     """
 
+    #: The job walk of :meth:`list_rule` and :meth:`select`: SRPT's
+    #: ``(unfinished, job id)`` when True, arrival order otherwise.
+    _by_remaining_work = False
+
     def __init__(
         self,
         tie_break: Optional[TieBreak] = None,
@@ -71,7 +72,8 @@ class FIFOScheduler(Scheduler):
     ) -> None:
         self.tie_break = tie_break if tie_break is not None else ArbitraryTieBreak()
         self._seed = seed
-        self.clairvoyant = self.tie_break.clairvoyant
+        # Walking by remaining work needs each job's size: clairvoyant.
+        self.clairvoyant = self.tie_break.clairvoyant or self._by_remaining_work
         self._heaps: list[Optional[ReadyHeap]] = []
         self._unfinished: list[int] = []
         self._n_finished = 0
@@ -81,11 +83,11 @@ class FIFOScheduler(Scheduler):
     def name(self) -> str:
         return f"FIFO[{self.tie_break.name}]"
 
-    def frontier_priorities(self, instance: Instance) -> Optional[Array]:
-        """Concatenated per-job priority kernels: FIFO's walk with this
-        tie-break as a list rule. ``None`` (dispatch every step) for a
-        tie-break without a kernel."""
-        return flat_priority_kernel(self.tie_break, instance)
+    def list_rule(self) -> ListRule:
+        """This scheduler's walk, with the tie-break's priority kernel as
+        node priorities (a tie-break without one is dispatched every
+        step)."""
+        return ListRule(self.tie_break.priority_kernel, self._by_remaining_work)
 
     def reset(self, instance: Instance, m: int) -> None:
         self.tie_break.reset(self._seed)
@@ -118,7 +120,12 @@ class FIFOScheduler(Scheduler):
     def select(self, t: int, capacity: int) -> Selection:
         selection: list[tuple[int, int]] = []
         remaining = self._remaining
-        for job_id in self._unfinished:
+        walk = self._unfinished
+        if self._by_remaining_work:
+            # SRPT's walk: a stable sort of the id-sorted list by remaining
+            # work; lazily deleted jobs (0 left) sort first and are skipped.
+            walk = sorted(walk, key=remaining.__getitem__)
+        for job_id in walk:
             if remaining[job_id] == 0:  # lazily deleted
                 continue
             if capacity <= 0:

@@ -30,11 +30,11 @@ __all__ = ["LPFScheduler", "lpf_schedule", "lpf_flow"]
 class LPFScheduler(FIFOScheduler):
     """FIFO across jobs, Longest-Path-First within a job (clairvoyant).
 
-    A list rule like FIFO (heights are the LPF priority kernel, precomputed
-    per job — see ``docs/engine-internals.md``): with no observer or fault
-    injector the engine runs it without dispatching, and on chain-heavy
-    out-forests (spider legs, rectangle tails) it compresses runs of forced
-    LPF steps into single macro commits.
+    FIFO's list rule with heights as the node priorities (the LPF priority
+    kernel, precomputed per job — see ``docs/engine-internals.md``): with
+    no observer or fault injector the engine runs it without dispatching,
+    and on chain-heavy out-forests (spider legs, rectangle tails) it
+    compresses runs of forced LPF steps into single macro commits.
     """
 
     def __init__(self, seed: Optional[int] = None) -> None:

@@ -5,8 +5,9 @@ Any scheduler that never idles a processor while ready subjobs exist has the
 every unfinished job's remaining span shrinks). These baselines bracket FIFO
 in the experiment tables:
 
-* :class:`GlobalArbitraryScheduler` — fill processors with any ready
-  subjobs, ignoring job age entirely (ready list in (job, node) order).
+* :class:`GlobalArbitraryScheduler` — fill processors with the smallest
+  ready (job, node) pairs; since job ids follow release order, this is
+  FIFO with the arbitrary (ascending node id) tie-break.
 * :class:`RoundRobinScheduler` — rotate one subjob at a time over
   unfinished jobs (maximal fairness at the subjob level).
 * :class:`RandomScheduler` — fill processors with a uniform random subset
@@ -23,6 +24,7 @@ import numpy as np
 from ..core.instance import Instance
 from ..core.simulator import Scheduler, Selection
 from ..core.util import Array
+from .fifo import FIFOScheduler
 
 __all__ = [
     "GlobalArbitraryScheduler",
@@ -31,33 +33,21 @@ __all__ = [
 ]
 
 
-class _ReadyPool(Scheduler):
-    """Shared state: one flat pool of ready (job, node) pairs."""
+class GlobalArbitraryScheduler(FIFOScheduler):
+    """Deterministic work-conserving fill: the ``capacity`` smallest ready
+    ``(job id, node id)`` pairs. Job ids are in release order, so this is
+    FIFO with :class:`~repro.schedulers.base.ArbitraryTieBreak`: it serves
+    jobs oldest first, and within a job by ascending node id."""
 
-    def reset(self, instance: Instance, m: int) -> None:
-        self._ready: set[tuple[int, int]] = set()
-
-    def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
-        self._ready.update((job_id, int(v)) for v in nodes)
-
-    def _take(self, pairs: list[tuple[int, int]]) -> Selection:
-        self._ready.difference_update(pairs)
-        return pairs
-
-
-class GlobalArbitraryScheduler(_ReadyPool):
-    """Deterministic work-conserving fill in (job id, node id) order."""
+    def __init__(self) -> None:
+        super().__init__()
 
     @property
     def name(self) -> str:
         return "Greedy[arbitrary]"
 
-    def select(self, t: int, capacity: int) -> Selection:
-        chosen = heapq.nsmallest(capacity, self._ready)
-        return self._take(chosen)
 
-
-class RandomScheduler(_ReadyPool):
+class RandomScheduler(Scheduler):
     """Work-conserving fill with a uniformly random ready subset."""
 
     def __init__(self, seed: Optional[int] = None) -> None:
@@ -68,15 +58,19 @@ class RandomScheduler(_ReadyPool):
         return "Greedy[random]"
 
     def reset(self, instance: Instance, m: int) -> None:
-        super().reset(instance, m)
+        self._ready: set[tuple[int, int]] = set()
         self._rng = np.random.default_rng(self._seed)
+
+    def on_nodes_ready(self, t: int, job_id: int, nodes: Array) -> None:
+        self._ready.update((job_id, int(v)) for v in nodes)
 
     def select(self, t: int, capacity: int) -> Selection:
         pool = sorted(self._ready)
-        if len(pool) <= capacity:
-            return self._take(pool)
-        idx = self._rng.choice(len(pool), size=capacity, replace=False)
-        return self._take([pool[i] for i in idx])
+        if len(pool) > capacity:
+            idx = self._rng.choice(len(pool), size=capacity, replace=False)
+            pool = [pool[i] for i in idx]
+        self._ready.difference_update(pool)
+        return pool
 
 
 class RoundRobinScheduler(Scheduler):

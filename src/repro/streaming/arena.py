@@ -36,29 +36,29 @@ block, at the slot's offset of that moment, the first time a window
 probe passes the engine's single-child gate with the job on the
 frontier.
 
-**The policy-ordered frontier.** Every stream policy is one list rule:
-order jobs by a job key, then ready nodes by an in-job key. ``front`` is
-the whole live frontier — one flat int64 array of ready arena gids —
-stored in exactly that order, so a step's decision is the prefix
-``front[:m_t]``:
+**The policy-ordered frontier.** Every stream policy is one list rule
+(:class:`~repro.core.simulator.ListRule`): order jobs by a job key, then
+ready nodes by an in-job key. ``front`` is the whole live frontier — one
+flat int64 array of ready arena gids — stored in exactly that order, so a
+step's decision is the prefix ``front[:m_t]``:
 
-* jobs are grouped in ascending ``slot_key``: the arrival index under
-  ``fifo``/``lpf``, and ``remaining * 2**32 + arrival index`` under
-  ``srpt`` (ascending ``(remaining subjobs, index)``);
-* within a job, entries ascend in ``enc`` — the node id under FIFO's
-  constant kernel, ``(priority rank, node)`` under LPF — which is the
-  order a truncated job gives up its ready nodes in.
+* jobs are grouped in ascending ``slot_key``: the arrival index under the
+  arrival walk, and ``remaining * 2**32 + arrival index`` under SRPT's
+  walk (ascending ``(remaining subjobs, index)``);
+* within a job, entries ascend in ``enc`` — the node id under a constant
+  kernel, ``(priority rank, node)`` otherwise — which is the order a
+  truncated job gives up its ready nodes in.
 
 A step only re-orders the jobs it touched. Those jobs form a prefix of
 the job order, and committing work can only move a job *earlier*:
-FIFO/LPF keys are static, and SRPT's ``remaining`` only decreases. So
-every touched job still precedes every untouched one after the step, and
-a step sorts just the touched entries — the partially taken job's
-leftover plus the newly ready nodes — and puts them ahead of the
-untouched remainder (:meth:`advance`). Under FIFO the job order is also
-the block order (admission appends, compaction keeps arrival order) and
-the in-job order is the node order, so policy order is plain ascending
-gid order.
+arrival keys are static, and ``remaining`` only decreases. So every
+touched job still precedes every untouched one after the step, and a step
+sorts just the touched entries — the partially taken job's leftover plus
+the newly ready nodes — and puts them ahead of the untouched remainder
+(:meth:`advance`). Under the arrival walk the job order is also the block
+order (admission appends, compaction keeps arrival order), and while no
+live job holds a ranked key (``ranked_live == 0``) the in-job order is the
+node order, so policy order is then plain ascending gid order.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ SRPT_REMAINING_LIMIT = 1 << 30
 class StreamArena:
     """Mutable SoA packing of the live window (see module docstring).
 
-    ``policy`` fixes the frontier order: ``"fifo"``, ``"lpf"`` or
-    ``"srpt"``.
+    ``by_remaining_work`` fixes the job walk of the frontier order:
+    SRPT's if True, arrival order otherwise
+    (:attr:`~repro.core.simulator.ListRule.by_remaining_work`).
 
     Node-axis arrays (all int64, capacity-padded; a job's block is
     ``[slot_off[s], slot_off[s] + slot_n[s])``):
@@ -119,12 +120,12 @@ class StreamArena:
         it.
 
     ``front`` is the ready set in policy order, and ``slot_key`` the
-    per-slot job key it is grouped by.
+    per-slot job key it is grouped by. ``ranked_live`` counts the live
+    jobs admitted with encoded keys (a non-constant kernel).
     """
 
-    def __init__(self, policy: str) -> None:
-        self._srpt = policy == "srpt"
-        self._gid_order = policy == "fifo"
+    def __init__(self, by_remaining_work: bool) -> None:
+        self._srpt = by_remaining_work
         self._alloc_nodes(_MIN_NODE_CAP)
         self._alloc_edges(_MIN_NODE_CAP)
         self.indptr = np.zeros(_MIN_NODE_CAP + 1, dtype=_INT)
@@ -137,6 +138,7 @@ class StreamArena:
         self.slot_key = np.zeros(_MIN_SLOT_CAP, dtype=_INT)
         self.slot_live = np.zeros(_MIN_SLOT_CAP, dtype=bool)
         self._slot_forest = np.zeros(_MIN_SLOT_CAP, dtype=bool)
+        self._slot_ranked = np.zeros(_MIN_SLOT_CAP, dtype=bool)
         # Per slot: the DAG whose chain-run block is not filled yet, or
         # None once filled or retired.
         self._runs_pending: list[Any] = [None] * _MIN_SLOT_CAP
@@ -149,6 +151,7 @@ class StreamArena:
         self.live_jobs = 0
         self.live_nodes = 0
         self.nonforest_live = 0
+        self.ranked_live = 0
         self.compactions = 0
 
     # -- allocation ------------------------------------------------------
@@ -221,6 +224,7 @@ class StreamArena:
             for name in (
                 "slot_index", "slot_release", "slot_off", "slot_n",
                 "slot_n_done", "slot_key", "slot_live", "_slot_forest",
+                "_slot_ranked",
             ):
                 src = getattr(self, name)
                 buf = np.zeros(cap, dtype=src.dtype)
@@ -296,6 +300,7 @@ class StreamArena:
         self.slot_key[slot] = key
         self.slot_live[slot] = True
         self._slot_forest[slot] = forest
+        self._slot_ranked[slot] = enc is not None
         front = self.front
         pos = bisect.bisect_right(front, key, key=self._job_key)
         self.front = np.concatenate((front[:pos], ready + off, front[pos:]))
@@ -305,6 +310,8 @@ class StreamArena:
         self.live_nodes += n
         if not forest:
             self.nonforest_live += 1
+        if enc is not None:
+            self.ranked_live += 1
         return slot
 
     def retire(self, slot: int) -> None:
@@ -317,6 +324,8 @@ class StreamArena:
         self.live_nodes -= n
         if not self._slot_forest[slot]:
             self.nonforest_live -= 1
+        if self._slot_ranked[slot]:
+            self.ranked_live -= 1
 
     def order_arrival(self) -> Array:
         """Live slots in admission (ascending arrival index) order."""
@@ -348,7 +357,7 @@ class StreamArena:
 
     def policy_sort(self, gids: Array) -> Array:
         """``gids`` in policy order (ascending ``(slot_key, enc)``)."""
-        if self._gid_order:
+        if not self._srpt and self.ranked_live == 0:
             return np.sort(gids)
         return gids[np.lexsort((self.enc[gids], self.slot_key[self.slot_of[gids]]))]
 

@@ -49,13 +49,13 @@ state.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import stat
 from typing import Any
 
 from ..core.exceptions import ReproError
+from ..core.io import frame_bytes, unframe_bytes
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
@@ -81,10 +81,7 @@ def save_checkpoint(path: str | os.PathLike, snapshot: dict[str, Any]) -> None:
     name = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(name)) or "."
     os.makedirs(directory, exist_ok=True)
-    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = b"".join(
-        (_MAGIC, len(payload).to_bytes(8, "little"), hashlib.sha256(payload).digest(), payload)
-    )
+    blob = frame_bytes(_MAGIC, pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
     spare, hold = name + ".spare", name + ".hold"
     if _own(hold) is not None:  # a killed save's link to an older checkpoint
         os.unlink(hold)
@@ -171,19 +168,10 @@ def load_checkpoint(path: str | os.PathLike) -> dict[str, Any]:
         raise CheckpointError(
             f"{path} is not a repro stream checkpoint (bad magic)"
         )
-    header_end = len(_MAGIC) + 8 + hashlib.sha256().digest_size
-    if len(blob) < header_end:
-        raise CheckpointError(f"checkpoint {path} is truncated (header)")
-    length = int.from_bytes(blob[len(_MAGIC) : len(_MAGIC) + 8], "little")
-    digest = blob[len(_MAGIC) + 8 : header_end]
-    payload = blob[header_end:]
-    if len(payload) != length:
-        raise CheckpointError(
-            f"checkpoint {path} is truncated "
-            f"(payload {len(payload)} bytes, recorded {length})"
-        )
-    if hashlib.sha256(payload).digest() != digest:
-        raise CheckpointError(f"checkpoint {path} failed its integrity digest")
+    try:
+        payload = unframe_bytes(_MAGIC, blob)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} {exc}") from None
     try:
         snapshot = pickle.loads(payload)
     except Exception as exc:

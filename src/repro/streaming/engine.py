@@ -12,14 +12,17 @@ engine admits arrivals with release ``<= t``, grants ``m_t`` processors
 (an :class:`~repro.core.AvailabilityTrace` or the constant ``m``), walks
 the live jobs in policy order taking whole ready frontiers until capacity
 runs out (the last job truncated by its intra-job priority kernel), and
-completes the committed subjobs at ``t + 1``. The supported policies are
-the repo's kernelized schedulers:
+completes the committed subjobs at ``t + 1``. A policy name stands for a
+scheduler (:data:`STREAM_POLICIES`), and the engine runs that scheduler's
+:class:`~repro.core.simulator.ListRule`:
 
-* ``fifo`` — arrival order across jobs, ascending node id within a job
-  (:class:`~repro.schedulers.base.ArbitraryTieBreak`);
-* ``lpf``  — arrival order across jobs, maximum-height first within a job
-  (:class:`~repro.schedulers.base.LongestPathTieBreak`);
-* ``srpt`` — ascending ``(remaining subjobs, arrival)`` across jobs.
+* ``fifo`` — :class:`~repro.schedulers.FIFOScheduler`: arrival order
+  across jobs, ascending node id within a job;
+* ``lpf``  — :class:`~repro.schedulers.LPFScheduler`: arrival order across
+  jobs, maximum-height first within a job;
+* ``srpt`` — :class:`~repro.schedulers.SRPTScheduler`: ascending
+  ``(remaining subjobs, arrival)`` across jobs, ascending node id within a
+  job.
 
 Ready nodes within a job are ordered by the same encoded key as the
 batch engine's priority commits — ``dense_rank(priority) * n + node``, an
@@ -69,7 +72,7 @@ from ..core.exceptions import ConfigurationError, SimulationError
 from ..core.job import Job
 from ..core.simulator import EngineStats
 from ..core.util import Array, encode_priorities
-from ..schedulers.base import ArbitraryTieBreak, LongestPathTieBreak, TieBreak
+from ..schedulers import FIFOScheduler, LPFScheduler, SRPTScheduler
 from ..workloads.arrivals import ArrivalSource
 from .arena import SRPT_INDEX_LIMIT, SRPT_REMAINING_LIMIT, StreamArena
 from .metrics import StreamMetrics
@@ -87,8 +90,13 @@ _INT = np.int64
 #: :meth:`StreamingEngine.from_snapshot` rejects other versions).
 STREAM_SNAPSHOT_VERSION = 1
 
-#: Policies the streaming engine can run (all kernelized, all pure).
-STREAM_POLICIES = ("fifo", "lpf", "srpt")
+#: Policy name -> the scheduler (with its default tie-break) whose list
+#: rule the streaming engine runs.
+STREAM_POLICIES: dict[str, type[FIFOScheduler]] = {
+    "fifo": FIFOScheduler,
+    "lpf": LPFScheduler,
+    "srpt": SRPTScheduler,
+}
 
 
 class StreamStallError(SimulationError):
@@ -102,22 +110,6 @@ class StreamStallError(SimulationError):
     """
 
 
-def _encode_priorities(dag: Any, release: int, tie_break: TieBreak) -> Optional[Array]:
-    """Per-node encoded priority keys (``dense_rank * n + node``).
-
-    Returns ``None`` for a constant kernel (FIFO/arbitrary) — callers
-    then use the node ids themselves as keys, so decoding is uniformly
-    ``key % n``.
-    """
-    kernel = tie_break.priority_kernel(Job(dag, release))
-    if kernel is None:  # pragma: no cover - every stream policy is kernelized
-        raise ConfigurationError(
-            "streaming policies require a priority kernel "
-            f"({type(tie_break).__name__} returned None)"
-        )
-    return encode_priorities(np.asarray(kernel, dtype=_INT))
-
-
 class StreamingEngine:
     """Incremental scheduler over an :class:`ArrivalSource`.
 
@@ -128,7 +120,7 @@ class StreamingEngine:
     m:
         Processor count (capacity ceiling when a trace is given).
     policy:
-        One of :data:`STREAM_POLICIES`.
+        A name in :data:`STREAM_POLICIES`.
     availability:
         Optional fluctuating allocation (trace or int sequence, as for
         :func:`repro.core.simulate`).
@@ -166,7 +158,8 @@ class StreamingEngine:
             raise ConfigurationError("m must be >= 1")
         if policy not in STREAM_POLICIES:
             raise ConfigurationError(
-                f"unknown stream policy {policy!r}; choose from {STREAM_POLICIES}"
+                f"unknown stream policy {policy!r}; choose from "
+                f"{tuple(STREAM_POLICIES)}"
             )
         for bound_name, bound in (
             ("max_live_subjobs", max_live_subjobs),
@@ -178,9 +171,7 @@ class StreamingEngine:
         self._source = source
         self.m = int(m)
         self._policy = policy
-        self._tie_break: TieBreak = (
-            LongestPathTieBreak() if policy == "lpf" else ArbitraryTieBreak()
-        )
+        self._rule = STREAM_POLICIES[policy]().list_rule()
         self._trace: Optional[AvailabilityTrace] = (
             None if availability is None else as_trace(availability, self.m)
         )
@@ -198,7 +189,7 @@ class StreamingEngine:
             else (self._trace.horizon + 1 if self._trace is not None else 1)
         )
         self._on_retire = on_retire
-        self._arena = StreamArena(policy)
+        self._arena = StreamArena(self._rule.by_remaining_work)
 
         self.t = 0
         self.metrics = StreamMetrics()
@@ -275,20 +266,24 @@ class StreamingEngine:
         Returns ``False`` once the stream is complete — no live work and
         no future arrivals — and ``True`` otherwise.
 
-        ``t_limit`` caps how far an epoch macro-commit may advance ``t``
-        (exclusive of nothing: the step never moves past ``t_limit``).
+        ``t_limit`` caps how far an epoch macro-commit or an idle jump may
+        advance ``t``: when ``t_limit > t``, the step never moves past it.
         The service layer passes the next tick/checkpoint boundary so a
         macro-stepped run crosses every boundary at exactly the same
-        ``t`` values as a per-step run.
+        ``t`` values as a per-step run, and a boundary inside an idle gap
+        is reported at the boundary.
         """
         t = self.t
         self._admit(t)
         if self.live_jobs == 0:
             if self._next_release is None:
                 return False
-            # Idle gap: no live work until the next arrival.
-            self.metrics.note_idle_skip(self._next_release - t)
-            self.t = self._next_release
+            # Idle gap: no live work until the next arrival (or t_limit).
+            target = self._next_release
+            if t_limit is not None and t < t_limit < target:
+                target = t_limit
+            self.metrics.note_idle_skip(target - t)
+            self.t = target
             return True
         capacity = (
             self.m if self._trace is None else self._trace.capacity_at(t)
@@ -349,7 +344,7 @@ class StreamingEngine:
         """Place one job in the arena (``done`` given: a restored job)."""
         arena = self._arena
         n = int(dag.n)
-        if self._policy == "srpt" and (
+        if self._rule.by_remaining_work and (
             index >= SRPT_INDEX_LIMIT or n >= SRPT_REMAINING_LIMIT
         ):
             raise ConfigurationError(
@@ -358,8 +353,9 @@ class StreamingEngine:
                 f"n < {SRPT_REMAINING_LIMIT} (got index={index}, n={n}); "
                 "srpt streams beyond those bounds are unsupported"
             )
-        enc = _encode_priorities(dag, release, self._tie_break)
-        arena.admit(index, release, dag, enc, done=done)
+        priorities = self._rule.priorities(Job(dag, release))
+        assert priorities is not None  # every stream policy has a kernel
+        arena.admit(index, release, dag, encode_priorities(priorities), done=done)
         self._live_subjobs += n
         if done is None:
             # Restore-path admissions (done mask given) re-seat jobs the
@@ -580,32 +576,17 @@ class StreamingEngine:
         snapshot: dict[str, Any],
         source: ArrivalSource,
         m: int,
-        *,
-        policy: str = "fifo",
-        availability: Optional[AvailabilityLike] = None,
-        max_live_subjobs: Optional[int] = None,
-        max_live_jobs: Optional[int] = None,
-        max_jobs: Optional[int] = None,
-        max_zero_commit_steps: Optional[int] = None,
-        on_retire: Optional[Callable[[int, int], None]] = None,
+        **config: Any,
     ) -> "StreamingEngine":
         """Rebuild an engine mid-stream from :meth:`snapshot` output.
 
-        The configuration must match the snapshotting run's — the
-        embedded fingerprint is checked, so a resume under a different
-        source/policy/capacity/bounds raises instead of mixing runs.
+        ``config`` takes the constructor's keyword arguments (``policy``,
+        ``availability``, the bounds, ``on_retire``). The configuration
+        must match the snapshotting run's — the embedded fingerprint is
+        checked, so a resume under a different source/policy/capacity/
+        bounds raises instead of mixing runs.
         """
-        engine = cls(
-            source,
-            m,
-            policy=policy,
-            availability=availability,
-            max_live_subjobs=max_live_subjobs,
-            max_live_jobs=max_live_jobs,
-            max_jobs=max_jobs,
-            max_zero_commit_steps=max_zero_commit_steps,
-            on_retire=on_retire,
-        )
+        engine = cls(source, m, **config)
         version = snapshot.get("version")
         if version != STREAM_SNAPSHOT_VERSION:
             raise ConfigurationError(

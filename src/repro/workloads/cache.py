@@ -9,7 +9,11 @@ keyed by a canonicalized argument signature.
 
 The cache is **opt-in**: it is active only while the ``REPRO_CACHE_DIR``
 environment variable points at a directory (resolved at call time, so tests
-can flip it per-case). Two safety valves keep cached results faithful:
+can flip it per-case). Each entry is a pickle framed by
+:func:`~repro.core.io.frame_bytes` (magic, length, SHA-256); an entry that
+fails its frame or does not unpickle is a miss, recomputed and rewritten
+with a ``RuntimeWarning`` naming the file. Two safety valves keep cached
+results faithful:
 
 * arguments that cannot be canonicalized to primitives (e.g. a live
   ``numpy`` ``Generator`` passed as ``seed``) bypass the cache — such calls
@@ -27,10 +31,11 @@ import functools
 import hashlib
 import inspect
 import os
-import pickle
-import tempfile
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Optional
+
+from ..core.io import load_framed_pickle, save_framed_pickle
 
 __all__ = ["cached_generator", "workload_cache_dir", "clear_workload_cache"]
 
@@ -42,8 +47,12 @@ _ENV_VAR = "REPRO_CACHE_DIR"
 #: ``Instance.chain_layout``); v3: ``Instance.__getstate__`` now strips the
 #: cached flat/chain layouts from the pickle (they are rebuilt, re-frozen,
 #: on first use), so v2 entries carrying thawed-on-unpickle arrays must be
-#: regenerated rather than trusted to satisfy the frozen-CSR contract.
-_SCHEMA_VERSION = 3
+#: regenerated rather than trusted to satisfy the frozen-CSR contract; v4:
+#: entries are digest-framed (``_MAGIC``), so unframed v3 files are never
+#: looked up.
+_SCHEMA_VERSION = 4
+
+_MAGIC = b"repro-workload-cache:1\n"
 
 
 def workload_cache_dir() -> Optional[Path]:
@@ -124,28 +133,22 @@ def cached_generator(
             path = root / f"{func.__name__}-{digest[:32]}.wlcache"
             if path.is_file():
                 try:
-                    with open(path, "rb") as fh:
-                        return pickle.load(fh)
-                except Exception:
+                    return load_framed_pickle(path, _MAGIC)
+                except Exception as exc:
                     # Corrupt/racing/stale entry. pickle can raise almost
                     # anything on garbage bytes (ValueError, AttributeError,
                     # UnpicklingError, ...); a cache must never turn that
-                    # into a crash — fall through and rewrite.
-                    pass
+                    # into a crash or a wrong answer — recompute and warn.
+                    warnings.warn(
+                        f"workload cache entry {path} is unreadable ({exc}); "
+                        "recomputing it",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
             value = func(*args, **kwargs)
             try:
                 root.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(value, fh)
-                    os.replace(tmp, path)  # atomic: concurrent readers are safe
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                save_framed_pickle(path, _MAGIC, value)  # atomic for readers
             except OSError:
                 pass  # caching is best-effort; the generated value is fine
             return value

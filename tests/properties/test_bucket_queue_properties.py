@@ -68,7 +68,8 @@ def test_the_tie_break_lists_are_not_empty():
 )
 def test_key_only_tie_breaks_are_not_list_rules(name, tie_break):
     instance = Instance([Job(complete_kary_tree(2, 3), 0), Job(chain(4), 2)])
-    assert SCHEDULERS[name](tie_break()).frontier_priorities(instance) is None
+    rule = SCHEDULERS[name](tie_break()).list_rule()
+    assert all(rule.priorities(job) is None for job in instance)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_kill_restore_matches_simulate():
 
 @settings(max_examples=20, deadline=None)
 @given(
-    policy=st.sampled_from(STREAM_POLICIES),
+    policy=st.sampled_from(tuple(STREAM_POLICIES)),
     kind=st.sampled_from(("poisson", "drip")),
     seed=st.integers(0, 10_000),
     cuts=st.lists(st.integers(1, 80), min_size=1, max_size=3),
@@ -100,7 +100,7 @@ def test_snapshot_round_trip_at_t_limit_boundaries(policy, kind, seed, cuts):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    policy=st.sampled_from(STREAM_POLICIES),
+    policy=st.sampled_from(tuple(STREAM_POLICIES)),
     seed=st.integers(0, 10_000),
     period=st.integers(1, 5),
     every=st.integers(2, 12),

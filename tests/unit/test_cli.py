@@ -143,6 +143,17 @@ class TestInspect:
         assert captured.err.startswith(f"repro: corrupt schedule archive {path}: ")
         assert "Traceback" not in captured.err and captured.out == ""
 
-    def test_inspect_missing_file(self, tmp_path):
-        with pytest.raises(Exception):
-            main(["inspect", str(tmp_path / "nope.npz")])
+    def test_inspect_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.npz"
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: schedule archive {path} does not exist\n"
+        assert captured.out == ""
+
+    def test_serve_missing_trace_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.npz"
+        argv = ["serve", "4", "--source", "trace", "--trace-path", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro: schedule archive {path} does not exist\n"
+        assert captured.out == ""

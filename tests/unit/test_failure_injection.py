@@ -148,6 +148,17 @@ def test_corrupt_file_raises_named_error(tmp_path, fmt, corruption):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("fmt", sorted(FILE_FORMATS))
+def test_missing_file_raises_named_error(tmp_path, fmt):
+    """A path that does not exist raises the format's ``ReproError``
+    subclass naming it, not ``FileNotFoundError``."""
+    name, _, load, error = FILE_FORMATS[fmt]
+    path = tmp_path / name
+    with pytest.raises(ReproError, match=re.escape(str(path))) as info:
+        load(path)
+    assert type(info.value) is error
+
+
 class MidRunCrasher(Scheduler):
     """Behaves for two steps, then selects garbage."""
 

@@ -1,9 +1,9 @@
-"""The list-rule boundary: ``frontier_priorities`` is the one opt-in.
+"""The list-rule boundary: ``list_rule`` is the one opt-in.
 
-A scheduler whose ``frontier_priorities`` returns an array is run by the
-engine alone (no observer, no fault injector): it sees ``reset`` and
-``frontier_priorities`` and nothing else. Returning ``None`` — as FIFO and
-SRPT do for a pure tie-break that only defines ``key()`` — keeps every
+A scheduler whose ``list_rule`` returns a rule with node priorities is run
+by the engine alone (no observer, no fault injector): it sees ``reset``
+and ``list_rule`` and nothing else. A rule without priorities — FIFO's
+and SRPT's for a pure tie-break that only defines ``key()`` — keeps every
 step in the dispatch loop, with the same schedule as the reference loop.
 """
 
@@ -36,9 +36,8 @@ def _stream(seed=0):
 @pytest.mark.parametrize("m", [2, 5])
 def test_key_only_tie_break_dispatches_every_step(make, m):
     inst = _stream(m)
-    scheduler = make(KeyOnlyHeightTieBreak())
-    scheduler.reset(inst, m)
-    assert scheduler.frontier_priorities(inst) is None
+    rule = make(KeyOnlyHeightTieBreak()).list_rule()
+    assert all(rule.priorities(job) is None for job in inst)
     run = simulate(inst, m, make(KeyOnlyHeightTieBreak()))
     stats = run.engine_stats
     assert stats.select_calls == stats.steps
@@ -59,9 +58,9 @@ class RecordingFIFO(FIFOScheduler):
         self.calls.append("reset")
         super().reset(instance, m)
 
-    def frontier_priorities(self, instance):
-        self.calls.append("frontier_priorities")
-        return super().frontier_priorities(instance)
+    def list_rule(self):
+        self.calls.append("list_rule")
+        return super().list_rule()
 
     def on_job_arrival(self, t, job_id, job):
         self.calls.append("on_job_arrival")
@@ -86,7 +85,7 @@ def test_list_rule_run_sees_reset_and_priorities_only():
     inst = _layered(0)
     scheduler = RecordingFIFO()
     run = simulate(inst, 4, scheduler)
-    assert scheduler.calls == ["reset", "frontier_priorities"]
+    assert scheduler.calls == ["reset", "list_rule"]
     assert run.engine_stats.kernel_steps > 0  # truncations were resolved
 
 
@@ -94,13 +93,13 @@ def test_batched_list_rule_run_sees_reset_and_priorities_only():
     batch = [_layered(s) for s in range(3)]
     scheduler = RecordingFIFO()
     simulate_batch(batch, 4, scheduler)
-    assert scheduler.calls == ["reset", "frontier_priorities"] * len(batch)
+    assert scheduler.calls == ["reset", "list_rule"] * len(batch)
 
 
 def test_observed_run_is_dispatched_and_never_asked_for_priorities():
     inst = _layered(1)
     scheduler = RecordingFIFO()
     run = simulate(inst, 4, scheduler, observer=SimulationObserver())
-    assert "frontier_priorities" not in scheduler.calls
+    assert "list_rule" not in scheduler.calls
     assert scheduler.calls.count("on_job_arrival") == len(inst)
     assert scheduler.calls.count("select") == run.engine_stats.steps

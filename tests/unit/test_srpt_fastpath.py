@@ -1,8 +1,8 @@
 """SRPT as a list rule: contract and bit-identity tests.
 
 SRPT's (remaining work, job id) walk is a pure function of the engine's
-own unfinished counts (``dynamic_job_order``), so with a kernel tie-break
-the engine recomputes it per step and never dispatches ``select``; a
+own unfinished counts (``ListRule.by_remaining_work``), so with a kernel
+tie-break the engine recomputes it per step and never dispatches ``select``; a
 fault injector's crash rebuilds the scheduler mid-run. The bit-identity
 cases are slices of the conformance matrix
 (``tests/properties/test_conformance.py``), checked against
@@ -54,15 +54,13 @@ def test_fast_path_matches_heap_reference(tie_break, m):
 
 def test_contract_declared_only_on_kernel_path():
     inst = _stream(3)
-    s = SRPTScheduler()
-    s.reset(inst, 4)
-    kernel = s.frontier_priorities(inst)
-    assert kernel is not None
-    assert kernel.shape == (inst.flat_graph.n_nodes,)
+    rule = SRPTScheduler().list_rule()
+    assert rule.by_remaining_work
+    for job in inst:
+        assert rule.priorities(job).shape == (job.dag.n,)
 
-    random_tb = SRPTScheduler(RandomTieBreak(7), seed=7)
-    random_tb.reset(inst, 4)
-    assert random_tb.frontier_priorities(inst) is None  # no kernel
+    random_rule = SRPTScheduler(RandomTieBreak(7), seed=7).list_rule()
+    assert all(random_rule.priorities(job) is None for job in inst)  # no kernel
 
 
 @pytest.mark.parametrize("tie_break", sorted(TIE_BREAKS))
@@ -99,12 +97,6 @@ def test_macro_stepping_engages_on_chains():
         "chain-heavy SRPT run never macro-stepped — the dynamic-order "
         "macro contract is not engaging"
     )
-
-
-def test_fast_path_job_order_is_srpt_order():
-    s = SRPTScheduler()
-    unfinished = np.array([5, 3, 3, 9], dtype=np.int64)
-    assert s.fast_path_job_order([0, 1, 2, 3], unfinished) == [1, 2, 0, 3]
 
 
 ENGINES = pytest.mark.parametrize(

@@ -108,6 +108,23 @@ class TestStallGuard:
         # Skipped steps never enter the utilization denominator.
         assert engine.metrics.utilization() > 0.0
 
+    def test_idle_jump_stops_at_t_limit(self):
+        """An idle gap is skipped up to ``t_limit``, never past it; the
+        split jumps add up to the unsplit run's skipped steps."""
+        def source():
+            return PoissonSource(0.02, 3, dag_nodes=4, n_jobs=5)
+
+        engine = StreamingEngine(source(), 4)
+        while True:
+            t, t_limit = engine.t, (engine.t // 10 + 1) * 10
+            if not engine.step(t_limit=t_limit):
+                break
+            assert t < engine.t <= t_limit
+        unsplit = StreamingEngine(source(), 4)
+        unsplit.run()
+        assert engine.metrics.summary() == unsplit.metrics.summary()
+        assert engine.metrics.idle_skipped_steps > 0
+
 
 # ----------------------------------------------------------------------
 # Engine configuration validation
@@ -115,6 +132,23 @@ class TestStallGuard:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "policy, fingerprint",
+        [
+            ("fifo", "36b06c76512e69c37ff8f8e789447c93729cd3ddfae4bd5b1870610360c4b3db"),
+            ("lpf", "ad2b97067bdbdb44133834a9f23a5daa047504f455fbda968841fb44b8f1ad55"),
+            ("srpt", "d23ed482f745ee72171bcff83809204b840e485207c8befbbd9e9a81d952f9a2"),
+        ],
+    )
+    def test_fingerprint_is_pinned(self, policy, fingerprint):
+        """Fingerprints hash the policy name, so checkpoints written by
+        earlier builds keep resuming."""
+        source = PoissonSource(
+            rate=0.5, seed=7, dag_nodes=64, family="attachment", n_jobs=3000
+        )
+        engine = StreamingEngine(source, 8, policy=policy, max_jobs=3000)
+        assert engine.fingerprint == fingerprint
+
     def test_rejects_unknown_policy(self):
         source = PoissonSource(rate=0.5, seed=0, dag_nodes=4, n_jobs=2)
         with pytest.raises(ConfigurationError):
@@ -481,6 +515,24 @@ class TestServeLoop:
         clean.pop("resumed")
         resumed.pop("resumed")
         assert clean == resumed
+
+    def test_ticks_inside_idle_gaps_land_on_their_boundaries(self):
+        import io
+
+        out = io.StringIO()
+        status = serve(
+            PoissonSource(0.02, 3, dag_nodes=4, n_jobs=5),
+            4,
+            tick_every=10,
+            install_signals=False,
+            stall_timeout=None,
+            out=out,
+            err=io.StringIO(),
+        )
+        assert status == 0
+        ticks = [json.loads(line)["t"] for line in out.getvalue().splitlines()[:-1]]
+        assert ticks == list(range(10, 10 * len(ticks) + 1, 10))
+        assert ticks[-1] > 300  # the stream's idle gaps are crossed
 
     def test_resume_without_a_checkpoint_says_it_starts_fresh(self, tmp_path):
         import io

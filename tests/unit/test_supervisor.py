@@ -2,7 +2,7 @@
 the fault-recovery behavior of the shared process pool."""
 
 import os
-import pickle
+import re
 import time
 
 import pytest
@@ -14,7 +14,8 @@ from repro.experiments import (
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.experiments.supervisor import _journal_path
+from repro.core.io import load_framed_pickle
+from repro.experiments.supervisor import _JOURNAL_MAGIC, _journal_path
 
 #: Retry policy with near-zero backoff so failure tests stay fast.
 FAST = SupervisorConfig(max_retries=3, backoff_base=0.001, backoff_cap=0.002)
@@ -157,11 +158,27 @@ class TestCheckpointJournal:
         run_supervised(
             _double, [7], n_workers=1, keys=keys, checkpoint_dir=tmp_path
         )
-        _journal_path(tmp_path, "c").write_bytes(b"not a pickle")
-        out = run_supervised(
-            _double, [7], n_workers=1, keys=keys, checkpoint_dir=tmp_path
-        )
+        path = _journal_path(tmp_path, "c")
+        path.write_bytes(b"not a pickle")
+        with pytest.warns(RuntimeWarning, match=re.escape(str(path))):
+            out = run_supervised(
+                _double, [7], n_workers=1, keys=keys, checkpoint_dir=tmp_path
+            )
         assert out.results == [14] and out.resumed == 0
+
+        # A low bit flipped mid-entry, inside the pickled string: the bytes
+        # still unpickle, to another string, so only the digest can tell.
+        task = "ab" * 64
+        run_supervised(_double, [task], n_workers=1, keys=["f"], checkpoint_dir=tmp_path)
+        path = _journal_path(tmp_path, "f")
+        blob = path.read_bytes()
+        mid = len(blob) // 2
+        path.write_bytes(blob[:mid] + bytes([blob[mid] ^ 0x01]) + blob[mid + 1 :])
+        with pytest.warns(RuntimeWarning, match=re.escape(str(path))):
+            out = run_supervised(
+                _double, [task], n_workers=1, keys=["f"], checkpoint_dir=tmp_path
+            )
+        assert out.results == [task * 2] and out.resumed == 0
 
     def test_truncated_journal_entry_is_recomputed(self, tmp_path):
         keys = ["t"]
@@ -182,8 +199,7 @@ class TestCheckpointJournal:
         leftovers = list(tmp_path.glob("*.tmp"))
         assert leftovers == []
         (entry,) = tmp_path.glob("*.ckpt")
-        with open(entry, "rb") as fh:
-            assert pickle.load(fh) == 2
+        assert load_framed_pickle(entry, _JOURNAL_MAGIC) == 2
 
     def test_checkpoint_requires_keys(self, tmp_path):
         with pytest.raises(ValueError, match="keys"):

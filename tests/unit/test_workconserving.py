@@ -1,15 +1,18 @@
 """Unit tests for the work-conserving baselines."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.analysis import check_work_conserving
-from repro.core import Instance, Job, antichain, chain, simulate, star
+from repro.core import Instance, Job, Scheduler, antichain, chain, simulate, star
 from repro.schedulers import (
     GlobalArbitraryScheduler,
     RandomScheduler,
     RoundRobinScheduler,
 )
+from repro.workloads import poisson_instance, quicksort_tree
 
 SCHEDULERS = [
     GlobalArbitraryScheduler,
@@ -71,7 +74,40 @@ class TestRoundRobin:
         assert RoundRobinScheduler().name == "RoundRobin"
 
 
+class _SmallestReadyPairs(Scheduler):
+    """Greedy[arbitrary] by its definition: each step, the ``capacity``
+    smallest ready ``(job id, node id)`` pairs."""
+
+    def reset(self, instance, m):
+        self.ready = set()
+
+    def on_nodes_ready(self, t, job_id, nodes):
+        self.ready.update((job_id, int(v)) for v in nodes)
+
+    def select(self, t, capacity):
+        chosen = heapq.nsmallest(capacity, self.ready)
+        self.ready.difference_update(chosen)
+        return chosen
+
+
 class TestGlobalArbitrary:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_takes_the_smallest_ready_pairs(self, seed, m):
+        """Job ids follow release order, so FIFO with the arbitrary
+        tie-break is exactly the smallest-pairs fill."""
+        rng = np.random.default_rng(seed)
+        dags = [
+            quicksort_tree(int(rng.integers(10, 60)), seed=seed * 7 + i)
+            for i in range(6)
+        ]
+        inst = poisson_instance(dags, rate=0.3, seed=seed)
+        run = simulate(inst, m, GlobalArbitraryScheduler())
+        ref = simulate(inst, m, _SmallestReadyPairs())
+        for a, b in zip(run.completion, ref.completion):
+            np.testing.assert_array_equal(a, b)
+        assert GlobalArbitraryScheduler().name == "Greedy[arbitrary]"
+
     def test_fills_capacity(self):
         inst = Instance([Job(antichain(9), 0)])
         s = simulate(inst, 3, GlobalArbitraryScheduler())

@@ -1,5 +1,7 @@
 """The opt-in on-disk workload cache: hits, misses, and safety valves."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ def cache_dir(tmp_path, monkeypatch):
 
 def _entries(path):
     return sorted(path.glob("*.wlcache"))
+
+
+def _flip_middle_byte(blob):
+    """Flip one low bit mid-file: inside the pickled payload, where the
+    bytes still unpickle, to a different tree."""
+    mid = len(blob) // 2
+    return blob[:mid] + bytes([blob[mid] ^ 0x01]) + blob[mid + 1 :]
 
 
 class TestActivation:
@@ -90,21 +99,26 @@ class TestSafetyValves:
             b"not a pickle",  # UnpicklingError
             b"garbage\n",  # parses as protocol-0 text, then ValueError
             b"",  # EOFError
+            pytest.param(_flip_middle_byte, id="flipped-payload-byte"),
         ],
     )
     def test_corrupt_entry_regenerates(self, cache_dir, garbage):
-        layered_tree([3, 3], seed=1)
+        """An unreadable entry is a miss: regenerated, with a warning
+        naming the file, never served as a different tree."""
+        expected = quicksort_tree(200, seed=3)
         (entry,) = _entries(cache_dir)
-        entry.write_bytes(garbage)
-        tree = layered_tree([3, 3], seed=1)
-        assert tree.n == 6
+        blob = entry.read_bytes()
+        entry.write_bytes(garbage(blob) if callable(garbage) else garbage)
+        with pytest.warns(RuntimeWarning, match=re.escape(str(entry))):
+            tree = quicksort_tree(200, seed=3)
+        assert tree == expected
 
 
 class TestSchemaVersioning:
-    def test_current_schema_is_v3(self):
+    def test_current_schema_is_v4(self):
         from repro.workloads import cache as cache_mod
 
-        assert cache_mod._SCHEMA_VERSION == 3
+        assert cache_mod._SCHEMA_VERSION == 4
 
     def test_v2_entries_are_invalidated_cleanly(self, cache_dir, monkeypatch):
         """Entries written under schema v2 never satisfy a v3 lookup: the

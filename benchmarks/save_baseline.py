@@ -23,7 +23,11 @@ The ``adversary_build_m32`` row times the Section 4 adversary's builder
 (``build_fifo_adversary(32, n_jobs=64)``: its layer-granular FIFO
 co-simulation, the freeze into DAGs, and both schedules' validation) and
 checks the built instance still separates FIFO from OPT; its "subjobs" are
-the built instance's total work.
+the built instance's total work. The ``dag_from_parents_serve_trees`` row
+times ``DAG.from_parents`` alone over 2000 random-attachment parent arrays
+with log-uniform sizes from 8 to 1024 nodes, the trees of perfbench
+``serve``'s trace; the arrays are drawn before the timer starts and its
+"subjobs" are the nodes built.
 """
 
 from __future__ import annotations
@@ -355,11 +359,34 @@ def _adversary_build_bench():
     return run
 
 
+def _from_parents_bench():
+    import numpy as np
+
+    from repro.core import DAG
+
+    rng = np.random.default_rng(2)
+    quantiles = (np.arange(2000) + 0.5) / 2000
+    sizes = np.rint(8 * np.exp(quantiles * np.log(1024 / 8))).astype(np.int64)
+    arrays = []
+    for n in rng.permutation(sizes).tolist():
+        parents = np.full(n, -1, dtype=np.int64)
+        parents[1:] = rng.integers(0, np.arange(1, n))
+        arrays.append(parents)
+
+    def run():
+        for parents in arrays:
+            DAG.from_parents(parents)
+        return int(sizes.sum())
+
+    return run
+
+
 #: Workload-builder benches, timed like the sweeps: the Section 4
 #: adversary, whose private co-simulation once lost 10x to a per-step
-#: set rebuild.
+#: set rebuild, and the parent-array constructor every tree goes through.
 BUILD_BENCHES = {
     "adversary_build_m32": (_adversary_build_bench, 3),
+    "dag_from_parents_serve_trees": (_from_parents_bench, 3),
 }
 
 

@@ -25,6 +25,7 @@ combinator returns a new DAG.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +48,51 @@ __all__ = [
 ]
 
 _INT = np.int64
+_INT_INFO = np.iinfo(_INT)
+
+
+def _as_ids(values: Any, what: str) -> Array:
+    """``values`` as a C-contiguous ``int64`` array of the same shape.
+
+    An integer array passes on its dtype alone (no copy if already
+    ``int64``). Anything else, a float, string or ``uint64`` array or a
+    list NumPy could not type as ``int64``, is read entry by entry, and a
+    :class:`GraphError` names the first entry that is not an integer or
+    lies outside int64.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise GraphError(f"{what}s do not form a rectangular array") from None
+    kind = arr.dtype.kind
+    if kind == "i" or (kind == "u" and arr.dtype.itemsize < 8):
+        return np.asarray(arr, dtype=_INT, order="C")
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=_INT)
+    ids = []
+    # The object array keeps each entry as given: NumPy typed [-1, 2**63]
+    # as float64.
+    for value in np.asarray(values, dtype=object).flat:
+        try:
+            ids.append(operator.index(value))
+        except TypeError:
+            raise GraphError(f"{what} {value!r} is not an integer") from None
+        if not _INT_INFO.min <= ids[-1] <= _INT_INFO.max:
+            raise GraphError(f"{what} {value!r} is outside int64")
+    return np.array(ids, dtype=_INT).reshape(arr.shape)
+
+
+def _counting_sort_order(keys: Array, n: int) -> Array:
+    """The stable argsort of ``keys``, ids in ``[0, n)``, by LSD radix.
+
+    NumPy's stable sort is a radix (counting) sort for integers of 16
+    bits or fewer and a timsort for wider ones, so each 16-bit digit
+    costs O(len) and ids below ``2**16`` take one digit.
+    """
+    order = keys.astype(np.uint16).argsort(kind="stable")  # the low digit
+    for shift in range(16, (n - 1).bit_length(), 16):
+        order = order[(keys[order] >> shift).astype(np.uint16).argsort(kind="stable")]
+    return order
 
 
 @dataclass(frozen=True)
@@ -111,6 +157,16 @@ class DAG:
     on other DAGs; the whole construction is O(n log n + e log e). The
     lazily computed :attr:`height` takes the same number of rounds: also
     ``⌈log2 span⌉`` on out-forests, one per depth level on other DAGs.
+
+    :meth:`from_parents` skips the edge sorts: it builds both CSR halves
+    from the parent array in O(n), by a prefix sum, a bincount and a
+    counting sort. The depth pass is the cycle check only for a parent
+    array that does not prove acyclicity itself; when every parent id is
+    below its child's, :attr:`depth` waits for its first reader, as
+    :attr:`height` does.
+
+    Every id must be an integer within int64: a float, string or oversized
+    entry raises :class:`GraphError` naming it rather than being truncated.
     """
 
     __slots__ = (
@@ -126,17 +182,11 @@ class DAG:
         self, n: int, edges: Iterable[tuple[int, int]] | Array = ()
     ) -> None:
         self.n = check_nonnegative_int(n, "n")
-        if isinstance(edges, np.ndarray):
-            # Fast path: an (e, 2) integer array avoids the Python-tuple
-            # round trip (matters when freezing multi-million-node DAGs).
-            arr = np.ascontiguousarray(edges, dtype=_INT)
-        else:
-            edge_list = list(edges)
-            arr = (
-                np.asarray(edge_list, dtype=_INT)
-                if edge_list
-                else np.empty((0, 2), dtype=_INT)
-            )
+        # An (e, 2) integer array skips the Python-tuple round trip (matters
+        # when freezing multi-million-node DAGs); other iterables are listed.
+        arr = _as_ids(
+            edges if isinstance(edges, np.ndarray) else list(edges), "edge endpoint"
+        )
         if arr.size:
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise GraphError("edges must be (u, v) pairs")
@@ -167,15 +217,54 @@ class DAG:
         ``parents[i]`` is the (single) parent of node ``i``, or ``-1`` for a
         root. This is the natural encoding for trees and is used by every
         tree workload generator.
+
+        Checks, in order: every entry is an integer within int64 and the
+        array is 1-D (:class:`GraphError`), every id lies in ``[-1, n)``
+        (:class:`GraphError`), and no node is its own parent or ancestor
+        (:class:`CycleError`, as ``DAG(n, edges)`` raises it). The CSR
+        arrays come straight from the parents: the parent half is
+        ``cumsum(parents >= 0)`` and the kept parent ids, the child half a
+        stable counting sort of the children by parent; both equal the
+        edge constructor's byte for byte.
+
+        Stores the in-degrees (``parents >= 0``) and ``is_out_forest``.
+        Leaves :attr:`depth` to its first reader when every parent id is
+        below its child's (one compare proves the array acyclic); any other
+        array runs the depth pass now, as the cycle check.
         """
-        parr = as_int_array(parents)
+        parr = _as_ids(parents, "parent id")
+        if parr.ndim != 1:
+            raise GraphError(f"parents must be a 1-D array, got shape {parr.shape}")
         n = parr.size
-        if parr.size and (parr.max() >= n or parr.min() < -1):
+        ids = np.arange(n, dtype=_INT)
+        # A parent below its child rules out ids >= n, self-loops and cycles.
+        parents_first = bool((parr < ids).all())
+        if n and (parr.min() < -1 or (not parents_first and parr.max() >= n)):
             raise GraphError("parent id out of range")
-        child_mask = parr >= 0
-        children = np.nonzero(child_mask)[0]
-        edges = np.stack([parr[child_mask], children], axis=1)
-        return cls(n, edges)
+        if not parents_first and (parr == ids).any():
+            raise CycleError("self-loop edge found")
+        has_parent = parr >= 0
+        indegree = has_parent.astype(_INT)
+        # ``add.accumulate`` is ``cumsum`` without its dispatch layers,
+        # which cost more than the sum on a tree of a few hundred nodes.
+        parent_indptr = np.zeros(n + 1, dtype=_INT)
+        np.add.accumulate(indegree, out=parent_indptr[1:])
+        parent_indices = parr[has_parent]
+        child_indptr = np.zeros(n + 1, dtype=_INT)
+        np.add.accumulate(np.bincount(parent_indices, minlength=n), out=child_indptr[1:])
+        # Children are listed in id order, so a stable sort by parent keeps
+        # each row sorted, as the edge constructor's lexsort does.
+        child_indices = ids[has_parent][_counting_sort_order(parent_indices, n)]
+        dag = cls.__new__(cls)
+        dag.n = n
+        dag.child_indptr, dag.child_indices = child_indptr, child_indices
+        dag.parent_indptr, dag.parent_indices = parent_indptr, parent_indices
+        for arr in (child_indptr, child_indices, parent_indptr, parent_indices, indegree):
+            arr.setflags(write=False)
+        vars(dag).update(indegree=indegree, is_out_forest=True)
+        if not parents_first:
+            _ = dag.depth
+        return dag
 
     @classmethod
     def from_networkx(cls, graph: Any) -> "DAG":
@@ -262,8 +351,9 @@ class DAG:
         the parent pointers: ``⌈log2 span⌉`` rounds of a gather and an add.
         Other DAGs take a vectorized Kahn pass, one round per depth level.
         Either raises :class:`CycleError` if the edge set is cyclic (this
-        runs at construction time), counting the nodes that no root
-        reaches.
+        runs at construction time, except on a parent array whose parents
+        precede their children, which cannot be cyclic), counting the nodes
+        that no root reaches.
         """
         # The out-forest test is spelled out rather than read from the cached
         # ``is_out_forest``: caching it here would add it to the state of

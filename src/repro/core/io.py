@@ -35,7 +35,7 @@ from .exceptions import ConfigurationError, ReproError, ScheduleError
 from .instance import Instance
 from .job import Job
 from .schedule import Schedule
-from .util import Array
+from .util import Array, as_index
 
 __all__ = [
     "dag_to_dict",
@@ -76,7 +76,13 @@ def dag_to_dict(dag: DAG) -> dict[str, Any]:
 
 
 def dag_from_dict(data: dict[str, Any]) -> DAG:
-    return DAG(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    """Inverse of :func:`dag_to_dict`; a non-integer count or endpoint
+    raises :class:`ConfigurationError` rather than being truncated."""
+    edges = [
+        (as_index(u, "edge endpoint"), as_index(v, "edge endpoint"))
+        for u, v in data["edges"]
+    ]
+    return DAG(as_index(data["n"], "n"), edges)
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -95,7 +101,7 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 def instance_from_dict(data: dict[str, Any]) -> Instance:
     return Instance(
         [
-            Job(dag_from_dict(j["dag"]), int(j["release"]), j.get("label"))
+            Job(dag_from_dict(j["dag"]), as_index(j["release"], "release"), j.get("label"))
             for j in data["jobs"]
         ]
     )

@@ -35,7 +35,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
-import pickle
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -168,15 +167,23 @@ def _journal_load(checkpoint_dir: Path, key: str) -> tuple[bool, Any]:
 
 
 def _journal_store(checkpoint_dir: Path, key: str, value: Any) -> None:
-    """Write ``value`` atomically (a torn write must not corrupt resume)."""
+    """Write ``value`` atomically (a torn write must not corrupt resume).
+
+    A value that cannot be journaled is still a result: a failed write
+    warns and the task keeps its value. Besides ``OSError``, pickling
+    raises ``PicklingError``, ``AttributeError`` (a local function),
+    ``TypeError`` (a lock or generator), ``RecursionError`` and more,
+    so any ``Exception`` counts as a failed write.
+    """
     path = _journal_path(checkpoint_dir, key)
     try:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         save_framed_pickle(path, _JOURNAL_MAGIC, value)
-    except (OSError, pickle.PicklingError):
+    except Exception as exc:
         warnings.warn(
-            f"checkpoint journal write failed for {path}; the sweep "
-            "continues but this task will re-run on resume",
+            f"checkpoint journal write failed for {path} "
+            f"({type(exc).__name__}: {exc}); the sweep continues but this "
+            "task will re-run on resume",
             RuntimeWarning,
             stacklevel=2,
         )

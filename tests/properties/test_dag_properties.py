@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DAG, CycleError
+from repro.core import DAG, CycleError, GraphError
 
 from .strategies import general_dags, out_forests, out_trees
 
@@ -240,3 +240,77 @@ def test_cyclic_parent_arrays_count_unreachable_nodes(parents, unreachable):
     everything hanging below it (the count the Kahn pass reports)."""
     with pytest.raises(CycleError, match=rf"\({unreachable} nodes unreachable\)"):
         DAG.from_parents(parents)
+
+
+# -- from_parents against the validated edge constructor --------------------
+
+_CSR = ("child_indptr", "child_indices", "parent_indptr", "parent_indices")
+_DERIVED = ("indegree", "depth", "height", "roots")
+_RUNS = ("order", "indptr", "run_id", "index_of", "steps_to_end")
+
+
+def _edges_of(parents: list[int]) -> list[tuple[int, int]]:
+    return [(p, c) for c, p in enumerate(parents) if p >= 0]
+
+
+def _via_edges(parents: list[int]) -> DAG:
+    """``DAG(n, edges_of(parents))`` behind the range check ``from_parents``
+    makes first: the edge list cannot tell a root's ``-1`` from a ``-2``."""
+    n = len(parents)
+    if n and (max(parents) >= n or min(parents) < -1):
+        raise GraphError("parent id out of range")
+    return DAG(n, _edges_of(parents))
+
+
+def _outcome(build, parents):
+    """Everything a caller can observe of ``build(parents)``: the error's
+    type and message, or the arrays (values, dtype, read-only flag), the
+    shape flags and the chain runs."""
+    try:
+        dag = build(parents)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    arrays = [getattr(dag, name) for name in _CSR + _DERIVED]
+    runs = dag.chain_runs
+    arrays += [getattr(runs, name) for name in _RUNS]
+    return dag.n, dag.is_out_forest, [(a.tolist(), a.dtype, a.flags.writeable) for a in arrays]
+
+
+@st.composite
+def parent_arrays(draw, kind: str, max_nodes: int = 40) -> list[int]:
+    """A parent array of one of four kinds: ``parents-first`` (every
+    parent id below its child's), ``relabelled`` (a forest under a random
+    renaming), ``arbitrary`` (ids in ``[-1, n)``: cycles and self-loops
+    too) and ``out-of-range`` (ids in ``[-3, n + 3)``)."""
+    if kind == "relabelled":
+        return draw(relabelled_parent_arrays(max_nodes))
+    n = draw(st.integers(0, max_nodes))
+    if kind == "parents-first":
+        return [draw(st.integers(-1, i - 1)) for i in range(n)]
+    low, high = (-1, n - 1) if kind == "arbitrary" else (-3, n + 2)
+    return draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+
+
+@pytest.mark.parametrize("kind", ["parents-first", "relabelled", "arbitrary", "out-of-range"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_from_parents_matches_validated_constructor(kind, data):
+    parents = data.draw(parent_arrays(kind))
+    given_as = data.draw(st.sampled_from([list, lambda p: np.array(p, dtype=np.int64)]))
+    assert _outcome(DAG.from_parents, given_as(parents)) == _outcome(_via_edges, parents)
+
+
+@given(parent_arrays("parents-first"), parent_arrays("arbitrary"))
+def test_only_unproven_parent_arrays_run_the_depth_pass(parents_first, arbitrary):
+    """A parents-first array is acyclic by construction, so its depth waits
+    for a reader; any other array runs the depth pass as its cycle check."""
+    dag = DAG.from_parents(parents_first)
+    assert "depth" not in vars(dag)
+    assert {"indegree", "is_out_forest"} <= set(vars(dag))
+    if all(p < c for c, p in enumerate(arbitrary)):
+        return
+    try:
+        dag = DAG.from_parents(arbitrary)
+    except CycleError:
+        return
+    assert "depth" in vars(dag)

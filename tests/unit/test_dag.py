@@ -65,6 +65,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DAG(-1)
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            # Truncated, this would be the edge (0, 1).
+            pytest.param([(0, 1.5)], r"edge endpoint 1\.5 is not an integer", id="float"),
+            pytest.param(
+                np.array([[0, 1.0]]), r"edge endpoint 0\.0 is not an integer", id="float-array"
+            ),
+            pytest.param([(0, "1")], r"edge endpoint '1' is not an integer", id="string"),
+            pytest.param(
+                [(0, 2**70)], r"edge endpoint 1180591620717411303424 is outside int64", id="2**70"
+            ),
+            pytest.param(
+                [(0, 1), (1, 2, 3)], r"edge endpoints do not form a rectangular array", id="ragged"
+            ),
+        ],
+    )
+    def test_bad_edge_arrays_name_the_entry(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            DAG(3, edges)
+
+    def test_narrow_integer_edges_accepted(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.uint16)
+        assert DAG(3, edges) == chain(3)
+
 
 class TestFromParents:
     def test_tree(self):
@@ -90,6 +115,38 @@ class TestFromParents:
     def test_parent_cycle_detected(self):
         with pytest.raises(CycleError):
             DAG.from_parents([1, 0])
+
+    @pytest.mark.parametrize(
+        "parents,message",
+        [
+            # Truncated, this would be the 2-node tree [-1, 0].
+            pytest.param([-1, 0.5], r"parent id 0\.5 is not an integer", id="float"),
+            # Flattened, this would be the 4-node tree [-1, 0, 0, 1].
+            pytest.param([[-1, 0], [0, 1]], r"1-D array, got shape \(2, 2\)", id="2-D"),
+            # NumPy's int64 conversion raises a bare OverflowError here.
+            pytest.param(
+                [-1, 2**70], "parent id 1180591620717411303424 is outside int64", id="2**70"
+            ),
+            pytest.param(
+                np.array([-1.0, 0.0]), r"parent id -1\.0 is not an integer", id="float-array"
+            ),
+            pytest.param([-1, "0"], r"parent id '0' is not an integer", id="string"),
+            pytest.param(
+                [-1, 2**63], r"parent id 9223372036854775808 is outside int64", id="2**63"
+            ),
+            pytest.param(
+                np.array([2**64 - 1, 0], dtype=np.uint64), "is outside int64", id="uint64"
+            ),
+            pytest.param(np.array(0), r"1-D array, got shape \(\)", id="0-D"),
+        ],
+    )
+    def test_bad_parent_arrays_name_the_entry(self, parents, message):
+        with pytest.raises(GraphError, match=message):
+            DAG.from_parents(parents)
+
+    def test_empty_and_narrow_integer_parents_accepted(self):
+        assert DAG.from_parents([]) == DAG(0)
+        assert DAG.from_parents(np.array([-1, 0, 1], dtype=np.int8)) == chain(3)
 
 
 class TestNetworkx:

@@ -1,10 +1,13 @@
 """Unit tests for serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import (
     DAG,
+    ConfigurationError,
     Instance,
     Job,
     load_instance_json,
@@ -95,3 +98,25 @@ class TestFileRoundtrips:
         path = str(tmp_path / "s.npz")
         save_schedule_npz(schedule, path)
         assert load_schedule_npz(path).max_flow == schedule.max_flow
+
+
+class TestNonIntegerInput:
+    """A non-integer count, release or endpoint makes a corrupt file, not
+    a truncated instance: ``{"release": 2.7, "dag": {"n": 3, "edges": [[0,
+    1.5], [1, "2"]]}}`` is not release 2 with edges (0, 1), (1, 2)."""
+
+    @pytest.mark.parametrize(
+        "job,bad",
+        [
+            ({"release": 2.7, "dag": {"n": 3, "edges": [[0, 1], [1, 2]]}}, "2.7"),
+            ({"release": 2, "dag": {"n": 3, "edges": [[0, 1.5], [1, 2]]}}, "1.5"),
+            ({"release": 2, "dag": {"n": 3, "edges": [[0, 1], [1, "2"]]}}, "'2'"),
+            ({"release": 2, "dag": {"n": 3.0, "edges": [[0, 1], [1, 2]]}}, "3.0"),
+        ],
+        ids=["release", "float-endpoint", "string-endpoint", "float-n"],
+    )
+    def test_load_instance_json_rejects(self, tmp_path, job, bad):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"jobs": [job]}))
+        with pytest.raises(ConfigurationError, match=rf"corrupt instance file .*got {bad}"):
+            load_instance_json(path)

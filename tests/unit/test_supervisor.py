@@ -201,6 +201,24 @@ class TestCheckpointJournal:
         (entry,) = tmp_path.glob("*.ckpt")
         assert load_framed_pickle(entry, _JOURNAL_MAGIC) == 2
 
+    def test_unpicklable_result_warns_and_is_kept(self, tmp_path):
+        # Pickling a local function raises AttributeError; the task still
+        # succeeded, so it is neither retried nor failed.
+        def make_closure(x):
+            def inner():
+                return 3 * x
+
+            return inner
+
+        with pytest.warns(RuntimeWarning, match="journal write failed"):
+            out = run_supervised(
+                make_closure, [1], n_workers=1, config=FAST,
+                keys=["k"], checkpoint_dir=tmp_path,
+            )
+        assert out.results[0]() == 3
+        assert out.retries == 0
+        assert list(tmp_path.iterdir()) == []  # no entry, no temporary file
+
     def test_checkpoint_requires_keys(self, tmp_path):
         with pytest.raises(ValueError, match="keys"):
             run_supervised(
